@@ -229,49 +229,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> str | None:
-    """Catch misconfigured --resume/--store/--durable combinations early,
-    with diagnostics instead of tracebacks deep inside the engine."""
+    """Catch misconfigured --resume/--store combinations early, with
+    diagnostics instead of tracebacks deep inside the engine."""
     import pathlib
 
-    if args.resume and args.store:
-        manifest = pathlib.Path(args.store) / "MANIFEST.json"
-        if manifest.exists():
-            import json
+    if args.resume and not args.store:
+        return "--resume requires --store DIR to resume from"
+    if not args.store:
+        return None
+    manifest = pathlib.Path(args.store) / "MANIFEST.json"
+    if args.resume:
+        if not pathlib.Path(args.store).exists():
+            return (
+                f"cannot --resume from {args.store}: store does not exist "
+                "(drop --resume to start a fresh campaign)"
+            )
+        if not manifest.exists():
+            return (
+                f"cannot --resume from {args.store}: store is empty "
+                "(drop --resume to start a fresh campaign)"
+            )
+        import json
 
-            header = json.loads(manifest.read_text(encoding="utf-8")).get("header") or {}
-            stored = header.get("allocator")
-            requested = allocator.identity() if allocator is not None else None
-            if stored != requested:
-                stored_name = stored.get("name") if stored else "uniform"
-                requested_name = requested.get("name") if requested else "uniform"
-                return (
-                    f"store {args.store} was written under allocator "
-                    f"{stored_name!r} ({stored or 'no header stamp'}); refusing "
-                    f"to resume it under {requested_name!r} — pass matching "
-                    "--allocator options or point --store at a fresh directory"
-                )
-    if args.durable and not args.store:
-        return "--durable requires --store DIR (the durable ledger campaigns write through)"
-    if args.resume and not args.checkpoint and not args.store:
-        return "--resume requires --checkpoint FILE or --store DIR to resume from"
-    if args.resume and args.checkpoint:
-        checkpoint = pathlib.Path(args.checkpoint)
-        if not checkpoint.exists():
+        header = json.loads(manifest.read_text(encoding="utf-8")).get("header") or {}
+        stored = header.get("allocator")
+        requested = allocator.identity() if allocator is not None else None
+        if stored != requested:
+            stored_name = stored.get("name") if stored else "uniform"
+            requested_name = requested.get("name") if requested else "uniform"
             return (
-                f"cannot --resume from {checkpoint}: checkpoint file does not exist "
-                "(drop --resume to start a fresh campaign)"
+                f"store {args.store} was written under allocator "
+                f"{stored_name!r} ({stored or 'no header stamp'}); refusing "
+                f"to resume it under {requested_name!r} — pass matching "
+                "--allocator options or point --store at a fresh directory"
             )
-        if checkpoint.stat().st_size == 0:
-            return (
-                f"cannot --resume from {checkpoint}: checkpoint file is empty "
-                "(drop --resume to start a fresh campaign)"
-            )
-    if args.store and not args.resume:
-        if (pathlib.Path(args.store) / "MANIFEST.json").exists():
-            return (
-                f"store {args.store} already holds a campaign; pass --resume to "
-                "continue it or point --store at a fresh directory"
-            )
+    elif manifest.exists():
+        return (
+            f"store {args.store} already holds a campaign; pass --resume to "
+            "continue it or point --store at a fresh directory"
+        )
     return None
 
 
@@ -307,22 +303,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    if args.engine != "pool":
-        for flag, value in (("--batch-size", args.batch_size),
-                            ("--pool-size", args.pool_size),
-                            ("--profile", args.profile)):
-            if value is not None:
-                print(f"error: {flag} requires --engine pool", file=sys.stderr)
-                return 2
     use_engine = (
         args.parallel is not None
-        or args.engine == "pool"
         or args.telemetry
-        or args.checkpoint
         or args.store
-        or args.durable
         or args.timeout is not None
         or args.fault_hook
+        or args.profile
     )
     if use_engine:
         from repro.harness.parallel import CampaignError, ParallelCampaign
@@ -335,12 +322,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             TelemetryAggregator,
         )
 
-        if args.checkpoint and not args.resume:
-            # Without --resume an existing checkpoint must not silently be
-            # reused — start the campaign from scratch.
-            import pathlib
-
-            pathlib.Path(args.checkpoint).unlink(missing_ok=True)
         aggregator = TelemetryAggregator()
         sinks = [aggregator]
         if args.telemetry:
@@ -350,39 +331,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         sink = MultiSink(sinks)
-        processes = args.parallel if args.parallel is not None else args.pool_size
-        if args.durable:
-            from repro.harness.supervisor import SupervisedCampaign
-
-            campaign = SupervisedCampaign(
-                config,
-                processes=processes,
-                cell_timeout=args.timeout,
-                max_retries=args.retries,
-                checkpoint=args.checkpoint,
-                telemetry=sink,
-                store=args.store,
-                heartbeat_seconds=args.heartbeat_seconds,
-                lease_seconds=args.lease_seconds,
-                fault_hook=args.fault_hook,
-                engine=args.engine,
-                batch_size=args.batch_size,
-                profile_dir=args.profile,
-            )
-        else:
-            campaign = ParallelCampaign(
-                config,
-                processes=processes,
-                cell_timeout=args.timeout,
-                max_retries=args.retries,
-                checkpoint=args.checkpoint,
-                telemetry=sink,
-                store=args.store,
-                fault_hook=args.fault_hook,
-                engine=args.engine,
-                batch_size=args.batch_size,
-                profile_dir=args.profile,
-            )
+        campaign = ParallelCampaign(
+            config,
+            processes=args.parallel,
+            cell_timeout=args.timeout,
+            max_retries=args.retries,
+            telemetry=sink,
+            store=args.store,
+            heartbeat_seconds=args.heartbeat_seconds,
+            lease_seconds=args.lease_seconds,
+            fault_hook=args.fault_hook,
+            profile_dir=args.profile,
+        )
         try:
             from repro.harness.store import StoreError
 
@@ -789,46 +749,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--tools", nargs="*")
     p_campaign.add_argument("--verbose", action="store_true")
     p_campaign.add_argument("--parallel", type=int, metavar="N",
-                            help="fault-tolerant engine with N worker processes "
-                                 "(0 = in-process serial engine)")
-    p_campaign.add_argument("--engine", choices=("percell", "pool"), default="percell",
-                            help="execution engine: 'percell' forks one process per "
-                                 "cell attempt; 'pool' serves batches of slices "
-                                 "through persistent workers that cache tools and "
-                                 "programs (bit-identical results, much less "
-                                 "per-slice overhead)")
-    p_campaign.add_argument("--batch-size", type=int, default=None, metavar="N",
-                            help="max slices per pooled batch (default 8; "
-                                 "requires --engine pool)")
-    p_campaign.add_argument("--pool-size", type=int, default=None, metavar="N",
-                            help="persistent workers for --engine pool (an alias "
-                                 "for --parallel that reads better with batches)")
+                            help="fault-tolerant engine with N persistent worker processes "
+                                 "(0 = in-process)")
     p_campaign.add_argument("--profile", metavar="DIR",
                             help="write per-worker cProfile dumps (.pstats) under DIR "
-                                 "and print a merged hot-spot summary "
-                                 "(requires --engine pool)")
+                                 "and print a merged hot-spot summary")
     p_campaign.add_argument("--telemetry", metavar="FILE",
                             help="write structured campaign telemetry (JSONL) to FILE")
-    p_campaign.add_argument("--checkpoint", metavar="FILE",
-                            help="persist completed cells to FILE as the campaign runs")
     p_campaign.add_argument("--resume", action="store_true",
-                            help="resume completed cells from an existing --checkpoint file")
+                            help="resume completed cells from an existing --store")
     p_campaign.add_argument("--store", metavar="DIR",
                             help="durable corpus store directory: every completed cell is "
                                  "recorded there crash-safely (continue with --resume, "
                                  "examine with 'rff store')")
-    p_campaign.add_argument("--durable", action="store_true",
-                            help="supervised engine: heartbeat/lease worker supervision "
-                                 "with exponential-backoff reassignment (requires --store)")
     p_campaign.add_argument("--heartbeat-seconds", type=float, default=0.5, metavar="S",
-                            help="supervised worker heartbeat interval (default 0.5)")
+                            help="worker heartbeat interval (default 0.5)")
     p_campaign.add_argument("--lease-seconds", type=float, default=10.0, metavar="S",
                             help="kill and reassign a worker silent this long (default 10)")
     p_campaign.add_argument("--fault-hook", metavar="MODULE:FUNC",
                             help="chaos-testing hook called at the start of every cell "
                                  "(e.g. repro.harness.faults:chaos_hook with RFF_CHAOS_PLAN set)")
     p_campaign.add_argument("--timeout", type=float, metavar="SECONDS",
-                            help="kill and retry any cell exceeding this wall time")
+                            help="seconds a worker may go without finishing a slice "
+                                 "before it is killed and the slice retried")
     p_campaign.add_argument("--retries", type=int, default=2,
                             help="extra attempts per crashed/timed-out cell (default 2)")
     p_campaign.add_argument("--sanitize", metavar="LIST",

@@ -39,7 +39,7 @@ on:
   budget in round 0 and are never re-sliced.
 
 Because plans depend only on (seed, history) and slice seeds derive from
-``slice_seed(base_seed, trial, round)``, serial, parallel, supervised and
+``slice_seed(base_seed, trial, round)``, serial, pooled and
 SIGKILL-resumed campaigns replay the identical sequence of slices for a
 fixed (seed, allocator) pair — the differential suite proves it.
 """
@@ -170,7 +170,7 @@ class BudgetAllocator:
         ``None`` means "stamp nothing" — the uniform allocator returns
         None so its headers stay byte-identical to pre-allocator
         campaigns and legacy stores resume cleanly.  Adaptive allocators
-        return their full identity, and the store/checkpoint header
+        return their full identity, and the store header
         equality check then refuses to resume under a different one.
         """
         return {
@@ -416,9 +416,10 @@ def merge_slices(slices: Sequence[BugSearchResult]) -> BugSearchResult:
 # The engine-agnostic round state machine
 # ----------------------------------------------------------------------
 class AllocationRun:
-    """Round bookkeeping shared by the serial, parallel and supervised
-    engines, so all three drive the allocator through the identical
-    (plan, observe) sequence and assemble the identical ledger."""
+    """Round bookkeeping of the campaign round loop
+    (:func:`repro.harness.campaign.run_rounds`), so serial and pooled
+    campaigns drive the allocator through the identical (plan, observe)
+    sequence and assemble the identical ledger."""
 
     def __init__(
         self, allocator: BudgetAllocator, cells: Sequence[CellInfo], base_seed: int

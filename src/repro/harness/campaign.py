@@ -8,11 +8,14 @@ sized so a full campaign runs on one laptop core; everything scales through
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from repro.harness.allocator import AllocationRun, CellId, CellInfo, UniformAllocator, slice_seed
 from repro.harness.stats import SummaryCell, summarize
+from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
@@ -36,9 +39,9 @@ class CampaignConfig:
     verify_replays: int = 0
     #: Runtime guardrails attached to every execution (None = unguarded).
     guard: GuardConfig | None = None
-    #: Budget allocator (see ``repro.harness.allocator``).  None keeps the
-    #: historical single-pass uniform split; an allocator instance runs the
-    #: campaign in seeded allocation rounds instead.
+    #: Budget allocator (see ``repro.harness.allocator``).  None runs one
+    #: uniform round and records no allocation ledger; an allocator
+    #: instance runs the campaign in seeded allocation rounds.
     allocator: Any = None
 
     def budget_for(self, program_name: str) -> int:
@@ -50,10 +53,10 @@ def campaign_header(
 ) -> dict[str, Any]:
     """The identity of one campaign: everything that determines its results.
 
-    Checkpoint files and corpus stores both stamp this header and refuse to
-    resume a campaign whose header differs — results computed under one
-    configuration must never be silently mixed with another's.  The
-    ``checkpoint_version`` key is the on-disk format version shared by both.
+    Corpus stores stamp this header and refuse to resume a campaign whose
+    header differs — results computed under one configuration must never
+    be silently mixed with another's.  The ``checkpoint_version`` key is
+    the on-disk format version.
 
     An adaptive allocator stamps its identity into the header, so resuming
     a store under a different allocator is refused by the same equality
@@ -61,10 +64,10 @@ def campaign_header(
     its headers stay byte-identical to pre-allocator campaigns, keeping
     old stores resumable.
 
-    Execution-engine choices never appear here: ``engine``, ``batch_size``
-    and pool sizing affect only *how* cells are dispatched, never what they
-    compute (the bit-identity contract), so a store written by a pooled
-    campaign resumes under the per-cell engine and vice versa.
+    Execution choices never appear here: the engine, pool size and batch
+    packing affect only *how* slices are dispatched, never what they
+    compute (the bit-identity contract), so a store written by a serial
+    campaign resumes under a pooled one and vice versa.
     """
     header = {
         "checkpoint_version": 1,
@@ -91,7 +94,7 @@ class CampaignResult:
     config: CampaignConfig
     results: dict[tuple[str, str], list[BugSearchResult]] = field(default_factory=dict)
     #: Allocation ledger (rounds, slices, estimates) when the campaign ran
-    #: under a budget allocator; None for legacy single-pass campaigns.
+    #: under a configured budget allocator; None otherwise.
     allocation: dict[str, Any] | None = None
 
     def trials(self, tool: str, program: str) -> list[BugSearchResult]:
@@ -166,176 +169,212 @@ class Campaign:
         progress=None,
         store=None,
     ) -> CampaignResult:
-        """Execute the full cross product; ``progress`` is an optional
-        callback ``(tool_name, program_name, trial_index)``.
+        """Execute the full cross product in this process, with the caller's
+        tool instances; ``progress`` is an optional callback
+        ``(tool_name, program_name, trial_index)`` called before every
+        executed slice.
 
         With ``store`` set (a :class:`~repro.harness.store.CorpusStore` or a
-        path opened as one), every cell result is recorded durably as it
-        completes and cells already in the store are skipped — so a killed
+        path opened as one), every result is recorded durably as it
+        completes and work already in the store is skipped — so a killed
         serial campaign resumes through the same ledger parallel ones use.
 
         With ``config.allocator`` set, the campaign runs in allocation
         rounds instead of a single uniform pass (see
         :mod:`repro.harness.allocator`).
         """
-        if self.config.allocator is not None:
-            return self._run_allocated(tools, programs, progress, store)
-        owned = False
-        if isinstance(store, (str, Path)):
-            # Lazy import: the store depends on persist, which imports tools
-            # from this package; campaign stays import-light.
-            from repro.harness.store import CorpusStore
+        for tool in tools:
+            if self.config.sanitizers:
+                tool.sanitizers = tuple(self.config.sanitizers)
+            if self.config.verify_replays:
+                tool.verify_replays = self.config.verify_replays
+            if self.config.guard is not None:
+                tool.guard = self.config.guard
+        tool_by_name = {tool.name: tool for tool in tools}
+        program_by_name = {program.name: program for program in programs}
 
-            store = CorpusStore(store)
-            owned = True
-        try:
-            done: dict[tuple[str, str, int], BugSearchResult] = {}
-            if store is not None:
-                store.begin_campaign(
-                    campaign_header(
-                        self.config, [t.name for t in tools], [p.name for p in programs]
-                    )
+        def execute(pending, record) -> None:
+            for (tool_name, program_name, trial), seed, budget in pending:
+                if progress is not None:
+                    progress(tool_name, program_name, trial)
+                result = tool_by_name[tool_name].find_bug(
+                    program_by_name[program_name], budget, seed
                 )
-                done = store.completed()
-            outcome = CampaignResult(config=self.config)
-            for tool in tools:
-                if self.config.sanitizers:
-                    tool.sanitizers = tuple(self.config.sanitizers)
-                if self.config.verify_replays:
-                    tool.verify_replays = self.config.verify_replays
-                if self.config.guard is not None:
-                    tool.guard = self.config.guard
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    budget = self.config.budget_for(program.name)
-                    results = []
-                    for trial in range(trials):
-                        key = (tool.name, program.name, trial)
-                        if key in done:
-                            results.append(done[key])
-                            continue
-                        if progress is not None:
-                            progress(tool.name, program.name, trial)
-                        seed = self.config.base_seed + 7919 * trial
-                        result = tool.find_bug(program, budget, seed)
-                        # Tools record the seed in the trial field by default;
-                        # stamp the trial index so serial, parallel and resumed
-                        # campaigns produce bit-identical results.
-                        result = replace(result, trial=trial)
-                        if store is not None:
-                            store.record_result(result)
-                        results.append(result)
-                    if tool.deterministic and self.config.trials > 1:
-                        # Replicate the single deterministic result so per-trial
-                        # aggregates stay comparable across tools.
-                        results = results * self.config.trials
-                    outcome.results[(tool.name, program.name)] = results
-            return outcome
-        finally:
-            if owned:
-                store.close()
+                # Tools record the seed in the trial field by default; stamp
+                # the trial index so every engine produces identical results.
+                record((tool_name, program_name, trial), replace(result, trial=trial))
 
-    def _run_allocated(
-        self,
-        tools: list[TestingTool],
-        programs: list[Program],
-        progress=None,
-        store=None,
-    ) -> CampaignResult:
-        """The round-based path: the allocator plans per-cell slices, slice
-        results feed its estimates, and slices merge into cell results.
+        return run_rounds(
+            self.config,
+            [(tool.name, tool.deterministic) for tool in tools],
+            [program.name for program in programs],
+            execute,
+            store=store,
+        )
 
-        Slices are recorded to the store as they complete and resumed
-        slice-granularly, so a killed adaptive campaign converges to the
-        same bits as an uninterrupted one.
-        """
-        from repro.harness.allocator import AllocationRun, CellInfo, slice_seed
 
-        owned = False
-        if isinstance(store, (str, Path)):
-            from repro.harness.store import CorpusStore
+#: One pending slice: (cell key, seed, budget).
+PendingSlice = tuple[tuple[str, str, int], int, int]
 
-            store = CorpusStore(store)
-            owned = True
-        try:
-            done_cells: dict[tuple[str, str, int], BugSearchResult] = {}
-            done_slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
-            if store is not None:
-                store.begin_campaign(
-                    campaign_header(
-                        self.config, [t.name for t in tools], [p.name for p in programs]
-                    )
+
+def run_rounds(
+    config: CampaignConfig,
+    tools: list[tuple[str, bool]],
+    programs: list[str],
+    execute: Callable[[list[PendingSlice], Callable[[Any, BugSearchResult], None]], None],
+    *,
+    store: Any = None,
+    sink: TelemetrySink | None = None,
+    processes: int = 0,
+    stats: dict[str, int] | None = None,
+    close: Callable[[], None] | None = None,
+) -> CampaignResult:
+    """The campaign round loop every engine runs.
+
+    ``tools`` are ``(name, deterministic)`` pairs.  Each round the
+    allocator (``config.allocator``, or a one-round
+    :class:`~repro.harness.allocator.UniformAllocator` when None) plans one
+    slice budget per live cell; slices the store already holds are
+    replayed, and the rest go to ``execute(pending, record)``, which must
+    call ``record(key, result)`` once per pending slice.  Slice results
+    feed the allocator's estimates and merge into one result per cell.
+
+    The store is the only resume format.  A one-round plan records whole
+    cells, multi-round plans record every slice as it completes plus each
+    merged cell at the end, so a killed campaign resumes slice-granularly
+    and converges to the same bits as an uninterrupted one.
+
+    ``sink`` receives ``campaign_start``, the allocation events (only when
+    an allocator was configured) and, after ``close()`` has run,
+    ``campaign_end`` with the ``retries``/``failed`` counts of ``stats``.
+    """
+    sink = sink or TelemetrySink()
+    stats = stats or {}
+    tool_names = [name for name, _ in tools]
+    deterministic = {name for name, is_deterministic in tools if is_deterministic}
+    cells = [
+        CellInfo(
+            tool=tool_name,
+            program=program_name,
+            trial=trial,
+            budget=config.budget_for(program_name),
+            one_shot=tool_name in deterministic,
+        )
+        for tool_name in tool_names
+        for program_name in programs
+        for trial in range(1 if tool_name in deterministic else config.trials)
+    ]
+    allocator = config.allocator or UniformAllocator()
+    single_round = max(1, allocator.rounds) == 1
+    executions = 0
+    owned = isinstance(store, (str, Path))
+    if owned:
+        # Lazy import: the store depends on persist, which imports tools
+        # from this package; campaign stays import-light.
+        from repro.harness.store import CorpusStore
+
+        store = CorpusStore(store)
+    try:
+        done_cells: dict[CellId, BugSearchResult] = {}
+        done_slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
+        if store is not None:
+            store.begin_campaign(campaign_header(config, tool_names, programs))
+            done_cells = store.completed()
+            done_slices = store.completed_slices()
+        sliced_cells = {key[:3] for key in done_slices}
+        run_state = AllocationRun(allocator, cells, config.base_seed)
+        start = time.perf_counter()
+        sink.emit(
+            "campaign_start",
+            tools=tool_names,
+            programs=list(programs),
+            trials=config.trials,
+            total_cells=len(cells),
+            resumed_cells=sum(
+                1 for cell in cells if cell.key in done_cells or cell.key in sliced_cells
+            ),
+            processes=processes,
+        )
+        while (plan := run_state.next_plan()) is not None:
+            round_index = run_state.round_index
+            if config.allocator is not None:
+                sink.emit(
+                    "alloc_round",
+                    allocator=allocator.name,
+                    round=round_index,
+                    budget=sum(plan.values()),
+                    cells=len(plan),
                 )
-                done_cells = store.completed()
-                done_slices = store.completed_slices()
-            sliced_cells = {key[:3] for key in done_slices}
-            cells = []
-            tool_by_name: dict[str, TestingTool] = {}
-            for tool in tools:
-                if self.config.sanitizers:
-                    tool.sanitizers = tuple(self.config.sanitizers)
-                if self.config.verify_replays:
-                    tool.verify_replays = self.config.verify_replays
-                if self.config.guard is not None:
-                    tool.guard = self.config.guard
-                tool_by_name[tool.name] = tool
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    budget = self.config.budget_for(program.name)
-                    for trial in range(trials):
-                        cells.append(
-                            CellInfo(
-                                tool=tool.name,
-                                program=program.name,
-                                trial=trial,
-                                budget=budget,
-                                one_shot=tool.deterministic,
-                            )
-                        )
-            program_by_name = {p.name: p for p in programs}
-            run_state = AllocationRun(self.config.allocator, cells, self.config.base_seed)
-            while (plan := run_state.next_plan()) is not None:
-                round_index = run_state.round_index
-                round_results: dict[tuple[str, str, int], BugSearchResult] = {}
-                for key in sorted(plan):
-                    tool_name, program_name, trial = key
-                    slice_key = (tool_name, program_name, trial, round_index)
-                    if slice_key in done_slices:
-                        round_results[key] = done_slices[slice_key]
-                        continue
-                    if round_index == 0 and key in done_cells and key not in sliced_cells:
-                        # A store written by the single-pass path (only
-                        # reachable under the uniform allocator, whose
-                        # header matches): the whole cell is already done.
-                        round_results[key] = done_cells[key]
-                        continue
-                    if progress is not None:
-                        progress(tool_name, program_name, trial)
-                    seed = slice_seed(self.config.base_seed, trial, round_index)
-                    result = tool_by_name[tool_name].find_bug(
-                        program_by_name[program_name], plan[key], seed
+                estimates = run_state.estimates()
+            round_results: dict[CellId, BugSearchResult] = {}
+            pending: list[PendingSlice] = []
+            for key in sorted(plan):
+                if config.allocator is not None:
+                    sink.emit(
+                        "alloc_estimate",
+                        allocator=allocator.name,
+                        round=round_index,
+                        tool=key[0],
+                        program=key[1],
+                        trial=key[2],
+                        allocated=plan[key],
+                        estimate=estimates.get(key),
                     )
-                    result = replace(result, trial=trial)
-                    if store is not None:
-                        store.record_slice(round_index, result)
-                    round_results[key] = result
-                run_state.observe(plan, round_results)
-            merged = run_state.merged()
-            if store is not None:
-                already = store.completed()
-                for key in sorted(merged):
-                    if key not in already:
-                        store.record_result(merged[key])
-            outcome = CampaignResult(config=self.config)
-            for tool in tools:
-                trials = 1 if tool.deterministic else self.config.trials
-                for program in programs:
-                    results = [merged[(tool.name, program.name, t)] for t in range(trials)]
-                    if tool.deterministic and self.config.trials > 1:
-                        results = results * self.config.trials
-                    outcome.results[(tool.name, program.name)] = results
-            outcome.allocation = run_state.ledger()
-            return outcome
-        finally:
-            if owned:
-                store.close()
+                if (*key, round_index) in done_slices:
+                    round_results[key] = done_slices[(*key, round_index)]
+                elif round_index == 0 and key in done_cells and key not in sliced_cells:
+                    # A whole-cell record: written by a one-round campaign
+                    # (only header-compatible under the same allocator).
+                    round_results[key] = done_cells[key]
+                else:
+                    seed = slice_seed(config.base_seed, key[2], round_index)
+                    pending.append((key, seed, plan[key]))
+
+            def record(key: CellId, result: BugSearchResult) -> None:
+                nonlocal executions
+                round_results[key] = result
+                executions += result.executions
+                if store is None:
+                    return
+                if single_round:
+                    store.record_result(result)
+                else:
+                    store.record_slice(round_index, result)
+
+            if pending:
+                execute(pending, record)
+            run_state.observe(plan, round_results)
+        merged = run_state.merged()
+        if store is not None and not single_round:
+            already = store.completed()
+            for key in sorted(merged):
+                if key not in already:
+                    store.record_result(merged[key])
+    finally:
+        if close is not None:
+            close()
+        if owned:
+            store.close()
+    wall_time = time.perf_counter() - start
+    sink.emit(
+        "campaign_end",
+        wall_time=wall_time,
+        cells=len(merged),
+        failed_cells=stats.get("failed", 0),
+        retries=stats.get("retries", 0),
+        executions=executions,
+        schedules_per_sec=executions / wall_time if wall_time > 0 else 0.0,
+    )
+    outcome = CampaignResult(config=config)
+    for tool_name in tool_names:
+        trials = 1 if tool_name in deterministic else config.trials
+        for program_name in programs:
+            results = [merged[(tool_name, program_name, trial)] for trial in range(trials)]
+            if tool_name in deterministic and config.trials > 1:
+                # Replicate the single deterministic result so per-trial
+                # aggregates stay comparable across tools.
+                results = results * config.trials
+            outcome.results[(tool_name, program_name)] = results
+    if config.allocator is not None:
+        outcome.allocation = run_state.ledger()
+    return outcome

@@ -1,7 +1,7 @@
 """Fault injection for the campaign engines: one-shot hooks + chaos plans.
 
-The engines' robustness claims — bounded retries, per-cell timeouts, lease
-expiry, crash isolation, checkpoint/store resume — are only testable if
+The engines' robustness claims — bounded retries, per-slice timeouts, lease
+expiry, crash isolation, store resume — are only testable if
 worker and storage failure can be provoked on demand.  Two mechanisms:
 
 **One-shot hooks** (the original layer).  A
@@ -34,7 +34,7 @@ Worker-side fault kinds (applied by :func:`chaos_hook`):
 * ``kill`` — hard ``os._exit`` mid-trial (segfault/OOM/SIGKILL model);
 * ``hang`` — wedge the worker past its lease: the heartbeat thread checks
   :func:`is_wedged` and stops beating, then the hook sleeps until the
-  supervisor's lease expiry kills the process;
+  pool's lease expiry kills the process;
 * ``skew`` — a benign slow-worker clock skew: sleep briefly, keep beating.
 
 Store-side fault kinds (applied by
@@ -45,8 +45,8 @@ Store-side fault kinds (applied by
 * ``corrupt`` — commit the record with a poisoned checksum, modelling
   at-rest corruption the reader must detect and re-run around.
 
-Hooks run inside worker processes.  In the engines' degraded serial mode
-they run in the campaign process itself, so tests combining degradation
+Hooks run inside worker processes.  In-process (``processes=0`` or a
+degraded pool) they run in the campaign process itself, so tests combining degradation
 with ``kill`` faults would kill the whole campaign — don't.
 """
 
@@ -92,7 +92,7 @@ class ChaosKill(BaseException):
     """
 
 
-#: Set by wedge-style faults in the worker process; the supervised worker's
+#: Set by wedge-style faults in the worker process; the pool worker's
 #: heartbeat thread polls it and stops beating, so the parent's lease
 #: machinery (not in-process cooperation) is what ends the worker.
 _WEDGED = False

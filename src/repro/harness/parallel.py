@@ -1,31 +1,37 @@
-"""Fault-tolerant, observable multiprocess campaign execution.
+"""Fault-tolerant, supervised, observable multiprocess campaigns.
 
 The paper runs its experiments with GNU Parallel over up to 50 cores
-(Appendix A.2); this module provides the same scale-out for our campaigns:
-the (tool, program, trial) cells of a campaign are independent, so they map
-cleanly onto worker processes.  Results are bit-identical to the serial
-:class:`~repro.harness.campaign.Campaign` — each cell derives its seed the
-same way — so parallelism is purely a wall-clock optimisation.
+(Appendix A.2); :class:`ParallelCampaign` provides the same scale-out for
+our campaigns.  It runs the campaign round loop of
+:func:`repro.harness.campaign.run_rounds` — the loop the serial
+:class:`~repro.harness.campaign.Campaign` runs — and hands each round's
+slices to a :class:`~repro.harness.pool.WorkerPool` of long-lived worker
+processes.  Every slice derives its seed the same way in both, so results
+are bit-identical to the serial campaign and parallelism is purely a
+wall-clock optimisation.
 
-Unlike a bare process pool, the engine survives its workers:
+The engine survives its workers:
 
 * **crash isolation** — a worker that dies (segfault model: hard exit, OOM
-  kill, SIGKILL) costs one cell attempt, not the campaign; the cell is
-  retried on a fresh process up to ``max_retries`` times and, if it keeps
-  failing, recorded as a structured error result (``isolate_failures``)
-  instead of aborting everything;
-* **per-cell timeouts** — a hung worker is killed at ``cell_timeout``
-  seconds and handled like a crash;
-* **graceful degradation** — if worker processes cannot be started at all,
-  the engine falls back to in-process serial execution of the remaining
-  cells rather than failing;
-* **checkpoint/resume** — with ``checkpoint`` set, every completed cell is
-  appended to a JSONL file; re-running the same campaign against that file
-  skips completed cells and still produces a bit-identical
-  :class:`~repro.harness.campaign.CampaignResult`;
-* **telemetry** — every lifecycle step (cell start/end/retry/error, worker
-  start/exit, degradation, checkpoints) is emitted into a
-  :class:`~repro.harness.telemetry.TelemetrySink`.
+  kill, SIGKILL) costs the slice it was running one attempt; the slice is
+  retried on a fresh worker after a capped exponential backoff, up to
+  ``max_retries`` times, and then recorded as a structured error result
+  (``isolate_failures``) instead of aborting everything;
+* **timeouts and leases** — a worker that goes ``cell_timeout`` seconds
+  without finishing a slice, or ``lease_seconds`` without a heartbeat, is
+  killed and handled like a crash;
+* **triage** — an exhausted cell is classified as a *deterministic
+  crasher* (every attempt failed the same way) or a *flaky environment*;
+* **graceful degradation** — ``processes=0`` runs every slice in-process,
+  and a pool whose workers cannot start at all falls back to the same
+  in-process execution rather than failing;
+* **resume** — with ``store`` set, every completed cell (or allocation
+  slice) is recorded in a :class:`~repro.harness.store.CorpusStore`, and
+  re-running the same campaign against it skips completed work and still
+  produces a bit-identical :class:`~repro.harness.campaign.CampaignResult`;
+* **telemetry** — every lifecycle step (cell start/end/retry/error, batch
+  dispatch, heartbeats, worker exit/recycle, degradation) is emitted into
+  a :class:`~repro.harness.telemetry.TelemetrySink`.
 
 Tool factories cross the process boundary *by importable reference*
 (``"module:qualname"`` strings carried in the cell spec), never through a
@@ -40,29 +46,22 @@ import importlib
 import multiprocessing as mp
 import os
 import sys
-import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.harness.campaign import CampaignConfig, CampaignResult, campaign_header
-from repro.harness.persist import append_jsonl, read_jsonl, result_from_dict, result_to_dict
-from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
+from repro.harness.campaign import CampaignConfig, CampaignResult, run_rounds
+from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
-
-CHECKPOINT_VERSION = 1
 
 
 class CampaignError(RuntimeError):
-    """A campaign cell failed and ``isolate_failures`` is off, or a
-    checkpoint file does not match the campaign being run."""
+    """A campaign cell failed and ``isolate_failures`` is off."""
 
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One (tool, program, trial) campaign cell, fully self-describing.
+    """One (tool, program, trial) campaign slice, fully self-describing.
 
     ``factory_ref`` is an importable ``"module:qualname"`` reference to the
     tool factory, resolved *inside* the worker — the spec is all a freshly
@@ -76,7 +75,7 @@ class CellSpec:
     budget: int
     factory_ref: str
     #: Optional importable fault-injection hook called with the spec before
-    #: the cell runs (see repro.harness.faults).
+    #: the slice runs (see repro.harness.faults).
     fault_hook: str | None = None
     #: Online sanitizer names attached to the tool inside the worker.
     sanitizers: tuple[str, ...] = ()
@@ -179,9 +178,6 @@ def _register_default_factories() -> None:
     _TOOL_FACTORIES.setdefault("MUZZ-like", muzz_tool)
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
 def _rff_env_snapshot() -> tuple[tuple[str, str], ...]:
     """The parent's ``RFF_*`` environment, as a picklable sorted tuple.
 
@@ -190,75 +186,9 @@ def _rff_env_snapshot() -> tuple[tuple[str, str], ...]:
     re-executes the interpreter and ``forkserver`` forks from a *server*
     process whose environment was frozen at first use — both can miss
     variables set (e.g. by a chaos test) after interpreter start.  Workers
-    therefore restore this snapshot explicitly before running any cell.
+    therefore restore this snapshot explicitly before running any slice.
     """
     return tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("RFF_")))
-
-
-def _restore_env_then(env: dict[str, str], target: Callable, args: tuple) -> None:
-    """Worker bootstrap: restore the parent's RFF_* env, then run ``target``."""
-    os.environ.update(env)
-    target(*args)
-
-
-def _run_cell(spec: CellSpec) -> CellOutcome:
-    """Execute one campaign cell; shared by workers and serial fallback."""
-    from repro import bench
-
-    if spec.fault_hook:
-        resolve_ref(spec.fault_hook)(spec)
-    tool = resolve_ref(spec.factory_ref)()
-    if spec.sanitizers:
-        tool.sanitizers = tuple(spec.sanitizers)
-    if spec.verify_replays:
-        tool.verify_replays = spec.verify_replays
-    if spec.guard is not None:
-        from repro.runtime.guard import GuardConfig
-
-        step_budget, wall_seconds, livelock_window = spec.guard
-        tool.guard = GuardConfig(
-            step_budget=step_budget,
-            wall_seconds=wall_seconds,
-            livelock_window=livelock_window,
-        )
-    program = bench.get(spec.program)
-    before = GLOBAL_COUNTERS.snapshot()
-    start = time.perf_counter()
-    result = tool.find_bug(program, spec.budget, spec.seed)
-    wall_time = time.perf_counter() - start
-    counters = GLOBAL_COUNTERS.delta(before).as_dict()
-    # Stamp the trial index (the tool records the seed there by default).
-    return CellOutcome(
-        result=replace(result, trial=spec.trial), wall_time=wall_time, counters=counters
-    )
-
-
-def _worker_main(conn, spec: CellSpec) -> None:
-    """Worker entrypoint: run the cell, ship ('ok', outcome) or ('error', msg).
-
-    An exception here is deterministic program/tool misbehaviour, reported
-    as a structured message; a worker that dies without sending anything
-    (hard crash, kill) is detected parent-side by the closed pipe.
-    """
-    try:
-        payload = ("ok", _run_cell(spec))
-    except BaseException as exc:  # noqa: BLE001 - must not leak workers
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Worker:
-    """Parent-side handle of one in-flight cell attempt."""
-
-    spec: CellSpec
-    attempt: int
-    proc: Any
-    conn: Any
-    started: float
 
 
 # ----------------------------------------------------------------------
@@ -266,728 +196,123 @@ class _Worker:
 # ----------------------------------------------------------------------
 @dataclass
 class ParallelCampaign:
-    """A fault-tolerant process-per-cell campaign over named tools/programs.
+    """A fault-tolerant, supervised campaign over named tools/programs.
 
-    ``processes=0`` runs every cell in-process (the degraded-pool code path,
-    also useful for debugging); ``processes=None`` uses the CPU count.
-    ``max_retries`` bounds *extra* attempts after a worker crash or timeout;
+    ``processes=0`` runs every slice in-process (also useful for
+    debugging); ``processes=None`` uses the CPU count.  ``max_retries``
+    bounds *extra* attempts after a worker crash, timeout or lost lease;
     in-worker Python exceptions are deterministic and are not retried.
     """
 
     config: CampaignConfig
     processes: int | None = None
-    #: Seconds one cell attempt may run before its worker is killed.
+    #: Seconds a worker may go without finishing a slice before it is killed.
     cell_timeout: float | None = None
-    #: Extra attempts (fresh worker process each) after crash/timeout.
+    #: Extra attempts (each on a fresh worker) after crash/timeout/lost lease.
     max_retries: int = 2
     #: Record exhausted cells as structured error results instead of raising.
     isolate_failures: bool = True
-    #: JSONL checkpoint path; existing compatible checkpoints are resumed.
-    checkpoint: str | Path | None = None
     telemetry: TelemetrySink = field(default_factory=TelemetrySink)
-    #: Multiprocessing start method (None = fork where available, else spawn).
+    #: Multiprocessing start method (None = see _default_start_method).
     start_method: str | None = None
-    #: Importable fault-injection hook propagated into every cell spec.
+    #: Importable fault-injection hook called before every slice.
     fault_hook: str | None = None
     #: Durable corpus store (CorpusStore instance or path); completed cells
-    #: are recorded there and resumed from it, alongside any checkpoint.
+    #: and slices are recorded there and resumed from it.
     store: Any = None
-    #: Execution engine: "percell" forks one worker per slice attempt;
-    #: "pool" serves batches of slices through long-lived workers that
-    #: cache tools and programs (see repro.harness.pool).  Results are
-    #: bit-identical either way.
-    engine: str = "percell"
-    #: Maximum slices per pooled batch (None = pool default).
-    batch_size: int | None = None
-    #: Directory for per-worker cProfile dumps under the pool engine
-    #: (None = profiling off); summarize with reporting.profile_summary.
+    #: Directory for per-worker cProfile dumps (None = profiling off);
+    #: summarize with reporting.profile_summary.
     profile_dir: str | Path | None = None
+    #: Interval between worker heartbeats.
+    heartbeat_seconds: float = 0.5
+    #: A worker silent this long loses its lease and is killed.
+    lease_seconds: float = 10.0
+    #: First-retry backoff delay; doubles per attempt.
+    backoff_base: float = 0.1
+    #: Upper bound on any single backoff delay.
+    backoff_cap: float = 5.0
 
-    # -- public API -----------------------------------------------------
     def run(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
         """Run all campaign cells; the result is bit-identical to serial runs."""
-        if self.engine not in ("percell", "pool"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'percell' or 'pool'"
-            )
+        from repro.harness.pool import WorkerPool
+
         _register_default_factories()
-        if self.config.allocator is not None:
-            return self._run_allocated(tool_names, program_names)
-        sink = self.telemetry
-        specs, deterministic = self._build_specs(tool_names, program_names)
-        self._total_cells = len(specs)
-        store, store_owned = self._open_store()
-        try:
-            if store is not None:
-                store.begin_campaign(self._checkpoint_header(tool_names, program_names))
-            completed = self._load_checkpoint(specs, tool_names, program_names)
-            if store is not None:
-                # Checkpoint records win (they went through the same recorder);
-                # the store fills in cells the checkpoint missed — e.g. a crash
-                # between the store append and the checkpoint append.
-                valid_keys = {spec.key for spec in specs}
-                for key, result in store.completed().items():
-                    if key in valid_keys and key not in completed:
-                        completed[key] = result
-            pending = [spec for spec in specs if spec.key not in completed]
-            start = time.perf_counter()
-            sink.emit(
-                "campaign_start",
-                tools=list(tool_names),
-                programs=list(program_names),
-                trials=self.config.trials,
-                total_cells=len(specs),
-                resumed_cells=len(completed),
-                processes=self._process_count(),
-            )
-            stats = {"retries": 0, "failed": 0, "executions": 0}
-            recorder = self._make_recorder(completed, stats, sink, store)
-            if self._process_count() == 0:
-                for spec in pending:
-                    self._run_serial_cell(spec, 1, recorder, stats, sink)
-            else:
-                self._execute_parallel(pending, recorder, stats, sink)
-            wall_time = time.perf_counter() - start
-            sink.emit(
-                "campaign_end",
-                wall_time=wall_time,
-                cells=len(completed),
-                failed_cells=stats["failed"],
-                retries=stats["retries"],
-                executions=stats["executions"],
-                schedules_per_sec=stats["executions"] / wall_time if wall_time > 0 else 0.0,
-            )
-            return self._assemble(tool_names, program_names, deterministic, completed)
-        finally:
-            self._close_pool()
-            if store_owned:
-                store.close()
-
-    def _open_store(self):
-        """Resolve the ``store`` field to (CorpusStore | None, owned)."""
-        if self.store is None:
-            return None, False
-        if isinstance(self.store, (str, Path)):
-            from repro.harness.store import CorpusStore
-
-            return CorpusStore(self.store), True
-        return self.store, False
-
-    # -- allocated (round-based) execution ------------------------------
-    def _run_allocated(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
-        """The round-based path: identical plans and slice seeds to the
-        serial engine (both drive ``AllocationRun``), with each round's
-        missing slices dispatched through the normal worker machinery —
-        so crash isolation, retries, timeouts, supervision and degraded
-        fallback all apply per slice."""
-        from repro.harness.allocator import AllocationRun, slice_seed
-
-        sink = self.telemetry
-        allocator = self.config.allocator
-        cells, deterministic, refs = self._build_cells(tool_names, program_names)
-        self._total_cells = len(cells)
-        store, store_owned = self._open_store()
-        try:
-            header = self._checkpoint_header(tool_names, program_names)
-            valid_keys = {cell.key for cell in cells}
-            done_cells, done_slices = self._load_allocated_checkpoint(header, valid_keys)
-            if store is not None:
-                store.begin_campaign(header)
-                for key, result in store.completed().items():
-                    if key in valid_keys and key not in done_cells:
-                        done_cells[key] = result
-                for slice_key, result in store.completed_slices().items():
-                    if slice_key[:3] in valid_keys and slice_key not in done_slices:
-                        done_slices[slice_key] = result
-            sliced_cells = {slice_key[:3] for slice_key in done_slices}
-            run_state = AllocationRun(allocator, cells, self.config.base_seed)
-            start = time.perf_counter()
-            sink.emit(
-                "campaign_start",
-                tools=list(tool_names),
-                programs=list(program_names),
-                trials=self.config.trials,
-                total_cells=len(cells),
-                resumed_cells=len(sliced_cells | set(done_cells)),
-                processes=self._process_count(),
-            )
-            stats = {"retries": 0, "failed": 0, "executions": 0}
-            while (plan := run_state.next_plan()) is not None:
-                round_index = run_state.round_index
-                sink.emit(
-                    "alloc_round",
-                    allocator=allocator.name,
-                    round=round_index,
-                    budget=sum(plan.values()),
-                    cells=len(plan),
-                )
-                estimates = run_state.estimates()
-                round_results: dict[tuple[str, str, int], BugSearchResult] = {}
-                recorder = self._make_recorder(
-                    round_results, stats, sink, store, slice_round=round_index
-                )
-                pending: list[CellSpec] = []
-                for key in sorted(plan):
-                    tool_name, program_name, trial = key
-                    sink.emit(
-                        "alloc_estimate",
-                        allocator=allocator.name,
-                        round=round_index,
-                        tool=tool_name,
-                        program=program_name,
-                        trial=trial,
-                        allocated=plan[key],
-                        estimate=estimates.get(key),
-                    )
-                    slice_key = (tool_name, program_name, trial, round_index)
-                    if slice_key in done_slices:
-                        round_results[key] = done_slices[slice_key]
-                        continue
-                    if round_index == 0 and key in done_cells and key not in sliced_cells:
-                        # A store/checkpoint written by the single-pass path
-                        # (only header-compatible under the uniform
-                        # allocator): the whole cell is already done.
-                        round_results[key] = done_cells[key]
-                        continue
-                    pending.append(
-                        CellSpec(
-                            tool=tool_name,
-                            program=program_name,
-                            trial=trial,
-                            seed=slice_seed(self.config.base_seed, trial, round_index),
-                            budget=plan[key],
-                            factory_ref=refs[tool_name],
-                            fault_hook=self.fault_hook,
-                            sanitizers=tuple(self.config.sanitizers),
-                            verify_replays=self.config.verify_replays,
-                            guard=(
-                                self.config.guard.as_tuple()
-                                if self.config.guard is not None
-                                else None
-                            ),
-                        )
-                    )
-                if pending:
-                    if self._process_count() == 0:
-                        for spec in pending:
-                            self._run_serial_cell(spec, 1, recorder, stats, sink)
-                    else:
-                        self._execute_parallel(pending, recorder, stats, sink)
-                run_state.observe(plan, round_results)
-            merged = run_state.merged()
-            if store is not None:
-                already = store.completed()
-                for key in sorted(merged):
-                    if key not in already:
-                        store.record_result(merged[key])
-            wall_time = time.perf_counter() - start
-            sink.emit(
-                "campaign_end",
-                wall_time=wall_time,
-                cells=len(merged),
-                failed_cells=stats["failed"],
-                retries=stats["retries"],
-                executions=stats["executions"],
-                schedules_per_sec=stats["executions"] / wall_time if wall_time > 0 else 0.0,
-            )
-            outcome = self._assemble(tool_names, program_names, deterministic, merged)
-            outcome.allocation = run_state.ledger()
-            return outcome
-        finally:
-            # The pool persists across allocation rounds (that is the point:
-            # worker caches amortize over the whole campaign); it is torn
-            # down only here, once the last round has run.
-            self._close_pool()
-            if store_owned:
-                store.close()
-
-    def _build_cells(self, tool_names: list[str], program_names: list[str]):
-        """The allocator's view of the campaign: CellInfo per cell, plus the
-        deterministic-tool set and factory references for spec building."""
-        from repro.harness.allocator import CellInfo
-
-        deterministic: set[str] = set()
+        tools: list[tuple[str, bool]] = []
         refs: dict[str, str] = {}
-        cells: list[CellInfo] = []
         for tool_name in tool_names:
             if tool_name not in _TOOL_FACTORIES:
                 raise KeyError(f"unknown tool {tool_name!r}; known: {sorted(_TOOL_FACTORIES)}")
             factory = _TOOL_FACTORIES[tool_name]
             refs[tool_name] = factory_ref(factory)
-            if factory().deterministic:
-                deterministic.add(tool_name)
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                budget = self.config.budget_for(program_name)
-                for trial in range(trials):
-                    cells.append(
-                        CellInfo(
-                            tool=tool_name,
-                            program=program_name,
-                            trial=trial,
-                            budget=budget,
-                            one_shot=tool_name in deterministic,
-                        )
-                    )
-        return cells, deterministic, refs
+            tools.append((tool_name, factory().deterministic))
+        self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
+        pool = WorkerPool(
+            self,
+            mp.get_context(self.start_method or _default_start_method()),
+            self._process_count(),
+            self._worker_profile(),
+        )
 
-    def _load_allocated_checkpoint(
-        self, header: dict[str, Any], valid_keys: set[tuple[str, str, int]]
-    ) -> tuple[
-        dict[tuple[str, str, int], BugSearchResult],
-        dict[tuple[str, str, int, int], BugSearchResult],
-    ]:
-        """Resume (whole cells, round slices) from the checkpoint file."""
-        done_cells: dict[tuple[str, str, int], BugSearchResult] = {}
-        done_slices: dict[tuple[str, str, int, int], BugSearchResult] = {}
-        if self.checkpoint is None:
-            return done_cells, done_slices
-        records = read_jsonl(self.checkpoint)
-        if not records:
-            append_jsonl(header, self.checkpoint)
-            return done_cells, done_slices
-        if records[0] != header:
-            raise CampaignError(
-                f"checkpoint {self.checkpoint} belongs to a different campaign: "
-                f"{records[0]!r} != {header!r}"
-            )
-        for record in records[1:]:
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial)
-            if key not in valid_keys:
-                continue
-            if "round" in record:
-                done_slices.setdefault((*key, record["round"]), result)
-            else:
-                done_cells.setdefault(key, result)
-        return done_cells, done_slices
+        def execute(pending, record) -> None:
+            specs = [
+                CellSpec(
+                    tool=tool,
+                    program=program,
+                    trial=trial,
+                    seed=seed,
+                    budget=budget,
+                    factory_ref=refs[tool],
+                    fault_hook=self.fault_hook,
+                )
+                for (tool, program, trial), seed, budget in pending
+            ]
+            pool.execute(specs, record)
 
-    # -- cell spec construction ----------------------------------------
-    def _build_specs(
-        self, tool_names: list[str], program_names: list[str]
-    ) -> tuple[list[CellSpec], set[str]]:
-        deterministic: set[str] = set()
-        specs: list[CellSpec] = []
-        for tool_name in tool_names:
-            if tool_name not in _TOOL_FACTORIES:
-                raise KeyError(f"unknown tool {tool_name!r}; known: {sorted(_TOOL_FACTORIES)}")
-            factory = _TOOL_FACTORIES[tool_name]
-            ref = factory_ref(factory)
-            if factory().deterministic:
-                deterministic.add(tool_name)
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                budget = self.config.budget_for(program_name)
-                for trial in range(trials):
-                    seed = self.config.base_seed + 7919 * trial
-                    specs.append(
-                        CellSpec(
-                            tool=tool_name,
-                            program=program_name,
-                            trial=trial,
-                            seed=seed,
-                            budget=budget,
-                            factory_ref=ref,
-                            fault_hook=self.fault_hook,
-                            sanitizers=tuple(self.config.sanitizers),
-                            verify_replays=self.config.verify_replays,
-                            guard=(
-                                self.config.guard.as_tuple()
-                                if self.config.guard is not None
-                                else None
-                            ),
-                        )
-                    )
-        return specs, deterministic
+        return run_rounds(
+            self.config,
+            tools,
+            list(program_names),
+            execute,
+            store=self.store,
+            sink=self.telemetry,
+            processes=self._process_count(),
+            stats=pool.stats,
+            close=pool.close,
+        )
 
     def _process_count(self) -> int:
         if self.processes is None:
             return os.cpu_count() or 1
         return self.processes
 
-    # -- checkpointing --------------------------------------------------
-    def _checkpoint_header(self, tool_names: list[str], program_names: list[str]) -> dict[str, Any]:
-        return campaign_header(self.config, tool_names, program_names)
-
-    def _load_checkpoint(
-        self, specs: list[CellSpec], tool_names: list[str], program_names: list[str]
-    ) -> dict[tuple[str, str, int], BugSearchResult]:
-        """Resume completed cells from the checkpoint file (if any)."""
-        if self.checkpoint is None:
-            return {}
-        header = self._checkpoint_header(tool_names, program_names)
-        records = read_jsonl(self.checkpoint)
-        if not records:
-            append_jsonl(header, self.checkpoint)
-            return {}
-        if records[0] != header:
-            raise CampaignError(
-                f"checkpoint {self.checkpoint} belongs to a different campaign: "
-                f"{records[0]!r} != {header!r}"
-            )
-        valid_keys = {spec.key for spec in specs}
-        completed: dict[tuple[str, str, int], BugSearchResult] = {}
-        for record in records[1:]:
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial)
-            if key in valid_keys:
-                completed[key] = result
-        return completed
-
-    # -- result recording ----------------------------------------------
-    def _make_recorder(
-        self,
-        completed: dict[tuple[str, str, int], BugSearchResult],
-        stats: dict[str, int],
-        sink: TelemetrySink,
-        store=None,
-        slice_round: int | None = None,
-    ) -> Callable[[CellSpec, int, CellOutcome | None, BugSearchResult], None]:
-        def record(
-            spec: CellSpec, attempt: int, outcome: CellOutcome | None, result: BugSearchResult
-        ) -> None:
-            completed[spec.key] = result
-            if store is not None:
-                # Durable ledger first: if we die between the two appends, the
-                # checkpoint is behind the store and resume takes the union.
-                if slice_round is None:
-                    store.record_result(result)
-                else:
-                    store.record_slice(slice_round, result)
-            if outcome is not None:
-                stats["executions"] += outcome.result.executions
-                # The executor-level counter delta also counts executions;
-                # the result's own count is the authoritative cell figure.
-                counters = {k: v for k, v in outcome.counters.items() if k != "executions"}
-                sink.emit(
-                    "cell_end",
-                    tool=spec.tool,
-                    program=spec.program,
-                    trial=spec.trial,
-                    attempt=attempt,
-                    wall_time=outcome.wall_time,
-                    executions=outcome.result.executions,
-                    schedules_per_sec=(
-                        outcome.result.executions / outcome.wall_time
-                        if outcome.wall_time > 0
-                        else 0.0
-                    ),
-                    found=outcome.result.found,
-                    **counters,
-                )
-                for report in outcome.result.sanitizer_reports:
-                    sink.emit(
-                        "sanitizer_report",
-                        tool=spec.tool,
-                        program=spec.program,
-                        trial=spec.trial,
-                        sanitizer=report.sanitizer,
-                        kind=report.kind,
-                        location=report.location,
-                        pair=list(report.pair),
-                    )
-            if self.checkpoint is not None:
-                payload: dict[str, Any] = {"result": result_to_dict(result)}
-                if slice_round is not None:
-                    payload["round"] = slice_round
-                append_jsonl(payload, self.checkpoint)
-                sink.emit(
-                    "checkpoint",
-                    path=str(self.checkpoint),
-                    completed=len(completed),
-                    total=self._total_cells,
-                )
-
-        return record
-
-    def _fail(
-        self,
-        spec: CellSpec,
-        attempts: int,
-        kind: str,
-        detail: str,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        stats["failed"] += 1
-        sink.emit(
-            "cell_error",
-            tool=spec.tool,
-            program=spec.program,
-            trial=spec.trial,
-            attempts=attempts,
-            kind=kind,
-            detail=detail,
-        )
-        if not self.isolate_failures:
-            raise CampaignError(
-                f"cell {spec.tool}/{spec.program} trial {spec.trial} failed ({kind}): {detail}"
-            )
-        recorder(
-            spec,
-            attempts,
-            None,
-            BugSearchResult(
-                tool=spec.tool,
-                program=spec.program,
-                trial=spec.trial,
-                found=False,
-                schedules_to_bug=None,
-                executions=0,
-                outcome=None,
-                error=f"{kind} after {attempts} attempt(s): {detail}",
-            ),
-        )
-
-    # -- serial fallback -----------------------------------------------
-    def _run_serial_cell(
-        self, spec: CellSpec, attempt: int, recorder, stats: dict[str, int], sink: TelemetrySink
-    ) -> None:
-        sink.emit(
-            "cell_start", tool=spec.tool, program=spec.program, trial=spec.trial, attempt=attempt
-        )
-        try:
-            outcome = _run_cell(spec)
-        except Exception as exc:  # deterministic failure: no retry in-process
-            self._fail(spec, attempt, "error", f"{type(exc).__name__}: {exc}", recorder, stats, sink)
-            return
-        recorder(spec, attempt, outcome, outcome.result)
-
-    # -- pooled execution -----------------------------------------------
-    def _pool_heartbeat_seconds(self) -> float | None:
-        """Heartbeat period for pooled workers (None = no heartbeats) —
-        subclass hook; the supervised engine returns its configured period."""
-        return None
-
-    def _pool_kwargs(self) -> dict[str, Any]:
-        """Extra WorkerPool arguments — subclass hook (the supervised engine
-        adds its lease timeout and retry backoff)."""
-        return {}
-
-    def _ensure_pool(self):
-        """The campaign's persistent worker pool, created on first use and
-        kept alive across allocation rounds so worker caches amortize."""
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            return pool
-        from repro.harness.pool import WorkerPool, WorkerProfile
+    def _worker_profile(self):
+        from repro.harness.pool import WorkerProfile
 
         profile_dir = None
         if self.profile_dir is not None:
             profile_dir = str(self.profile_dir)
             Path(profile_dir).mkdir(parents=True, exist_ok=True)
-        profile = WorkerProfile(
+        return WorkerProfile(
             sanitizers=tuple(self.config.sanitizers),
             verify_replays=self.config.verify_replays,
             guard=self.config.guard.as_tuple() if self.config.guard is not None else None,
             fault_hook=self.fault_hook,
-            heartbeat_seconds=self._pool_heartbeat_seconds(),
+            heartbeat_seconds=self.heartbeat_seconds,
             profile_dir=profile_dir,
             env=_rff_env_snapshot(),
         )
-        context = mp.get_context(self.start_method or _default_start_method())
-        self._pool = WorkerPool(
-            context=context,
-            size=max(1, self._process_count()),
-            profile=profile,
-            batch_size=self.batch_size,
-            **self._pool_kwargs(),
-        )
-        return self._pool
 
-    def _close_pool(self) -> None:
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            self._pool = None
-            pool.close(self.telemetry)
+    # -- failure policy -------------------------------------------------
+    def backoff_delay(self, attempt: int) -> float:
+        """Delay before retry #``attempt`` (1-based): capped exponential."""
+        return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
-    # -- parallel execution --------------------------------------------
-    def _worker_invocation(self, child_conn, spec: CellSpec) -> tuple[Callable, tuple]:
-        """The (target, args) a worker process runs — subclass hook (the
-        supervised engine swaps in a heartbeat-emitting entrypoint)."""
-        return _worker_main, (child_conn, spec)
-
-    def _launch(self, context, spec: CellSpec, attempt: int, sink: TelemetrySink) -> _Worker | None:
-        """Start one worker process; None when the pool is dead (degrade)."""
-        sink.emit(
-            "cell_start", tool=spec.tool, program=spec.program, trial=spec.trial, attempt=attempt
-        )
-        try:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            target, args = self._worker_invocation(child_conn, spec)
-            proc = context.Process(
-                target=_restore_env_then,
-                args=(dict(_rff_env_snapshot()), target, args),
-                daemon=True,
-            )
-            proc.start()
-        except OSError:
-            return None
-        child_conn.close()
-        sink.emit(
-            "worker_start", pid=proc.pid, tool=spec.tool, program=spec.program, trial=spec.trial
-        )
-        return _Worker(
-            spec=spec, attempt=attempt, proc=proc, conn=parent_conn, started=time.perf_counter()
-        )
-
-    @staticmethod
-    def _kill(worker: _Worker) -> None:
-        worker.proc.terminate()
-        worker.proc.join(timeout=5)
-        if worker.proc.is_alive():  # pragma: no cover - terminate() suffices
-            worker.proc.kill()
-            worker.proc.join()
-        worker.conn.close()
-
-    def _retry_or_fail(
-        self,
-        worker: _Worker,
-        kind: str,
-        detail: str,
-        queue: deque,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        if worker.attempt <= self.max_retries:
-            stats["retries"] += 1
-            sink.emit(
-                "cell_retry",
-                tool=worker.spec.tool,
-                program=worker.spec.program,
-                trial=worker.spec.trial,
-                attempt=worker.attempt,
-                kind=kind,
-            )
-            queue.append((worker.spec, worker.attempt + 1))
-        else:
-            self._fail(worker.spec, worker.attempt, kind, detail, recorder, stats, sink)
-
-    def _reap(
-        self,
-        worker: _Worker,
-        queue: deque,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        """Handle a worker whose pipe became readable (result or death)."""
-        try:
-            kind, payload = worker.conn.recv()
-        except (EOFError, OSError):
-            worker.proc.join()
-            worker.conn.close()
-            exitcode = worker.proc.exitcode
-            sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind="crash")
-            self._retry_or_fail(
-                worker,
-                "crash",
-                f"worker died with exit code {exitcode}",
-                queue,
-                recorder,
-                stats,
-                sink,
-            )
-            return
-        worker.conn.close()
-        worker.proc.join()
-        sink.emit("worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok")
-        if kind == "ok":
-            recorder(worker.spec, worker.attempt, payload, payload.result)
-        else:
-            # A deterministic in-worker exception; retrying cannot help.
-            self._fail(worker.spec, worker.attempt, "error", payload, recorder, stats, sink)
-
-    def _execute_parallel(
-        self,
-        specs: list[CellSpec],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-    ) -> None:
-        if self.engine == "pool":
-            self._ensure_pool().execute(specs, recorder, stats, sink, self)
-            return
-        context = mp.get_context(self.start_method or _default_start_method())
-        capacity = max(1, self._process_count())
-        queue: deque[tuple[CellSpec, int]] = deque((spec, 1) for spec in specs)
-        active: dict[Any, _Worker] = {}
-        degraded = False
-        try:
-            while queue or active:
-                while not degraded and queue and len(active) < capacity:
-                    spec, attempt = queue.popleft()
-                    worker = self._launch(context, spec, attempt, sink)
-                    if worker is None:
-                        degraded = True
-                        sink.emit(
-                            "pool_degraded",
-                            reason="worker process could not be started; "
-                            "running remaining cells serially in-process",
-                        )
-                        queue.appendleft((spec, attempt))
-                        break
-                    active[worker.conn] = worker
-                if not active:
-                    if degraded and queue:
-                        spec, attempt = queue.popleft()
-                        self._run_serial_cell(spec, attempt, recorder, stats, sink)
-                    continue
-                timeout = None
-                if self.cell_timeout is not None:
-                    now = time.perf_counter()
-                    nearest = min(w.started + self.cell_timeout for w in active.values())
-                    timeout = max(0.0, nearest - now)
-                for conn in mp_connection.wait(list(active), timeout=timeout):
-                    self._reap(active.pop(conn), queue, recorder, stats, sink)
-                if self.cell_timeout is not None:
-                    now = time.perf_counter()
-                    for conn, worker in list(active.items()):
-                        if now - worker.started >= self.cell_timeout:
-                            del active[conn]
-                            self._kill(worker)
-                            sink.emit(
-                                "worker_exit",
-                                pid=worker.proc.pid,
-                                exitcode=worker.proc.exitcode,
-                                kind="timeout",
-                            )
-                            self._retry_or_fail(
-                                worker,
-                                "timeout",
-                                f"cell exceeded {self.cell_timeout:g}s timeout",
-                                queue,
-                                recorder,
-                                stats,
-                                sink,
-                            )
-        finally:
-            for worker in active.values():  # abort path: leak no workers
-                self._kill(worker)
-
-    # -- assembly -------------------------------------------------------
-    def _assemble(
-        self,
-        tool_names: list[str],
-        program_names: list[str],
-        deterministic: set[str],
-        completed: dict[tuple[str, str, int], BugSearchResult],
-    ) -> CampaignResult:
-        outcome = CampaignResult(config=self.config)
-        for tool_name in tool_names:
-            trials = 1 if tool_name in deterministic else self.config.trials
-            for program_name in program_names:
-                cell_results = [
-                    completed[(tool_name, program_name, trial)] for trial in range(trials)
-                ]
-                if tool_name in deterministic and self.config.trials > 1:
-                    # Replicate the single deterministic result so per-trial
-                    # aggregates stay comparable across tools.
-                    cell_results = cell_results * self.config.trials
-                outcome.results[(tool_name, program_name)] = cell_results
-        return outcome
+    def _classify(self, key: tuple[str, str, int]) -> str:
+        """Triage of an exhausted cell from the kinds its attempts failed with."""
+        kinds = self._failure_kinds.get(key, [])
+        if len(set(kinds)) == 1:
+            return f"deterministic crasher: every attempt failed with {kinds[0]!r}"
+        return f"flaky environment: attempts failed with {sorted(set(kinds))}"
 
 
 def _default_start_method() -> str:

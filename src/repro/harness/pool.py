@@ -1,13 +1,9 @@
-"""Persistent batched worker pool: fork-server-style campaign execution.
+"""Persistent batched worker pool: the engine every multi-process campaign runs on.
 
 The paper's C/C++ RFF rides on AFL's fork server to amortize target startup
-cost across executions; the per-cell engine in
-:mod:`repro.harness.parallel` still pays a full process spawn plus tool and
-program construction for every (cell, attempt, slice).  Allocation rounds
-multiplied the number of *small* slices, so that per-dispatch overhead now
-dominates short campaigns.  This module is the analogue of the fork server:
+cost across executions.  This module is the analogue of the fork server:
 
-* **Long-lived workers.**  ``pool_size`` processes are spawned once per
+* **Long-lived workers.**  ``size`` processes are spawned once per
   campaign and serve *batches* of slices over a request/reply pipe
   protocol, surviving across batches and allocation rounds.
 * **Worker-side caches.**  Each worker caches constructed tools keyed by
@@ -27,13 +23,22 @@ dominates short campaigns.  This module is the analogue of the fork server:
   bounded both by slice count and by total schedule budget
   (:func:`repro.harness.allocator.pack_batches`), so one slow batch cannot
   starve an allocation-round barrier.
-* **Crash replay of unfinished slices only.**  Workers stream one
-  ``slice_done`` message per slice; when a worker dies mid-batch the
-  dispatcher already holds every completed slice and re-enqueues only the
-  unfinished remainder on a fresh worker (``worker_recycle`` telemetry).
-  Combined with the engines' retry accounting this preserves the golden
-  contract: for a fixed (seed, allocator), serial == per-cell == pool ==
+* **Supervision.**  Workers beat from a daemon thread every
+  ``heartbeat_seconds``; a worker silent for ``lease_seconds`` loses its
+  lease and is killed, as is one that goes ``cell_timeout`` seconds
+  without finishing a slice.
+* **Crash replay of the running slice only.**  Workers stream one
+  ``slice_done`` message per slice, in batch order, so when a worker dies
+  the dispatcher knows which slice it was running.  That slice is retried
+  after a capped exponential backoff, up to ``max_retries`` times, and
+  then recorded as a structured error classified as a *deterministic
+  crasher* (every attempt failed the same way) or a *flaky environment*.
+  The batch's never-started slices go back to the ready queue at their
+  current attempt.  For a fixed (seed, allocator), serial == pool ==
   SIGKILL'd-and-resumed, bit for bit.
+* **In-process execution.**  A pool of size 0 runs every slice in the
+  dispatcher's own process, and a pool whose workers cannot be started
+  at all degrades to that same in-process drain.
 
 Wire protocol (one duplex pipe per worker):
 
@@ -43,7 +48,7 @@ parent -> worker        ``("batch", batch_id, [wire_slice, ...])`` then
 worker -> parent        ``("slice_done", batch_id, index, payload)`` or
                         ``("slice_error", batch_id, index, message)`` per
                         slice, ``("batch_end", batch_id)`` per batch, and
-                        ``("heartbeat", seq, identity)`` when supervised
+                        ``("heartbeat", seq, identity)``
 ======================  =================================================
 
 A wire slice is the interned tuple ``(tool, program, trial, seed, budget,
@@ -64,9 +69,10 @@ from typing import Any, Callable
 from repro.core.trace import intern_schedule
 from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
+from repro.harness.tools import BugSearchResult
 
-#: Default maximum slices per dispatched batch.
-DEFAULT_BATCH_SLICES = 8
+#: Maximum slices per dispatched batch.
+BATCH_SLICES = 8
 #: Target number of batch "waves" per worker per execute() call; the budget
 #: cap is sized so a round splits into roughly this many batches per worker,
 #: keeping any single batch from holding the round barrier hostage.
@@ -110,7 +116,7 @@ def wire_slice(spec) -> tuple:
 # Worker side
 # ----------------------------------------------------------------------
 def _apply_profile(tool, profile: WorkerProfile) -> None:
-    """Apply campaign-wide tool attributes, mirroring ``_run_cell``."""
+    """Apply the campaign-wide tool attributes of ``profile``."""
     if profile.sanitizers:
         tool.sanitizers = tuple(profile.sanitizers)
     if profile.verify_replays:
@@ -126,15 +132,15 @@ def _apply_profile(tool, profile: WorkerProfile) -> None:
         )
 
 
-def _execute_wire_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict):
-    """Run one slice against the worker's caches; returns the reply payload."""
+def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict):
+    """Run one slice against the given caches; returns its CellOutcome."""
     from repro import bench
-    from repro.harness.parallel import CellSpec, resolve_ref
+    from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
 
     tool_name, program_name, trial, seed, budget, ref = wire
     if profile.fault_hook:
-        # Fault hooks receive a full CellSpec so chaos plans key the same
-        # tool|program|trial cells as the per-cell engine does.
+        # Fault hooks receive a full CellSpec so chaos plans key cells by
+        # tool|program|trial.
         spec = CellSpec(
             tool=tool_name,
             program=program_name,
@@ -163,7 +169,10 @@ def _execute_wire_slice(wire: tuple, profile: WorkerProfile, tools: dict, progra
     result = tool.find_bug(program, budget, seed)
     wall_time = time.perf_counter() - start
     counters = GLOBAL_COUNTERS.delta(before).as_dict()
-    return (result_to_dict(replace(result, trial=trial)), wall_time, counters)
+    # Stamp the trial index (the tool records the seed there by default).
+    return CellOutcome(
+        result=replace(result, trial=trial), wall_time=wall_time, counters=counters
+    )
 
 
 def _pool_worker_main(conn, profile: WorkerProfile) -> None:
@@ -187,10 +196,17 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
     current: list = [None]
 
     if profile.heartbeat_seconds:
+        parent = os.getppid()
 
         def beat() -> None:
+            # A wedged worker (hang fault, stuck runtime) stops beating but
+            # stays alive: exactly the failure the parent's lease catches.
             seq = 0
             while not stop.wait(profile.heartbeat_seconds):
+                if os.getppid() != parent:
+                    # Reparented: the campaign was killed without shutting
+                    # the pool down.  Don't outlive it.
+                    os._exit(0)
                 if faults.is_wedged():
                     continue
                 seq += 1
@@ -234,8 +250,10 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
             for index, wire in enumerate(slices):
                 current[0] = (wire[0], wire[1], wire[2])
                 try:
+                    outcome = _run_slice(wire, profile, tools, programs)
                     payload = ("slice_done", batch_id, index,
-                               _execute_wire_slice(wire, profile, tools, programs))
+                               (result_to_dict(outcome.result), outcome.wall_time,
+                                outcome.counters))
                 except BaseException as exc:  # noqa: BLE001 - must not leak workers
                     payload = ("slice_error", batch_id, index,
                                f"{type(exc).__name__}: {exc}")
@@ -287,6 +305,43 @@ def _decode_outcome(payload):
     )
 
 
+def _emit_cell_end(spec, attempt: int, outcome, sink: TelemetrySink) -> None:
+    """The telemetry of one completed slice: ``cell_end`` plus its findings."""
+    result = outcome.result
+    # The executor-level counter delta also counts executions; the result's
+    # own count is the authoritative cell figure.
+    counters = {k: v for k, v in outcome.counters.items() if k != "executions"}
+    sink.emit(
+        "cell_end",
+        tool=spec.tool,
+        program=spec.program,
+        trial=spec.trial,
+        attempt=attempt,
+        wall_time=outcome.wall_time,
+        executions=result.executions,
+        schedules_per_sec=(
+            result.executions / outcome.wall_time if outcome.wall_time > 0 else 0.0
+        ),
+        found=result.found,
+        **counters,
+    )
+    for report in result.sanitizer_reports:
+        sink.emit(
+            "sanitizer_report",
+            tool=spec.tool,
+            program=spec.program,
+            trial=spec.trial,
+            sanitizer=report.sanitizer,
+            kind=report.kind,
+            location=report.location,
+            pair=list(report.pair),
+        )
+
+
+#: Records one slice's result with the round loop: ``record(key, result)``.
+Recorder = Callable[[tuple[str, str, int], BugSearchResult], None]
+
+
 @dataclass
 class _Batch:
     """One dispatched unit of work: parallel arrays over its slices."""
@@ -297,8 +352,7 @@ class _Batch:
     wires: list[tuple]
     budget: int
     done: list[bool] = field(default_factory=list)
-    #: Earliest dispatch time (crash-replay batches back off under the
-    #: supervised engine's exponential-backoff policy).
+    #: Earliest dispatch time (a retried slice waits out its backoff).
     not_before: float = 0.0
 
     def __post_init__(self) -> None:
@@ -315,7 +369,6 @@ class _PoolWorker:
 
     proc: Any
     conn: Any
-    started: float
     last_beat: float
     #: Time of the worker's last slice completion (or batch dispatch); the
     #: per-slice ``cell_timeout`` is enforced as time-without-progress.
@@ -326,33 +379,28 @@ class _PoolWorker:
 class WorkerPool:
     """A pool of long-lived batch-serving workers for one campaign.
 
-    The pool outlives individual ``execute()`` calls — the allocated path
-    calls it once per round, and worker caches persist across rounds.  All
-    failure *policy* (retry budgets, isolate-failures semantics, backoff
-    pacing) stays with the owning engine; the pool only implements the
-    mechanics of dispatch, streaming replies, and crash replay.
+    The pool outlives individual ``execute()`` calls — the round loop calls
+    it once per round, and worker caches persist across rounds.  Failure
+    *policy* (retry budget, timeout, lease, backoff, isolate-failures) is
+    read from the owning :class:`~repro.harness.parallel.ParallelCampaign`;
+    the pool implements dispatch, streaming replies and crash replay, and
+    counts ``retries`` and ``failed`` cells in :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        context,
-        size: int,
-        profile: WorkerProfile,
-        batch_size: int | None = None,
-        batch_budget: int | None = None,
-        lease_seconds: float | None = None,
-        backoff: Callable[[int], float] | None = None,
-    ):
+    def __init__(self, engine, context, size: int, profile: WorkerProfile):
+        self.engine = engine
+        self.sink: TelemetrySink = engine.telemetry
         self.context = context
-        self.size = max(1, size)
+        #: Worker processes; 0 runs every slice in-process.
+        self.size = size
         self.profile = profile
-        self.batch_size = batch_size or DEFAULT_BATCH_SLICES
-        self.batch_budget = batch_budget
-        self.lease_seconds = lease_seconds
-        self.backoff = backoff
+        self.stats = {"retries": 0, "failed": 0}
         self._workers: dict[Any, _PoolWorker] = {}
         self._batch_seq = 0
         self._degraded = False
+        #: Tool and program caches of the in-process drain.
+        self._tools: dict[tuple[str, str], Any] = {}
+        self._programs: dict[str, Any] = {}
 
     # -- batching -------------------------------------------------------
     def _make_batch(self, specs: list, attempts: list[int], not_before: float = 0.0) -> _Batch:
@@ -371,14 +419,15 @@ class WorkerPool:
 
         total = sum(spec.budget for spec in specs)
         largest = max(spec.budget for spec in specs)
-        cap = self.batch_budget or max(largest, -(-total // (self.size * BATCH_WAVES)))
+        waves = max(1, self.size) * BATCH_WAVES
+        cap = max(largest, -(-total // waves))
         return [
             self._make_batch(group, [1] * len(group))
-            for group in pack_batches(specs, self.batch_size, cap)
+            for group in pack_batches(specs, BATCH_SLICES, cap)
         ]
 
     # -- worker lifecycle -----------------------------------------------
-    def _spawn(self, sink: TelemetrySink) -> _PoolWorker | None:
+    def _spawn(self) -> _PoolWorker | None:
         try:
             parent_conn, child_conn = self.context.Pipe(duplex=True)
             proc = self.context.Process(
@@ -390,7 +439,7 @@ class WorkerPool:
         child_conn.close()
         now = time.perf_counter()
         worker = _PoolWorker(
-            proc=proc, conn=parent_conn, started=now, last_beat=now, last_progress=now
+            proc=proc, conn=parent_conn, last_beat=now, last_progress=now
         )
         self._workers[parent_conn] = worker
         return worker
@@ -410,9 +459,8 @@ class WorkerPool:
             worker.proc.join()
         worker.conn.close()
 
-    def close(self, sink: TelemetrySink | None = None) -> None:
+    def close(self) -> None:
         """Shut every worker down (clean message first, then force)."""
-        sink = sink or TelemetrySink()
         for worker in self._workers.values():
             if worker.batch is not None:
                 # Abort path: a batch is still in flight; don't wait for it.
@@ -430,19 +478,62 @@ class WorkerPool:
                 worker.proc.terminate()
                 worker.proc.join()
             worker.conn.close()
-            sink.emit("worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok")
+            self.sink.emit(
+                "worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok"
+            )
         self._workers.clear()
 
-    # -- dispatch/replay ------------------------------------------------
-    def _dispatch(self, worker: _PoolWorker, batch: _Batch, sink: TelemetrySink) -> bool:
-        for index, spec in enumerate(batch.specs):
-            sink.emit(
+    # -- slice bookkeeping ----------------------------------------------
+    def _start(self, batch: _Batch, index: int) -> None:
+        """Emit ``cell_start`` for slice ``index`` of ``batch``, if any.
+
+        A worker runs its batch in order, so slice ``index`` starts when
+        slice ``index - 1`` replies (or, for index 0, when the batch is
+        sent); emitting then keeps queued slices' waits out of their time.
+        """
+        if index < len(batch.specs):
+            spec = batch.specs[index]
+            self.sink.emit(
                 "cell_start",
                 tool=spec.tool,
                 program=spec.program,
                 trial=spec.trial,
                 attempt=batch.attempts[index],
             )
+
+    def _fail(self, spec, attempts: int, kind: str, detail: str) -> BugSearchResult:
+        """A cell that cannot complete: telemetry, then the structured error
+        result (or :class:`~repro.harness.parallel.CampaignError` when the
+        engine does not isolate failures)."""
+        from repro.harness.parallel import CampaignError
+
+        self.stats["failed"] += 1
+        self.sink.emit(
+            "cell_error",
+            tool=spec.tool,
+            program=spec.program,
+            trial=spec.trial,
+            attempts=attempts,
+            kind=kind,
+            detail=detail,
+        )
+        if not self.engine.isolate_failures:
+            raise CampaignError(
+                f"cell {spec.tool}/{spec.program} trial {spec.trial} failed ({kind}): {detail}"
+            )
+        return BugSearchResult(
+            tool=spec.tool,
+            program=spec.program,
+            trial=spec.trial,
+            found=False,
+            schedules_to_bug=None,
+            executions=0,
+            outcome=None,
+            error=f"{kind} after {attempts} attempt(s): {detail}",
+        )
+
+    # -- dispatch/replay ------------------------------------------------
+    def _dispatch(self, worker: _PoolWorker, batch: _Batch) -> bool:
         try:
             worker.conn.send(("batch", batch.batch_id, batch.wires))
         except OSError:
@@ -451,27 +542,31 @@ class WorkerPool:
         worker.batch = batch
         worker.last_progress = now
         worker.last_beat = now
-        sink.emit(
+        self.sink.emit(
             "batch_dispatch",
             pid=worker.proc.pid,
             batch=batch.batch_id,
             slices=len(batch.specs),
             budget=batch.budget,
         )
+        self._start(batch, 0)
         return True
 
     def _recycle(
         self,
         worker: _PoolWorker,
         kind: str,
-        detail: str,
+        ready: deque,
         waiting: list[_Batch],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-        engine,
+        record: Recorder,
     ) -> None:
-        """Retire a dead/killed worker and replay only its unfinished slices."""
+        """Retire a dead or killed worker.
+
+        Only the slice it was running (the first unfinished one) costs an
+        attempt; the batch's never-started slices go back to the ready
+        queue unchanged.
+        """
+        engine = self.engine
         del self._workers[worker.conn]
         if kind == "crash":
             worker.proc.join()
@@ -481,8 +576,8 @@ class WorkerPool:
         exitcode = worker.proc.exitcode
         batch = worker.batch
         unfinished = [] if batch is None else batch.unfinished()
-        sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind=kind)
-        sink.emit(
+        self.sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind=kind)
+        self.sink.emit(
             "worker_recycle",
             pid=worker.proc.pid,
             exitcode=exitcode,
@@ -491,51 +586,40 @@ class WorkerPool:
         )
         if not unfinished:
             return
-        replay_specs: list = []
-        replay_attempts: list[int] = []
-        delay = 0.0
-        for index in unfinished:
-            spec, attempt = batch.specs[index], batch.attempts[index]
-            if attempt <= engine.max_retries:
-                stats["retries"] += 1
-                sink.emit(
-                    "cell_retry",
-                    tool=spec.tool,
-                    program=spec.program,
-                    trial=spec.trial,
-                    attempt=attempt,
-                    kind=kind,
-                )
-                if self.backoff is not None:
-                    delay = max(delay, self.backoff(attempt))
-                    sink.emit(
-                        "lease_reassign",
-                        tool=spec.tool,
-                        program=spec.program,
-                        trial=spec.trial,
-                        attempt=attempt,
-                        kind=kind,
-                        delay=delay,
-                    )
-                replay_specs.append(spec)
-                replay_attempts.append(attempt + 1)
-            else:
-                engine._fail(spec, attempt, kind, detail, recorder, stats, sink)
-        if replay_specs:
-            waiting.append(
+        running, never_started = unfinished[0], unfinished[1:]
+        if never_started:
+            ready.appendleft(
                 self._make_batch(
-                    replay_specs, replay_attempts, not_before=time.perf_counter() + delay
+                    [batch.specs[i] for i in never_started],
+                    [batch.attempts[i] for i in never_started],
                 )
             )
+        spec, attempt = batch.specs[running], batch.attempts[running]
+        engine._failure_kinds.setdefault(spec.key, []).append(kind)
+        if attempt > engine.max_retries:
+            if kind == "crash":
+                detail = f"worker died with exit code {exitcode}"
+            elif kind == "timeout":
+                detail = f"slice exceeded {engine.cell_timeout:g}s without progress"
+            else:
+                detail = (
+                    f"worker missed its heartbeat deadline "
+                    f"({engine.lease_seconds:g}s lease expired)"
+                )
+            detail = f"{detail} [{engine._classify(spec.key)}]"
+            record(spec.key, self._fail(spec, attempt, kind, detail))
+            return
+        self.stats["retries"] += 1
+        delay = engine.backoff_delay(attempt)
+        identity = {"tool": spec.tool, "program": spec.program, "trial": spec.trial}
+        self.sink.emit("cell_retry", **identity, attempt=attempt, kind=kind)
+        self.sink.emit("lease_reassign", **identity, attempt=attempt, kind=kind, delay=delay)
+        waiting.append(
+            self._make_batch([spec], [attempt + 1], not_before=time.perf_counter() + delay)
+        )
 
     def _pump(
-        self,
-        worker: _PoolWorker,
-        waiting: list[_Batch],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-        engine,
+        self, worker: _PoolWorker, ready: deque, waiting: list[_Batch], record: Recorder
     ) -> None:
         """Drain every buffered message of one worker pipe."""
         conn = worker.conn
@@ -545,16 +629,7 @@ class WorkerPool:
                     return
                 message = conn.recv()
             except (EOFError, OSError):
-                self._recycle(
-                    worker,
-                    "crash",
-                    f"worker died with exit code {worker.proc.exitcode}",
-                    waiting,
-                    recorder,
-                    stats,
-                    sink,
-                    engine,
-                )
+                self._recycle(worker, "crash", ready, waiting, record)
                 return
             tag = message[0]
             now = time.perf_counter()
@@ -562,7 +637,7 @@ class WorkerPool:
             if tag == "heartbeat":
                 identity = message[2]
                 if identity is not None:
-                    sink.emit(
+                    self.sink.emit(
                         "heartbeat",
                         pid=worker.proc.pid,
                         tool=identity[0],
@@ -570,52 +645,47 @@ class WorkerPool:
                         trial=identity[2],
                         seq=message[1],
                     )
-            elif tag == "slice_done":
+            elif tag in ("slice_done", "slice_error"):
                 _, _, index, payload = message
                 batch = worker.batch
                 batch.done[index] = True
                 worker.last_progress = now
-                outcome = _decode_outcome(payload)
-                recorder(batch.specs[index], batch.attempts[index], outcome, outcome.result)
-            elif tag == "slice_error":
-                # Deterministic in-worker exception; retrying cannot help.
-                _, _, index, detail = message
-                batch = worker.batch
-                batch.done[index] = True
-                worker.last_progress = now
-                engine._fail(
-                    batch.specs[index], batch.attempts[index], "error", detail,
-                    recorder, stats, sink,
-                )
+                spec, attempt = batch.specs[index], batch.attempts[index]
+                if tag == "slice_done":
+                    outcome = _decode_outcome(payload)
+                    _emit_cell_end(spec, attempt, outcome, self.sink)
+                    result = outcome.result
+                else:
+                    # Deterministic in-worker exception; retrying cannot help.
+                    result = self._fail(spec, attempt, "error", payload)
+                # The worker has already moved on to the next slice: mark
+                # its start before the (store-appending) record of this one.
+                self._start(batch, index + 1)
+                record(spec.key, result)
             elif tag == "batch_end":
                 worker.batch = None
 
-    def _drain_serial(
-        self,
-        ready: deque,
-        waiting: list[_Batch],
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-        engine,
-    ) -> None:
-        """Degraded mode: no worker can be spawned; finish in-process."""
+    def _drain_serial(self, ready: deque, waiting: list[_Batch], record: Recorder) -> None:
+        """Run every remaining slice in this process (pool size 0, or no
+        worker could be started)."""
         while ready or waiting:
             batch = ready.popleft() if ready else waiting.pop(0)
             for index in batch.unfinished():
-                engine._run_serial_cell(
-                    batch.specs[index], batch.attempts[index], recorder, stats, sink
-                )
+                spec, attempt = batch.specs[index], batch.attempts[index]
+                self._start(batch, index)
+                try:
+                    outcome = _run_slice(
+                        batch.wires[index], self.profile, self._tools, self._programs
+                    )
+                except Exception as exc:  # deterministic failure: no retry in-process
+                    detail = f"{type(exc).__name__}: {exc}"
+                    record(spec.key, self._fail(spec, attempt, "error", detail))
+                    continue
+                _emit_cell_end(spec, attempt, outcome, self.sink)
+                record(spec.key, outcome.result)
 
     # -- the dispatch loop ----------------------------------------------
-    def execute(
-        self,
-        specs: list,
-        recorder,
-        stats: dict[str, int],
-        sink: TelemetrySink,
-        engine,
-    ) -> None:
+    def execute(self, specs: list, record: Recorder) -> None:
         """Run every slice of ``specs`` through the pool (one round barrier).
 
         Returns when every slice has been recorded (success or structured
@@ -623,11 +693,12 @@ class WorkerPool:
         """
         if not specs:
             return
+        engine = self.engine
         ready: deque[_Batch] = deque(self._pack(specs))
-        #: Crash-replay batches waiting out their backoff delay.
+        #: Retried slices waiting out their backoff delay.
         waiting: list[_Batch] = []
-        if self._degraded:
-            self._drain_serial(ready, waiting, recorder, stats, sink, engine)
+        if self.size == 0 or self._degraded:
+            self._drain_serial(ready, waiting, record)
             return
         while ready or waiting or any(w.batch is not None for w in self._workers.values()):
             now = time.perf_counter()
@@ -637,28 +708,25 @@ class WorkerPool:
             while ready:
                 worker = self._idle_worker()
                 if worker is None and len(self._workers) < self.size:
-                    worker = self._spawn(sink)
+                    worker = self._spawn()
                     if worker is None and not self._workers:
-                        # No live workers and none can start: degrade for
-                        # the rest of the campaign, like the per-cell pool.
+                        # No live workers and none can start: finish this
+                        # and every later round in-process.
                         self._degraded = True
-                        sink.emit(
+                        self.sink.emit(
                             "pool_degraded",
                             reason="pool worker could not be started; "
                             "running remaining slices serially in-process",
                         )
-                        self._drain_serial(ready, waiting, recorder, stats, sink, engine)
+                        self._drain_serial(ready, waiting, record)
                         return
                 if worker is None:
                     break
                 batch = ready.popleft()
-                if not self._dispatch(worker, batch, sink):
+                if not self._dispatch(worker, batch):
                     # The idle worker died between batches; replace it and
                     # put the batch back — nothing of it ran yet.
-                    self._recycle(
-                        worker, "crash", "idle worker died", waiting,
-                        recorder, stats, sink, engine,
-                    )
+                    self._recycle(worker, "crash", ready, waiting, record)
                     ready.appendleft(batch)
             if not self._workers:
                 if waiting and not ready:
@@ -672,31 +740,19 @@ class WorkerPool:
             for worker in self._workers.values():
                 if worker.batch is not None and engine.cell_timeout is not None:
                     deadlines.append(worker.last_progress + engine.cell_timeout)
-                if self.lease_seconds is not None:
-                    deadlines.append(worker.last_beat + self.lease_seconds)
-            timeout = max(0.0, min(deadlines) - now) if deadlines else None
+                deadlines.append(worker.last_beat + engine.lease_seconds)
+            timeout = max(0.0, min(deadlines) - now)
             for conn in mp_connection.wait(list(self._workers), timeout=timeout):
                 worker = self._workers.get(conn)
                 if worker is not None:
-                    self._pump(worker, waiting, recorder, stats, sink, engine)
+                    self._pump(worker, ready, waiting, record)
             now = time.perf_counter()
             for worker in list(self._workers.values()):
-                timed_out = (
+                if (
                     worker.batch is not None
                     and engine.cell_timeout is not None
                     and now - worker.last_progress >= engine.cell_timeout
-                )
-                lease_lost = (
-                    self.lease_seconds is not None
-                    and now - worker.last_beat >= self.lease_seconds
-                )
-                if not (timed_out or lease_lost):
-                    continue
-                kind = "timeout" if timed_out else "lease"
-                detail = (
-                    f"slice exceeded {engine.cell_timeout:g}s without progress"
-                    if timed_out
-                    else f"worker missed its heartbeat deadline "
-                    f"({self.lease_seconds:g}s lease expired)"
-                )
-                self._recycle(worker, kind, detail, waiting, recorder, stats, sink, engine)
+                ):
+                    self._recycle(worker, "timeout", ready, waiting, record)
+                elif now - worker.last_beat >= engine.lease_seconds:
+                    self._recycle(worker, "lease", ready, waiting, record)

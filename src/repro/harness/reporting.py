@@ -446,7 +446,7 @@ def groundtruth_summary(payload: dict) -> str:
 def profile_summary(profile_dir, top: int = 15) -> str:
     """Merge the pool workers' ``.pstats`` dumps into one hot-spot table.
 
-    ``rff campaign --engine pool --profile DIR`` leaves one
+    ``rff campaign --parallel N --profile DIR`` leaves one
     ``worker-<pid>.pstats`` file per worker under ``DIR`` (re-dumped after
     every batch, so even killed workers contribute their completed work);
     this merges them and renders the ``top`` functions by cumulative time.

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class SummaryCell:
@@ -59,6 +57,10 @@ def mann_whitney_u(xs: list[float], ys: list[float]) -> float:
         return 1.0
     if len(set(xs)) == 1 and set(xs) == set(ys):
         return 1.0
+    # scipy is imported here, not at module level: importing it costs about
+    # a second, and every campaign process imports this module.
+    from scipy import stats as _scipy_stats
+
     return float(_scipy_stats.mannwhitneyu(xs, ys, alternative="two-sided").pvalue)
 
 
@@ -112,6 +114,8 @@ def logrank(
             variance += d * (n_a / n) * (1 - n_a / n) * (n - d) / (n - 1)
     if variance <= 0:
         return LogRankResult(statistic=0.0, p_value=1.0)
+    from scipy import stats as _scipy_stats
+
     statistic = (observed_a - expected_a) ** 2 / variance
     p_value = float(_scipy_stats.chi2.sf(statistic, df=1))
     return LogRankResult(statistic=statistic, p_value=p_value)

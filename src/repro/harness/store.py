@@ -2,11 +2,11 @@
 
 A campaign that runs unattended for hours must survive SIGKILL at any
 instant and resume *bit-identically* — no lost bugs, no duplicated cells,
-no silent corruption.  :class:`CorpusStore` is the single write path that
-serial (:class:`~repro.harness.campaign.Campaign`), parallel
-(:class:`~repro.harness.parallel.ParallelCampaign`), and supervised
-(:class:`~repro.harness.supervisor.SupervisedCampaign`) campaigns all
-share.  The design is a miniature write-ahead log:
+no silent corruption.  :class:`CorpusStore` is the single write path, and
+the only resume format, that serial
+(:class:`~repro.harness.campaign.Campaign`) and parallel
+(:class:`~repro.harness.parallel.ParallelCampaign`) campaigns share.  The
+design is a miniature write-ahead log:
 
 * **Append-only JSONL segments** (``segment-000000.jsonl`` …).  Each
   record is one checksummed JSON line
@@ -27,8 +27,8 @@ share.  The design is a miniature write-ahead log:
 * **Checksum-verified reads.**  A record whose checksum fails to verify
   (at-rest corruption, or the ``corrupt`` chaos fault) is counted and
   skipped — its cell simply looks incomplete, and a resumed campaign
-  re-runs it.  Dedup is first-wins per cell key, so a record duplicated
-  by a crash-between-store-and-checkpoint resume cannot change results.
+  re-runs it.  Dedup is first-wins per cell key, so a duplicated record
+  cannot change results.
 * **Advisory locking.**  Writers hold an exclusive ``flock`` on
   ``store.lock`` for their whole lifetime; readers take a shared one.
   A second campaign pointed at the same store fails fast with
@@ -59,6 +59,7 @@ from repro.harness.persist import (
     result_from_dict,
     result_to_dict,
 )
+from repro.harness.telemetry import unlock_in_forked_children
 from repro.harness.tools import BugSearchResult
 
 try:  # pragma: no cover - fcntl is present on every POSIX CI target
@@ -200,6 +201,7 @@ class CorpusStore:
                 f"its lock ({lock_path})"
             ) from None
         self._lock_handle = handle
+        unlock_in_forked_children(handle)
 
     def _release_lock(self) -> None:
         if self._lock_handle is not None:
@@ -303,9 +305,8 @@ class CorpusStore:
     def completed(self) -> dict[CellKey, BugSearchResult]:
         """Every cell with a valid record, first occurrence winning.
 
-        First-wins dedup makes a duplicated record (crash between the
-        store append and the checkpoint append, then resume) harmless:
-        the duplicate is byte-identical and simply ignored."""
+        First-wins dedup makes a duplicated record (a cell re-recorded
+        after a resume) harmless: the earlier record is the one read."""
         results: dict[CellKey, BugSearchResult] = {}
         for record, ok in self._iter_valid():
             if not ok or record.get("type") != "cell":

@@ -25,7 +25,9 @@ Telemetry never influences results: sinks observe, they do not steer.
 from __future__ import annotations
 
 import json
+import os
 import time
+import weakref
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -34,6 +36,29 @@ try:  # pragma: no cover - fcntl is present on every POSIX CI target
     import fcntl
 except ImportError:  # pragma: no cover - windows fallback: no advisory locks
     fcntl = None  # type: ignore[assignment]
+
+#: Lock-holding file objects closed in every child forked from this process.
+_LOCKED_FILES: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
+def unlock_in_forked_children(handle: Any) -> None:
+    """Close ``handle`` in every child later forked from this process.
+
+    An ``flock`` belongs to the open file description, which a forked child
+    shares.  A pool worker that kept its inherited copy would keep the lock
+    of a SIGKILLed campaign alive and lock its resume out; closing the
+    child's copy leaves the parent's lock intact.
+    """
+    _LOCKED_FILES.add(handle)
+
+
+def _close_locked_files() -> None:
+    for handle in list(_LOCKED_FILES):
+        handle.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_locked_files)
 
 #: Bumped whenever a record type gains/loses required fields.
 SCHEMA_VERSION = 1
@@ -122,12 +147,14 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     ),
     "cell_retry": frozenset({"tool", "program", "trial", "attempt", "kind"}),
     "cell_error": frozenset({"tool", "program", "trial", "attempts", "kind", "detail"}),
+    # No longer emitted; kept so telemetry files of older campaigns validate.
     "worker_start": frozenset({"pid", "tool", "program", "trial"}),
     "worker_exit": frozenset({"pid", "exitcode", "kind"}),
     "pool_degraded": frozenset({"reason"}),
     "sanitizer_report": frozenset(
         {"tool", "program", "trial", "sanitizer", "kind", "location", "pair"}
     ),
+    # No longer emitted; kept so telemetry files of older campaigns validate.
     "checkpoint": frozenset({"path", "completed", "total"}),
     "campaign_end": frozenset(
         {"wall_time", "cells", "failed_cells", "retries", "executions", "schedules_per_sec"}
@@ -142,7 +169,7 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     "alloc_estimate": frozenset(
         {"allocator", "round", "tool", "program", "trial", "allocated", "estimate"}
     ),
-    # Supervised campaign fabric (repro.harness.supervisor / .store).
+    # Worker supervision (repro.harness.pool) and the store.
     "heartbeat": frozenset({"pid", "tool", "program", "trial", "seq"}),
     "lease_reassign": frozenset({"tool", "program", "trial", "attempt", "kind", "delay"}),
     # Persistent batched worker pool (repro.harness.pool).
@@ -230,8 +257,9 @@ class JsonlSink(TelemetrySink):
                 self._handle.close()
                 raise SinkLockedError(
                     f"{self.path}: another campaign is already writing this "
-                    f"telemetry/checkpoint file; point each campaign at its own path"
+                    f"telemetry file; point each campaign at its own path"
                 ) from None
+            unlock_in_forked_children(self._handle)
 
     def emit(self, event: str, **fields: Any) -> None:
         record = {"event": event, "ts": self._clock(), "schema": SCHEMA_VERSION, **fields}
@@ -279,7 +307,7 @@ class TelemetryAggregator(TelemetrySink):
 
     @property
     def heartbeats(self) -> int:
-        """Heartbeat messages received from supervised workers."""
+        """Heartbeat messages received from pool workers."""
         return len(self.of_type("heartbeat"))
 
     @property

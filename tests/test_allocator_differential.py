@@ -2,18 +2,30 @@
 
 Two contracts back the allocator rollout:
 
-* **Uniform is invisible.**  ``--allocator uniform`` campaigns are
-  bit-identical to the pre-allocator code path over the full 49-program
-  bench × RandomWalk/PCT3 — same results, same store headers, and legacy
-  stores resume under it unchanged.
+* **Uniform is invisible.**  ``--allocator uniform`` campaigns, and
+  campaigns with no allocator, are bit-identical to the pre-allocator
+  single-pass code path over the full 49-program bench × RandomWalk/PCT3 —
+  same results, same store headers, and legacy stores resume under it
+  unchanged.  That path no longer exists; its results over this sweep are
+  frozen as per-(tool, program) digests in
+  ``tests/golden/uniform_sweep_golden.json``.
 * **Adaptive is engine-independent.**  For a fixed (seed, allocator),
-  serial == parallel == supervised == chaos-SIGKILL'd-and-resumed, down
-  to the allocation ledger (the ``test_chaos.py`` convergence pattern).
+  serial == pooled == in-process == chaos-SIGKILL'd-and-resumed, down to
+  the allocation ledger (the ``test_chaos.py`` convergence pattern).
+
+The golden digests were recorded from the single-pass path before it was
+deleted; regenerate them only after intentionally changing semantics::
+
+    RFF_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_allocator_differential.py -q
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,41 +35,64 @@ from repro.harness.allocator import LaplaceAllocator, NoveltyBiasAllocator, Unif
 from repro.harness.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.harness.faults import ChaosKill, ChaosPlan
 from repro.harness.parallel import ParallelCampaign
+from repro.harness.persist import result_to_dict
 from repro.harness.store import CorpusStore, StoreMismatchError
-from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.tools import BugSearchResult, RffTool, pct_tool, random_tool
 
 # ----------------------------------------------------------------------
 # Uniform == legacy over the full bench
 # ----------------------------------------------------------------------
 SWEEP_CONFIG = CampaignConfig(trials=1, budget=20, base_seed=11)
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "uniform_sweep_golden.json"
 
 
 def sweep_tools():
     return [random_tool(), pct_tool()]
 
 
+def sweep_digests(result: CampaignResult) -> dict[str, str]:
+    """One digest per (tool, program): its trial results in persist form."""
+    return {
+        f"{tool}|{program}": hashlib.sha256(
+            json.dumps([result_to_dict(r) for r in trials], sort_keys=True).encode()
+        ).hexdigest()[:16]
+        for (tool, program), trials in sorted(result.results.items())
+    }
+
+
+def assert_matches_golden(result: CampaignResult) -> None:
+    golden = json.loads(GOLDEN_PATH.read_text())
+    current = sweep_digests(result)
+    assert set(current) == set(golden), "sweep cell set changed; regenerate the golden"
+    diverged = sorted(key for key in golden if current[key] != golden[key])
+    assert not diverged, f"cells diverged from the single-pass golden: {diverged}"
+
+
 @pytest.fixture(scope="module")
 def legacy_sweep():
+    """The sweep with no allocator configured: the single-pass call form."""
     programs = [bench.get(name) for name in bench.names()]
-    return Campaign(SWEEP_CONFIG).run(sweep_tools(), programs)
+    result = Campaign(SWEEP_CONFIG).run(sweep_tools(), programs)
+    if os.environ.get("RFF_REGEN_GOLDEN"):
+        GOLDEN_PATH.write_text(json.dumps(sweep_digests(result), indent=1, sort_keys=True) + "\n")
+    return result
 
 
 class TestUniformBitIdentity:
     def test_serial_uniform_matches_legacy_over_all_49_programs(self, legacy_sweep):
+        assert_matches_golden(legacy_sweep)
+        assert legacy_sweep.allocation is None
         config = replace(SWEEP_CONFIG, allocator=UniformAllocator())
         programs = [bench.get(name) for name in bench.names()]
         uniform = Campaign(config).run(sweep_tools(), programs)
-        assert uniform.results == legacy_sweep.results
-        assert legacy_sweep.allocation is None
+        assert_matches_golden(uniform)
         assert uniform.allocation["allocator"] == "uniform"
         assert len(uniform.allocation["rounds"]) == 1
 
-    def test_parallel_uniform_matches_legacy_over_all_49_programs(self, legacy_sweep):
+    def test_parallel_uniform_matches_legacy_over_all_49_programs(self):
         config = replace(SWEEP_CONFIG, allocator=UniformAllocator())
         engine = ParallelCampaign(config, processes=0)
-        uniform = engine.run(["Random", "PCT3"], bench.names())
-        assert uniform.results == legacy_sweep.results
+        assert_matches_golden(engine.run(["Random", "PCT3"], bench.names()))
 
     def test_uniform_resumes_a_legacy_store(self, tmp_path):
         """A store written by the pre-allocator path resumes byte-compatibly
@@ -78,7 +113,7 @@ class TestUniformBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Laplace: serial == parallel == supervised == killed-and-resumed
+# Laplace: serial == pooled == in-process == killed-and-resumed
 # ----------------------------------------------------------------------
 TOOLS = ["RFF", "Random"]
 PROGRAMS = ["CS/account", "Splash2/lu"]
@@ -123,7 +158,7 @@ def run_until_converged(store_dir, max_rounds: int = 12, **engine_kwargs):
     allocator: start, die (maybe), resume — slices carry the allocation
     history between attempts."""
     for _ in range(max_rounds):
-        engine = SupervisedCampaign(
+        engine = ParallelCampaign(
             LAPLACE_CONFIG,
             processes=2,
             store=store_dir,
@@ -155,7 +190,7 @@ class TestLaplaceEngineEquivalence:
         assert inprocess.allocation == laplace_serial.allocation
 
     def test_supervised_matches_serial(self, laplace_serial):
-        engine = SupervisedCampaign(
+        engine = ParallelCampaign(
             LAPLACE_CONFIG, processes=2, heartbeat_seconds=0.05, backoff_base=0.01
         )
         supervised = engine.run(TOOLS, PROGRAMS)
@@ -164,9 +199,7 @@ class TestLaplaceEngineEquivalence:
 
     @pytest.mark.parametrize("start_method", ["fork", "forkserver"])
     def test_pooled_matches_serial(self, laplace_serial, start_method):
-        engine = ParallelCampaign(
-            LAPLACE_CONFIG, processes=2, engine="pool", start_method=start_method
-        )
+        engine = ParallelCampaign(LAPLACE_CONFIG, processes=2, start_method=start_method)
         pooled = engine.run(TOOLS, PROGRAMS)
         assert pooled.results == laplace_serial.results
         assert pooled.allocation == laplace_serial.allocation

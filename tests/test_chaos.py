@@ -5,7 +5,7 @@ hang / torn-write / store-corruption injection, a campaign driven through
 the corpus store — killed and resumed as many times as the faults demand —
 ends with bug ledgers, corpus contents and triage buckets *bit-identical*
 to the fault-free serial ``Campaign``.  And a real ``SIGKILL`` of a real
-``rff campaign --durable`` process, followed by ``--resume``, recovers
+``rff campaign --store`` process, followed by ``--resume``, recovers
 without loss or duplication.
 """
 
@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +24,11 @@ from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.faults import ChaosKill, ChaosPlan
+from repro.harness.parallel import ParallelCampaign
 from repro.harness.store import CorpusStore
-from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.tools import RffTool, random_tool
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ["RFF", "Random"]
 PROGRAMS = ["CS/account", "Splash2/lu"]
 CONFIG = CampaignConfig(trials=2, budget=80, base_seed=7)
@@ -69,7 +71,7 @@ def run_until_converged(store_dir, max_rounds: int = 10, **engine_kwargs):
     die (maybe), resume — the store carries all state between attempts.
     """
     for _ in range(max_rounds):
-        engine = SupervisedCampaign(
+        engine = ParallelCampaign(
             CONFIG,
             processes=2,
             store=store_dir,
@@ -203,10 +205,36 @@ class TestDifferentialConvergence:
         assert aggregator.retries == len(planned)
 
 
+def _live_processes() -> dict[int, int]:
+    """pid -> parent pid of every live (non-zombie) process, read from
+    Linux ``/proc``; empty where there is no ``/proc``."""
+    table: dict[int, int] = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if state != "Z":
+            table[int(stat.parent.name)] = int(ppid)
+    return table
+
+
+def _descendants(pid: int) -> set[int]:
+    table = _live_processes()
+    found: set[int] = set()
+    frontier = {pid}
+    while frontier:
+        frontier = {child for child, ppid in table.items() if ppid in frontier} - found
+        found |= frontier
+    return found
+
+
 class TestRealSigkill:
     def test_sigkill_then_resume_recovers_without_loss_or_duplication(self, tmp_path):
         """Launch a real durable campaign, SIGKILL it mid-flight, resume it,
-        and check the ledger against an in-process fault-free baseline."""
+        and check the ledger against an in-process fault-free baseline.
+        The killed campaign's workers must not outlive it, nor keep the
+        store locked against the resume."""
         store_dir = tmp_path / "store"
         config = CampaignConfig(trials=2, budget=1500, base_seed=1234)
         argv = [
@@ -214,7 +242,6 @@ class TestRealSigkill:
             "-m",
             "repro.cli",
             "campaign",
-            "--durable",
             "--store",
             str(store_dir),
             "--parallel",
@@ -231,7 +258,7 @@ class TestRealSigkill:
         ]
         env = {**os.environ, "PYTHONPATH": "src"}
         proc = subprocess.Popen(
-            argv, cwd="/root/repo", env=env, stdout=subprocess.DEVNULL,
+            argv, cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
         try:
@@ -244,6 +271,7 @@ class TestRealSigkill:
                     if any(s.stat().st_size > 0 for s in segments):
                         break
                 time.sleep(0.05)
+            workers = _descendants(proc.pid)
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
@@ -251,10 +279,14 @@ class TestRealSigkill:
             if proc.poll() is None:  # pragma: no cover - cleanup on failure
                 proc.kill()
         resumed = subprocess.run(
-            argv + ["--resume"], cwd="/root/repo", env=env, capture_output=True,
+            argv + ["--resume"], cwd=REPO_ROOT, env=env, capture_output=True,
             text=True, timeout=600,
         )
         assert resumed.returncode == 0, resumed.stderr
+        deadline = time.monotonic() + 10
+        while workers & set(_live_processes()) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not workers & set(_live_processes()), "orphaned workers outlived the campaign"
         baseline = Campaign(config).run(
             [RffTool(), random_tool()], [bench.get(p) for p in PROGRAMS]
         )

@@ -218,17 +218,20 @@ class TestResumeDiagnostics:
         assert "--resume requires" in err
 
     def test_resume_missing_checkpoint_is_an_error(self, capsys, tmp_path):
-        missing = tmp_path / "absent.jsonl"
-        code = main(CAMPAIGN_ARGS + ["--checkpoint", str(missing), "--resume"])
+        """The store is the campaign's checkpoint; resuming a missing one
+        is a typo, not a fresh start."""
+        missing = tmp_path / "absent"
+        code = main(CAMPAIGN_ARGS + ["--store", str(missing), "--resume"])
         assert code == 2
         err = capsys.readouterr().err
         assert "does not exist" in err
         assert "drop --resume" in err
+        assert not missing.exists()
 
     def test_resume_empty_checkpoint_is_an_error(self, capsys, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.touch()
-        code = main(CAMPAIGN_ARGS + ["--checkpoint", str(empty), "--resume"])
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = main(CAMPAIGN_ARGS + ["--store", str(empty), "--resume"])
         assert code == 2
         assert "is empty" in capsys.readouterr().err
 
@@ -239,20 +242,39 @@ class TestResumeDiagnostics:
 
 
 class TestDurableCampaign:
-    def test_durable_requires_store(self, capsys):
-        assert main(CAMPAIGN_ARGS + ["--durable"]) == 2
-        assert "--durable requires --store" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--engine", "pool"],
+            ["--durable"],
+            ["--checkpoint", "ck.jsonl"],
+            ["--pool-size", "2"],
+            ["--batch-size", "4"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(CAMPAIGN_ARGS + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_lists_no_removed_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["campaign", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--engine", "--durable", "--checkpoint", "--pool-size", "--batch-size"):
+            assert flag not in out
 
     def test_existing_store_requires_resume(self, capsys, tmp_path):
         store = tmp_path / "store"
-        assert main(CAMPAIGN_ARGS + ["--durable", "--store", str(store)]) == 0
+        assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 0
         capsys.readouterr()
-        assert main(CAMPAIGN_ARGS + ["--durable", "--store", str(store)]) == 2
+        assert main(CAMPAIGN_ARGS + ["--store", str(store)]) == 2
         assert "pass --resume" in capsys.readouterr().err
 
     def test_durable_campaign_then_resume(self, capsys, tmp_path):
         store = tmp_path / "store"
-        args = CAMPAIGN_ARGS + ["--durable", "--store", str(store)]
+        args = CAMPAIGN_ARGS + ["--store", str(store)]
         assert main(args) == 0
         fresh = capsys.readouterr().out
         assert main(args + ["--resume"]) == 0

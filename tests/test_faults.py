@@ -5,7 +5,7 @@ differential suite replays campaigns against the same plan and asserts
 convergence, which is meaningless if the injection points drift.  The
 hypothesis properties pin that purity down over the whole parameter space,
 and the accounting tests tie claimed injection state to the exact retry
-and backoff arithmetic the supervisor performs.
+and backoff arithmetic the pool supervisor performs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.harness import faults
 from repro.harness.faults import ChaosPlan, cell_key, claim_once, claimed_tokens
-from repro.harness.supervisor import SupervisedCampaign
+from repro.harness.parallel import ParallelCampaign
 
 KEYS = [
     cell_key(tool, program, trial)
@@ -133,7 +133,7 @@ class TestBackoffArithmetic:
     def test_backoff_is_capped_exponential(self):
         from repro.harness.campaign import CampaignConfig
 
-        engine = SupervisedCampaign(
+        engine = ParallelCampaign(
             CampaignConfig(), backoff_base=0.1, backoff_cap=1.0
         )
         assert [engine.backoff_delay(a) for a in (1, 2, 3, 4, 5, 6)] == [

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.stats import (
@@ -87,3 +92,22 @@ class TestLogRank:
 
     def test_direction_penalises_censoring(self):
         assert logrank_direction([5, 5, 5], [5, None, None]) == -1
+
+
+class TestImportCost:
+    def test_harness_imports_without_scipy(self):
+        """Only the two tests use scipy, so importing the harness (every
+        ``rff`` command, every campaign process) must not load it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.harness, repro.cli\n"
+            "from repro.harness import summarize\n"
+            "assert summarize([3, None]).found == 1\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

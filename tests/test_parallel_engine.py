@@ -1,11 +1,11 @@
 """Fault-tolerant parallel campaign engine: determinism, faults, resume.
 
-The engine's contract is that parallelism, worker failure and
-checkpoint/resume are all invisible in the final result: a
-``ParallelCampaign`` — crashed workers, killed workers, hung workers,
-degraded pools, resumed checkpoints and all — produces a
-``CampaignResult`` bit-identical (full dataclass equality) to the serial
-``Campaign`` over the same grid.
+The engine's contract is that parallelism, worker failure and resume are
+all invisible in the final result: a ``ParallelCampaign`` — crashed
+workers, killed workers, hung workers, degraded pools, campaigns resumed
+from their store and all — produces a ``CampaignResult`` bit-identical
+(full dataclass equality) to the serial ``Campaign`` over the same grid.
+The corpus store is the campaign's checkpoint: the only resume format.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from repro.harness.parallel import (
     register_tool,
 )
 from repro.harness.persist import read_jsonl
+from repro.harness.pool import WorkerPool
+from repro.harness.store import CorpusStore, StoreMismatchError
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import (
     PerExecutionPolicyTool,
@@ -180,9 +182,7 @@ class TestFaultTolerance:
     def test_dead_pool_degrades_to_serial(self, serial, monkeypatch):
         """When worker processes cannot start at all, the engine runs the
         cells in-process instead of failing the campaign."""
-        monkeypatch.setattr(
-            ParallelCampaign, "_launch", lambda self, ctx, spec, attempt, sink: None
-        )
+        monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
         telemetry = TelemetryAggregator()
         parallel = ParallelCampaign(CONFIG, processes=2, telemetry=telemetry).run(
             TOOLS, PROGRAMS
@@ -194,20 +194,19 @@ class TestFaultTolerance:
 class TestCheckpointResume:
     def test_resume_from_truncated_checkpoint_bit_identical(self, serial, tmp_path):
         """The acceptance scenario: a campaign killed mid-run resumes from
-        its checkpoint and yields a bit-identical result."""
-        checkpoint = tmp_path / "campaign.jsonl"
-        first = ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(
-            TOOLS, PROGRAMS
-        )
+        its store and yields a bit-identical result."""
+        store = tmp_path / "store"
+        first = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert first == serial
-        # Simulate a SIGKILL mid-campaign: keep the header and the first
-        # three completed cells, tear the last line in half.
-        lines = checkpoint.read_text().splitlines()
-        assert len(lines) > 5
-        checkpoint.write_text("\n".join(lines[:4]) + "\n" + lines[4][: len(lines[4]) // 2])
+        # Simulate a SIGKILL mid-campaign: keep the first three completed
+        # cells, tear the fourth record in half.
+        segment = store / "segment-000000.jsonl"
+        lines = segment.read_text().splitlines()
+        assert len(lines) > 4
+        segment.write_text("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
         telemetry = TelemetryAggregator()
         resumed = ParallelCampaign(
-            CONFIG, processes=2, checkpoint=checkpoint, telemetry=telemetry
+            CONFIG, processes=2, store=store, telemetry=telemetry
         ).run(TOOLS, PROGRAMS)
         assert resumed == serial
         start = telemetry.of_type("campaign_start")[0]
@@ -216,46 +215,45 @@ class TestCheckpointResume:
         assert telemetry.completed_cells == start["total_cells"] - 3
 
     def test_resume_after_injected_crash_bit_identical(self, serial, fault_env, tmp_path):
-        """Worker killed on the first attempt *and* resumed from checkpoint:
+        """Worker killed on the first attempt *and* resumed from the store:
         both fault paths compose and the result is still bit-identical."""
-        checkpoint = tmp_path / "faulted.jsonl"
+        store = tmp_path / "store"
         fault_env("POS", "CS/account", 1, mode="crash")
         first = ParallelCampaign(
             CONFIG,
             processes=2,
-            checkpoint=checkpoint,
+            store=store,
             fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         assert first == serial
-        resumed = ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(
-            TOOLS, PROGRAMS
-        )
+        resumed = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert resumed == serial
 
     def test_completed_checkpoint_runs_nothing(self, serial, tmp_path):
-        checkpoint = tmp_path / "done.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        store = tmp_path / "store"
+        ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         telemetry = TelemetryAggregator()
         resumed = ParallelCampaign(
-            CONFIG, processes=2, checkpoint=checkpoint, telemetry=telemetry
+            CONFIG, processes=2, store=store, telemetry=telemetry
         ).run(TOOLS, PROGRAMS)
         assert resumed == serial
         assert telemetry.completed_cells == 0
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
-        checkpoint = tmp_path / "other.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        store = tmp_path / "store"
+        ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         other = CampaignConfig(trials=2, budget=120, base_seed=8)
-        with pytest.raises(CampaignError, match="different campaign"):
-            ParallelCampaign(other, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
+        with pytest.raises(StoreMismatchError, match="different campaign"):
+            ParallelCampaign(other, processes=2, store=store).run(TOOLS, PROGRAMS)
 
     def test_checkpoint_lines_are_valid_results(self, tmp_path):
-        checkpoint = tmp_path / "records.jsonl"
-        ParallelCampaign(CONFIG, processes=2, checkpoint=checkpoint).run(TOOLS, PROGRAMS)
-        records = read_jsonl(checkpoint)
-        assert records[0]["checkpoint_version"] == 1
-        assert records[0]["base_seed"] == CONFIG.base_seed
-        cells = [r["result"] for r in records[1:]]
+        store_dir = tmp_path / "store"
+        ParallelCampaign(CONFIG, processes=2, store=store_dir).run(TOOLS, PROGRAMS)
+        with CorpusStore(store_dir, readonly=True) as store:
+            assert store.header["checkpoint_version"] == 1
+            assert store.header["base_seed"] == CONFIG.base_seed
+        records = read_jsonl(store_dir / "segment-000000.jsonl")
+        cells = [r["result"] for r in records]
         assert all({"tool", "program", "trial", "found"} <= r.keys() for r in cells)
 
 

@@ -1,12 +1,13 @@
-"""Chaos suite for the pooled engine: kill mid-batch, replay, converge.
+"""Chaos suite for the pool: kill mid-batch, replay, converge.
 
 The crash-replay contract of ``repro.harness.pool``: a worker killed
-mid-batch costs exactly the *unfinished* slices of that batch — completed
-slices are never re-run (no duplication), unfinished ones are never
-dropped (no loss) — and a pooled campaign driven through the durable
-store, killed and resumed as the faults demand, converges bit-identically
-to the fault-free serial result.  Same plans, same claim-once state, same
-assertions as ``tests/test_chaos.py``, pointed at ``engine="pool"``.
+mid-batch costs the slice it was running one attempt and nothing else —
+completed slices are never re-run (no duplication), never-started ones go
+back to the queue at their current attempt, nothing is dropped (no loss) —
+and a pooled campaign driven through the durable store, killed and
+resumed as the faults demand, converges bit-identically to the
+fault-free serial result.  Same plans, same claim-once state, same
+assertions as ``tests/test_chaos.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.faults import ChaosKill, ChaosPlan
+from repro.harness.parallel import ParallelCampaign
 from repro.harness.store import CorpusStore
-from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import RffTool, random_tool
 
@@ -63,11 +64,9 @@ class TestKillMidBatchReplay:
         """A chaos-killed pool worker loses its batch remainder, nothing else."""
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
         aggregator = TelemetryAggregator()
-        result = SupervisedCampaign(
+        result = ParallelCampaign(
             CONFIG,
             processes=2,
-            engine="pool",
-            batch_size=4,
             telemetry=aggregator,
             fault_hook=faults.CHAOS_HOOK_REF,
             heartbeat_seconds=0.05,
@@ -92,29 +91,44 @@ class TestKillMidBatchReplay:
         # And the survivors are bit-identical to the fault-free serial run.
         assert result == serial
 
-    def test_percell_engine_same_plan_same_result(self, serial, tmp_path, monkeypatch):
-        """The identical kill plan through the per-cell engine: same answer."""
-        arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
+    def test_crasher_at_batch_head_costs_only_its_own_cell(self, monkeypatch):
+        """A deterministic crasher at the head of a multi-slice batch
+        exhausts its own retries; the slices queued behind it never ran,
+        so they are re-queued unchanged instead of inheriting its
+        attempts, and they all complete."""
+        config = CampaignConfig(trials=10, budget=40, base_seed=7)
+        programs = ["CS/account", "Splash2/lu"]
+        serial = Campaign(config).run([random_tool()], [bench.get(p) for p in programs])
+        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key("Random", "CS/account", 0))
         aggregator = TelemetryAggregator()
-        result = SupervisedCampaign(
-            CONFIG,
-            processes=2,
+        result = ParallelCampaign(
+            config,
+            processes=1,
             telemetry=aggregator,
-            fault_hook=faults.CHAOS_HOOK_REF,
-            heartbeat_seconds=0.05,
+            fault_hook=faults.CRASH_ALWAYS_REF,
             backoff_base=0.01,
-        ).run(TOOLS, PROGRAMS)
-        assert aggregator.retries >= 1
-        assert result == serial
+        ).run(["Random"], programs)
+        first = aggregator.of_type("batch_dispatch")[0]
+        assert first["slices"] > 1  # the crasher heads a multi-slice batch
+        errors = [r for trials in result.results.values() for r in trials if r.error]
+        assert len(errors) == 1
+        (failed,) = errors
+        assert (failed.tool, failed.program, failed.trial) == ("Random", "CS/account", 0)
+        assert f"exit code {faults.CRASH_EXIT_CODE}" in failed.error
+        assert "deterministic crasher" in failed.error
+        assert aggregator.retries == 2  # the crasher's own retry budget only
+        for key, trials in serial.results.items():
+            for index, expected in enumerate(trials):
+                if (key, index) != (("Random", "CS/account"), 0):
+                    assert result.results[key][index] == expected
 
 
 class TestDurablePoolConvergence:
     def run_until_converged(self, store_dir, max_rounds: int = 10, **engine_kwargs):
         for _ in range(max_rounds):
-            engine = SupervisedCampaign(
+            engine = ParallelCampaign(
                 CONFIG,
                 processes=2,
-                engine="pool",
                 store=store_dir,
                 heartbeat_seconds=0.05,
                 backoff_base=0.01,
@@ -140,20 +154,4 @@ class TestDurablePoolConvergence:
         result = self.run_until_converged(
             tmp_path / "store", fault_hook=faults.CHAOS_HOOK_REF
         )
-        assert result == serial
-
-    def test_pool_resume_from_percell_store(self, serial, tmp_path, monkeypatch):
-        """Engines interoperate: a store written per-cell resumes pooled."""
-        arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
-        # First attempt under the per-cell engine, chaos-killed workers and
-        # all; whatever it leaves in the store, the pool finishes.
-        SupervisedCampaign(
-            CONFIG,
-            processes=2,
-            store=tmp_path / "store",
-            fault_hook=faults.CHAOS_HOOK_REF,
-            heartbeat_seconds=0.05,
-            backoff_base=0.01,
-        ).run(TOOLS, PROGRAMS)
-        result = self.run_until_converged(tmp_path / "store")
         assert result == serial

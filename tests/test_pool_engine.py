@@ -1,11 +1,11 @@
 """Differential + unit suite for the persistent batched worker pool.
 
-The pooled engine's contract: for a fixed (seed, allocator) it is a pure
-wall-clock optimisation — serial == per-cell == pool, bit for bit, under
-every start method the platform offers (fork, and forkserver which is the
-3.12+ default).  These tests pin that, plus the batching/packing algebra,
-the wire-format interning, the telemetry schema of the new events, and
-the per-worker profiling satellite.
+The pool's contract: for a fixed (seed, allocator) it is a pure
+wall-clock optimisation — serial == pool, bit for bit, under every start
+method the platform offers (fork, and forkserver which is the 3.12+
+default).  These tests pin that, plus the batching/packing algebra, the
+wire-format interning, the telemetry of dispatch and slice starts, and
+per-worker profiling.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.harness.parallel import (
     _default_start_method,
 )
 from repro.harness.pool import wire_slice
-from repro.harness.supervisor import SupervisedCampaign
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import pct_tool, random_tool
 
@@ -115,42 +114,21 @@ START_METHODS = ["fork", "forkserver"]
 class TestPoolBitIdentity:
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_single_pass_matches_serial(self, serial, start_method):
-        pool = ParallelCampaign(
-            CONFIG,
-            processes=2,
-            engine="pool",
-            batch_size=3,
-            start_method=start_method,
-        ).run(TOOLS, PROGRAMS)
+        pool = ParallelCampaign(CONFIG, processes=2, start_method=start_method).run(
+            TOOLS, PROGRAMS
+        )
         assert pool.results == serial.results
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_allocated_supervised_matches_serial(self, serial_allocated, start_method):
-        pool = SupervisedCampaign(
+        pool = ParallelCampaign(
             ALLOC_CONFIG,
             processes=2,
-            engine="pool",
             start_method=start_method,
             heartbeat_seconds=0.05,
         ).run(TOOLS, PROGRAMS)
         assert pool.results == serial_allocated.results
         assert pool.allocation == serial_allocated.allocation
-
-    def test_pool_matches_percell_with_store_and_checkpoint(self, tmp_path):
-        def run(engine, sub):
-            return ParallelCampaign(
-                CONFIG,
-                processes=2,
-                engine=engine,
-                store=tmp_path / f"store-{sub}",
-                checkpoint=tmp_path / f"ck-{sub}.jsonl",
-            ).run(TOOLS, PROGRAMS)
-
-        assert run("percell", "a").results == run("pool", "b").results
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ParallelCampaign(CONFIG, engine="threads").run(TOOLS, PROGRAMS)
 
 
 class TestStartMethodDefault:
@@ -172,9 +150,7 @@ class TestPoolTelemetry:
         # emit, so a completed run proves the new events carry their
         # required fields.
         aggregator = TelemetryAggregator()
-        ParallelCampaign(
-            CONFIG, processes=2, engine="pool", batch_size=2, telemetry=aggregator
-        ).run(TOOLS, PROGRAMS)
+        ParallelCampaign(CONFIG, processes=2, telemetry=aggregator).run(TOOLS, PROGRAMS)
         assert aggregator.batches_dispatched > 1
         for record in aggregator.of_type("batch_dispatch"):
             assert record["slices"] >= 1
@@ -185,13 +161,36 @@ class TestPoolTelemetry:
         ]
         assert len(keys) == len(set(keys)) == len(TOOLS) * len(PROGRAMS) * CONFIG.trials
 
+    def test_cell_start_marks_the_real_slice_start(self):
+        """A worker runs one slice at a time, so at no point in the
+        telemetry may more cells be started-but-unended than there are
+        workers — a batch's queued slices start when their predecessor
+        replies, not when the batch is dispatched."""
+        aggregator = TelemetryAggregator()
+        ParallelCampaign(ALLOC_CONFIG, processes=2, telemetry=aggregator).run(
+            TOOLS, PROGRAMS
+        )
+        assert any(r["slices"] > 1 for r in aggregator.of_type("batch_dispatch"))
+        running: set[tuple[str, str, int]] = set()
+        peak = 0
+        for record in aggregator.records:
+            if record["event"] not in ("cell_start", "cell_end", "cell_error", "cell_retry"):
+                continue
+            key = (record["tool"], record["program"], record["trial"])
+            if record["event"] == "cell_start":
+                assert key not in running
+                running.add(key)
+            else:
+                running.remove(key)
+            peak = max(peak, len(running))
+        assert not running
+        assert 1 <= peak <= 2
+
     def test_pool_amortizes_processes(self):
         # The point of the fork server: far fewer worker processes than
         # slices.  2 pool workers serve all 16 cells.
         aggregator = TelemetryAggregator()
-        ParallelCampaign(
-            CONFIG, processes=2, engine="pool", telemetry=aggregator
-        ).run(TOOLS, PROGRAMS)
+        ParallelCampaign(CONFIG, processes=2, telemetry=aggregator).run(TOOLS, PROGRAMS)
         exits = aggregator.of_type("worker_exit")
         assert 1 <= len(exits) <= 2
         assert all(r["kind"] == "ok" for r in exits)
@@ -200,10 +199,9 @@ class TestPoolTelemetry:
         aggregator = TelemetryAggregator()
         # Long enough cells that several 5ms beats land mid-slice.
         config = replace(CONFIG, budget=400)
-        SupervisedCampaign(
+        ParallelCampaign(
             config,
             processes=1,
-            engine="pool",
             telemetry=aggregator,
             heartbeat_seconds=0.005,
         ).run(TOOLS, PROGRAMS)
@@ -227,9 +225,9 @@ class TestProfiling:
         from repro.harness.reporting import profile_summary
 
         profile_dir = tmp_path / "prof"
-        result = ParallelCampaign(
-            CONFIG, processes=2, engine="pool", profile_dir=profile_dir
-        ).run(TOOLS, PROGRAMS)
+        result = ParallelCampaign(CONFIG, processes=2, profile_dir=profile_dir).run(
+            TOOLS, PROGRAMS
+        )
         assert result.results == serial.results  # profiling never changes results
         dumps = list(profile_dir.glob("worker-*.pstats"))
         assert 1 <= len(dumps) <= 2
@@ -247,27 +245,13 @@ class TestProfiling:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_pool_flags_require_pool_engine(self, capsys):
-        from repro.cli import main
-
-        assert main(["campaign", "--batch-size", "4"]) == 2
-        assert "--batch-size requires --engine pool" in capsys.readouterr().err
-
-    def test_profile_requires_pool_engine(self, capsys):
-        from repro.cli import main
-
-        assert main(["campaign", "--profile", "prof/"]) == 2
-        assert "--profile requires --engine pool" in capsys.readouterr().err
-
     def test_pool_campaign_from_cli(self, capsys, tmp_path):
         from repro.cli import main
 
         code = main(
             [
                 "campaign",
-                "--engine", "pool",
-                "--pool-size", "2",
-                "--batch-size", "4",
+                "--parallel", "2",
                 "--profile", str(tmp_path / "prof"),
                 "--tools", "Random",
                 "--programs", "CS/reorder_3", "CS/account",

@@ -1,10 +1,10 @@
-"""Supervised campaign engine: heartbeats, leases, backoff, triage.
+"""Worker supervision: heartbeats, leases, backoff, triage.
 
-The supervisor's contract extends the parallel engine's: worker liveness is
-now judged by heartbeats against a lease, wedged workers are killed and
-their cells reassigned with exponential backoff — and none of it may change
-results.  Every scenario here ends in full dataclass equality with the
-serial ``Campaign``.
+Every ``ParallelCampaign`` supervises its pool workers: liveness is judged
+by heartbeats against a lease, wedged workers are killed and their slices
+reassigned with exponential backoff — and none of it may change results.
+Every scenario here ends in full dataclass equality with the serial
+``Campaign``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
-from repro.harness.supervisor import SupervisedCampaign
+from repro.harness.parallel import ParallelCampaign
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import PeriodTool, RffTool, pos_tool
 
@@ -45,11 +45,11 @@ def fault_env(tmp_path, monkeypatch):
 
 class TestDeterminism:
     def test_supervised_bit_identical_to_serial(self, serial):
-        supervised = SupervisedCampaign(CONFIG, processes=2).run(TOOLS, PROGRAMS)
+        supervised = ParallelCampaign(CONFIG, processes=2).run(TOOLS, PROGRAMS)
         assert supervised == serial
 
     def test_serial_engine_mode_bit_identical(self, serial):
-        assert SupervisedCampaign(CONFIG, processes=0).run(TOOLS, PROGRAMS) == serial
+        assert ParallelCampaign(CONFIG, processes=0).run(TOOLS, PROGRAMS) == serial
 
     def test_heartbeats_observed_from_slowed_workers(self, serial, tmp_path, monkeypatch):
         # A 100%-skew chaos plan makes every worker sleep 0.3s mid-cell, so a
@@ -58,7 +58,7 @@ class TestDeterminism:
         for key, value in plan.to_env(tmp_path).items():
             monkeypatch.setenv(key, value)
         aggregator = TelemetryAggregator()
-        supervised = SupervisedCampaign(
+        supervised = ParallelCampaign(
             CONFIG,
             processes=2,
             telemetry=aggregator,
@@ -74,7 +74,7 @@ class TestLeases:
     def test_hung_worker_loses_lease_and_cell_is_reassigned(self, serial, fault_env):
         fault_env("RFF", "CS/account", 1, mode="hang")
         aggregator = TelemetryAggregator()
-        supervised = SupervisedCampaign(
+        supervised = ParallelCampaign(
             CONFIG,
             processes=2,
             telemetry=aggregator,
@@ -101,7 +101,7 @@ class TestLeases:
     def test_crashed_worker_reassigned_with_backoff(self, serial, fault_env):
         fault_env("POS", "Splash2/lu", 0, mode="crash")
         aggregator = TelemetryAggregator()
-        supervised = SupervisedCampaign(
+        supervised = ParallelCampaign(
             CONFIG,
             processes=2,
             telemetry=aggregator,
@@ -121,7 +121,7 @@ class TestTriage:
     def test_deterministic_crasher_classified(self, fault_env, monkeypatch):
         monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key("RFF", "CS/account", 0))
         aggregator = TelemetryAggregator()
-        result = SupervisedCampaign(
+        result = ParallelCampaign(
             CampaignConfig(trials=1, budget=60, base_seed=7),
             processes=2,
             max_retries=2,
@@ -137,7 +137,7 @@ class TestTriage:
         assert "deterministic crasher" in error["detail"]
 
     def test_mixed_failure_kinds_classified_flaky(self):
-        engine = SupervisedCampaign(CONFIG)
+        engine = ParallelCampaign(CONFIG)
         engine._failure_kinds = {("T", "P", 0): ["crash", "lease", "crash"]}
         assert "flaky environment" in engine._classify(("T", "P", 0))
         engine._failure_kinds = {("T", "P", 0): ["crash", "crash", "crash"]}

@@ -67,10 +67,11 @@ class TestGoldenSchema:
             assert record["steps"] > 0
 
     def test_worker_lifecycle_events(self, smoke_records):
-        starts = [r for r in smoke_records if r["event"] == "worker_start"]
+        """Every pool worker that served a batch exits exactly once, cleanly."""
+        dispatched = {r["pid"] for r in smoke_records if r["event"] == "batch_dispatch"}
         exits = [r for r in smoke_records if r["event"] == "worker_exit"]
-        assert len(starts) == 4 and len(exits) == 4
-        assert all(isinstance(r["pid"], int) for r in starts)
+        assert dispatched and all(isinstance(pid, int) for pid in dispatched)
+        assert sorted(r["pid"] for r in exits) == sorted(dispatched)
         assert all(r["kind"] == "ok" and r["exitcode"] == 0 for r in exits)
 
     def test_records_are_plain_json(self, smoke_records):

@@ -518,13 +518,13 @@ class TestCampaignDeterminism:
     def test_checkpoint_resume_preserves_triage_fields(self, tmp_path):
         from repro.harness.parallel import ParallelCampaign
 
-        checkpoint = tmp_path / "cp.jsonl"
-        first = ParallelCampaign(
-            self._config(), processes=0, checkpoint=checkpoint
-        ).run(["Random"], ["CS/account"])
-        resumed = ParallelCampaign(
-            self._config(), processes=0, checkpoint=checkpoint
-        ).run(["Random"], ["CS/account"])
+        store = tmp_path / "store"
+        first = ParallelCampaign(self._config(), processes=0, store=store).run(
+            ["Random"], ["CS/account"]
+        )
+        resumed = ParallelCampaign(self._config(), processes=0, store=store).run(
+            ["Random"], ["CS/account"]
+        )
         assert resumed.results == first.results
 
 
