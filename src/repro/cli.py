@@ -16,7 +16,7 @@ import sys
 
 from repro import bench
 from repro.core.fuzzer import RffConfig, fuzz
-from repro.harness.campaign import Campaign, CampaignConfig
+from repro.harness.campaign import CampaignConfig
 from repro.harness.reporting import (
     appendix_b_table,
     figure4_ascii,
@@ -24,17 +24,7 @@ from repro.harness.reporting import (
     rf_distribution_pos,
     rf_distribution_rff,
 )
-from repro.harness.tools import (
-    GenMcTool,
-    PeriodTool,
-    RffTool,
-    muzz_tool,
-    paper_tools,
-    pct_tool,
-    pos_tool,
-    qlearning_tool,
-    random_tool,
-)
+from repro.harness.tools import paper_tools, tool_factory
 
 
 def _add_substrate_flag(parser: argparse.ArgumentParser) -> None:
@@ -104,22 +94,6 @@ def _parse_guard(args: argparse.Namespace):
         wall_seconds=args.watchdog_seconds,
         livelock_window=args.livelock_window,
     )
-
-
-def _make_tool(name: str):
-    factories = {
-        "RFF": RffTool,
-        "POS": pos_tool,
-        "PCT3": pct_tool,
-        "PERIOD": PeriodTool,
-        "GenMC": GenMcTool,
-        "QLearning RF": qlearning_tool,
-        "Random": random_tool,
-        "MUZZ-like": muzz_tool,
-    }
-    if name not in factories:
-        raise SystemExit(f"unknown tool {name!r}; choose from {sorted(factories)}")
-    return factories[name]()
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -209,7 +183,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     prog = _resolve_program(args.program, args.substrate)
-    tool = _make_tool(args.tool)
+    try:
+        tool = tool_factory(args.tool)()
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
     tool.sanitizers = _parse_sanitizers(args.sanitize)
     tool.guard = _parse_guard(args)
     tool.verify_replays = args.verify_replays
@@ -271,7 +248,45 @@ def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> 
     return None
 
 
+#: ``rff campaign`` flags that act on worker processes only.
+_WORKER_FLAGS = ("--timeout", "--profile", "--fault-hook")
+
+
+def _validate_campaign_run(
+    args: argparse.Namespace, tool_names: list[str], program_names: list[str]
+) -> str | None:
+    """Reject bad names, and worker-only flags without workers, before
+    anything runs: in-process, ``--timeout`` is never enforced,
+    ``--profile`` dumps nothing and a crashing fault hook would kill the
+    CLI itself."""
+    try:
+        for name in tool_names:
+            tool_factory(name)
+        for name in program_names:
+            bench.get(name)
+    except KeyError as exc:
+        return exc.args[0]
+    given = [
+        flag for flag in _WORKER_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None
+    ]
+    if given and not args.parallel:
+        return f"worker-process flags need --parallel N with N >= 1: {', '.join(given)}"
+    return None
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.harness.parallel import CampaignError, ParallelCampaign
+    from repro.harness.persist import TornLineError
+    from repro.harness.reporting import throughput_summary
+    from repro.harness.store import StoreError
+    from repro.harness.telemetry import (
+        JsonlSink,
+        MultiSink,
+        ProgressSink,
+        SinkLockedError,
+        TelemetryAggregator,
+    )
+
     if args.programs:
         program_names = [
             name if args.substrate != "py" or name.startswith("py:") else f"py:{name}"
@@ -299,96 +314,52 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         guard=_parse_guard(args),
         allocator=allocator,
     )
-    problem = _validate_campaign_persistence(args, allocator)
+    problem = _validate_campaign_run(args, tool_names, program_names)
+    problem = problem or _validate_campaign_persistence(args, allocator)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    use_engine = (
-        args.parallel is not None
-        or args.telemetry
-        or args.store
-        or args.timeout is not None
-        or args.fault_hook
-        or args.profile
-    )
-    if use_engine:
-        from repro.harness.parallel import CampaignError, ParallelCampaign
-        from repro.harness.persist import TornLineError
-        from repro.harness.reporting import throughput_summary
-        from repro.harness.telemetry import (
-            JsonlSink,
-            MultiSink,
-            SinkLockedError,
-            TelemetryAggregator,
+    aggregator = TelemetryAggregator()
+    sinks = [aggregator]
+    if args.verbose:
+        sinks.append(
+            ProgressSink(
+                lambda tool, program, trial: print(
+                    f"... {tool} / {program} / trial {trial}", file=sys.stderr
+                )
+            )
         )
-
-        aggregator = TelemetryAggregator()
-        sinks = [aggregator]
-        if args.telemetry:
-            try:
-                sinks.append(JsonlSink(args.telemetry))
-            except SinkLockedError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        sink = MultiSink(sinks)
-        campaign = ParallelCampaign(
-            config,
-            processes=args.parallel,
-            cell_timeout=args.timeout,
-            max_retries=args.retries,
-            telemetry=sink,
-            store=args.store,
-            heartbeat_seconds=args.heartbeat_seconds,
-            lease_seconds=args.lease_seconds,
-            fault_hook=args.fault_hook,
-            profile_dir=args.profile,
-        )
+    if args.telemetry:
         try:
-            from repro.harness.store import StoreError
-
-            result = campaign.run(tool_names, program_names)
-        except (CampaignError, StoreError, TornLineError) as exc:
+            sinks.append(JsonlSink(args.telemetry))
+        except SinkLockedError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        finally:
-            sink.close()
-        print(appendix_b_table(result))
-        print()
-        print(figure4_ascii(result))
-        print()
-        print(throughput_summary(aggregator))
-        if result.allocation is not None:
-            from repro.harness.reporting import allocation_summary
-
-            print()
-            print(allocation_summary(result))
-        if sanitizers:
-            from repro.harness.reporting import sanitizer_summary
-
-            print()
-            print(sanitizer_summary(result))
-        if args.verify_replays:
-            from repro.harness.reporting import reproduction_summary
-
-            print()
-            print(reproduction_summary(result))
-        if args.profile:
-            from repro.harness.reporting import profile_summary
-
-            print()
-            print(profile_summary(args.profile))
-        return 0
-    programs = [bench.get(n) for n in program_names]
-    tools = [_make_tool(n) for n in tool_names]
-    progress = None
-    if args.verbose:
-        progress = lambda tool, program, trial: print(  # noqa: E731
-            f"... {tool} / {program} / trial {trial}", file=sys.stderr
-        )
-    result = Campaign(config).run(tools, programs, progress=progress)
+    sink = MultiSink(sinks)
+    campaign = ParallelCampaign(
+        config,
+        processes=args.parallel or 0,
+        cell_timeout=args.timeout,
+        max_retries=args.retries,
+        telemetry=sink,
+        store=args.store,
+        heartbeat_seconds=args.heartbeat_seconds,
+        lease_seconds=args.lease_seconds,
+        fault_hook=args.fault_hook,
+        profile_dir=args.profile,
+    )
+    try:
+        result = campaign.run(tool_names, program_names)
+    except (CampaignError, StoreError, TornLineError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        sink.close()
     print(appendix_b_table(result))
     print()
     print(figure4_ascii(result))
+    print()
+    print(throughput_summary(aggregator))
     if result.allocation is not None:
         from repro.harness.reporting import allocation_summary
 
@@ -404,6 +375,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         print()
         print(reproduction_summary(result))
+    if args.profile:
+        from repro.harness.reporting import profile_summary
+
+        print()
+        print(profile_summary(args.profile))
     return 0
 
 
@@ -519,6 +495,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print()
         print(result.trace.format(limit=args.trace))
     return 0 if result.outcome == crash.outcome else 1
+
+
+def _worker_count(text: str) -> int:
+    """``--parallel N``: a negative count would never start a worker nor
+    run in-process, so the dispatch loop would wait forever."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
 
 
 def _parse_gen_config(token: str | None):
@@ -748,12 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--programs", nargs="*")
     p_campaign.add_argument("--tools", nargs="*")
     p_campaign.add_argument("--verbose", action="store_true")
-    p_campaign.add_argument("--parallel", type=int, metavar="N",
-                            help="fault-tolerant engine with N persistent worker processes "
-                                 "(0 = in-process)")
+    p_campaign.add_argument("--parallel", type=_worker_count, metavar="N",
+                            help="run slices in N persistent worker processes "
+                                 "(default 0: in-process; results are bit-identical)")
     p_campaign.add_argument("--profile", metavar="DIR",
                             help="write per-worker cProfile dumps (.pstats) under DIR "
-                                 "and print a merged hot-spot summary")
+                                 "and print a merged hot-spot summary (needs --parallel)")
     p_campaign.add_argument("--telemetry", metavar="FILE",
                             help="write structured campaign telemetry (JSONL) to FILE")
     p_campaign.add_argument("--resume", action="store_true",
@@ -767,11 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--lease-seconds", type=float, default=10.0, metavar="S",
                             help="kill and reassign a worker silent this long (default 10)")
     p_campaign.add_argument("--fault-hook", metavar="MODULE:FUNC",
-                            help="chaos-testing hook called at the start of every cell "
-                                 "(e.g. repro.harness.faults:chaos_hook with RFF_CHAOS_PLAN set)")
+                            help="chaos-testing hook called in the worker at the start of "
+                                 "every cell (e.g. repro.harness.faults:chaos_hook with "
+                                 "RFF_CHAOS_PLAN set; needs --parallel)")
     p_campaign.add_argument("--timeout", type=float, metavar="SECONDS",
                             help="seconds a worker may go without finishing a slice "
-                                 "before it is killed and the slice retried")
+                                 "before it is killed and the slice retried (needs --parallel)")
     p_campaign.add_argument("--retries", type=int, default=2,
                             help="extra attempts per crashed/timed-out cell (default 2)")
     p_campaign.add_argument("--sanitize", metavar="LIST",
@@ -861,16 +847,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--budget", type=int, default=400)
     p_eval.add_argument("--base-seed", type=int, default=1234)
     p_eval.add_argument("--sanitizer-budget", type=int, default=80)
-    p_eval.add_argument("--parallel", type=int, default=1, metavar="N",
+    p_eval.add_argument("--parallel", type=_worker_count, default=0, metavar="N",
                         help="worker processes for the crash channel "
-                             "(1 = serial; results are bit-identical either way)")
+                             "(default 0: in-process; results are bit-identical either way)")
     p_eval.add_argument("--out", default="results/BENCH_groundtruth.json",
                         help="report path (default results/BENCH_groundtruth.json)")
     p_eval.add_argument("--baseline", metavar="FILE",
                         help="check FN/FP rates and detection against a baseline "
                              "JSON; exit 3 on regression")
     p_eval.add_argument("--telemetry", metavar="FILE",
-                        help="write gen_corpus/gen_eval_end telemetry (JSONL) to FILE")
+                        help="write the corpus, crash-channel campaign and gen_eval_end "
+                             "telemetry (JSONL) to FILE")
     p_eval.set_defaults(func=_cmd_eval_gen)
 
     p_store = sub.add_parser("store", help="inspect/compact/verify a durable corpus store")

@@ -9,13 +9,13 @@ sized so a full campaign runs on one laptop core; everything scales through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.harness.allocator import AllocationRun, CellId, CellInfo, UniformAllocator, slice_seed
 from repro.harness.stats import SummaryCell, summarize
-from repro.harness.telemetry import TelemetrySink
+from repro.harness.telemetry import ProgressSink, TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
@@ -170,9 +170,15 @@ class Campaign:
         store=None,
     ) -> CampaignResult:
         """Execute the full cross product in this process, with the caller's
-        tool instances; ``progress`` is an optional callback
+        tool and program instances; ``progress`` is an optional callback
         ``(tool_name, program_name, trial_index)`` called before every
         executed slice.
+
+        This is the in-process front door of the one campaign engine:
+        ``ParallelCampaign(config, processes=0)`` with the instances seeded
+        into its caches, so tools and programs no registry knows still run,
+        and a tool that raises becomes a structured error cell, exactly as
+        in a pooled campaign.
 
         With ``store`` set (a :class:`~repro.harness.store.CorpusStore` or a
         path opened as one), every result is recorded durably as it
@@ -183,33 +189,20 @@ class Campaign:
         rounds instead of a single uniform pass (see
         :mod:`repro.harness.allocator`).
         """
-        for tool in tools:
-            if self.config.sanitizers:
-                tool.sanitizers = tuple(self.config.sanitizers)
-            if self.config.verify_replays:
-                tool.verify_replays = self.config.verify_replays
-            if self.config.guard is not None:
-                tool.guard = self.config.guard
-        tool_by_name = {tool.name: tool for tool in tools}
-        program_by_name = {program.name: program for program in programs}
+        from repro.harness.parallel import ParallelCampaign  # imports this module
 
-        def execute(pending, record) -> None:
-            for (tool_name, program_name, trial), seed, budget in pending:
-                if progress is not None:
-                    progress(tool_name, program_name, trial)
-                result = tool_by_name[tool_name].find_bug(
-                    program_by_name[program_name], budget, seed
-                )
-                # Tools record the seed in the trial field by default; stamp
-                # the trial index so every engine produces identical results.
-                record((tool_name, program_name, trial), replace(result, trial=trial))
-
-        return run_rounds(
+        engine = ParallelCampaign(
             self.config,
+            processes=0,
+            store=store,
+            telemetry=ProgressSink(progress) if progress is not None else TelemetrySink(),
+        )
+        return engine._run(
             [(tool.name, tool.deterministic) for tool in tools],
             [program.name for program in programs],
-            execute,
-            store=store,
+            refs={},
+            tool_instances=tools,
+            program_instances=programs,
         )
 
 
@@ -221,35 +214,31 @@ def run_rounds(
     config: CampaignConfig,
     tools: list[tuple[str, bool]],
     programs: list[str],
-    execute: Callable[[list[PendingSlice], Callable[[Any, BugSearchResult], None]], None],
+    pool: Any,
     *,
     store: Any = None,
-    sink: TelemetrySink | None = None,
-    processes: int = 0,
-    stats: dict[str, int] | None = None,
-    close: Callable[[], None] | None = None,
 ) -> CampaignResult:
-    """The campaign round loop every engine runs.
+    """The campaign round loop every campaign runs.
 
     ``tools`` are ``(name, deterministic)`` pairs.  Each round the
     allocator (``config.allocator``, or a one-round
     :class:`~repro.harness.allocator.UniformAllocator` when None) plans one
     slice budget per live cell; slices the store already holds are
-    replayed, and the rest go to ``execute(pending, record)``, which must
-    call ``record(key, result)`` once per pending slice.  Slice results
-    feed the allocator's estimates and merge into one result per cell.
+    replayed, and the rest go to ``pool.execute(pending, record)`` (a
+    :class:`~repro.harness.pool.WorkerPool`), which calls
+    ``record(key, result)`` once per pending slice.  Slice results feed the
+    allocator's estimates and merge into one result per cell.
 
     The store is the only resume format.  A one-round plan records whole
     cells, multi-round plans record every slice as it completes plus each
     merged cell at the end, so a killed campaign resumes slice-granularly
     and converges to the same bits as an uninterrupted one.
 
-    ``sink`` receives ``campaign_start``, the allocation events (only when
-    an allocator was configured) and, after ``close()`` has run,
-    ``campaign_end`` with the ``retries``/``failed`` counts of ``stats``.
+    The pool's sink receives ``campaign_start``, the allocation events
+    (only when an allocator was configured) and, after the pool has been
+    closed, ``campaign_end`` with the pool's ``retries``/``failed`` counts.
     """
-    sink = sink or TelemetrySink()
-    stats = stats or {}
+    sink = pool.sink
     tool_names = [name for name, _ in tools]
     deterministic = {name for name, is_deterministic in tools if is_deterministic}
     cells = [
@@ -293,7 +282,7 @@ def run_rounds(
             resumed_cells=sum(
                 1 for cell in cells if cell.key in done_cells or cell.key in sliced_cells
             ),
-            processes=processes,
+            processes=pool.size,
         )
         while (plan := run_state.next_plan()) is not None:
             round_index = run_state.round_index
@@ -342,7 +331,7 @@ def run_rounds(
                     store.record_slice(round_index, result)
 
             if pending:
-                execute(pending, record)
+                pool.execute(pending, record)
             run_state.observe(plan, round_results)
         merged = run_state.merged()
         if store is not None and not single_round:
@@ -351,8 +340,7 @@ def run_rounds(
                 if key not in already:
                     store.record_result(merged[key])
     finally:
-        if close is not None:
-            close()
+        pool.close()
         if owned:
             store.close()
     wall_time = time.perf_counter() - start
@@ -360,8 +348,8 @@ def run_rounds(
         "campaign_end",
         wall_time=wall_time,
         cells=len(merged),
-        failed_cells=stats.get("failed", 0),
-        retries=stats.get("retries", 0),
+        failed_cells=pool.stats["failed"],
+        retries=pool.stats["retries"],
         executions=executions,
         schedules_per_sec=executions / wall_time if wall_time > 0 else 0.0,
     )

@@ -38,33 +38,15 @@ from repro.gen.oracle import (
     judge_sanitizers,
 )
 from repro.gen.synth import GenConfig, GeneratedProgram, corpus
-from repro.harness.campaign import Campaign, CampaignConfig, CampaignResult
+from repro.harness.campaign import CampaignConfig, CampaignResult
+from repro.harness.parallel import ParallelCampaign
 from repro.harness.telemetry import TelemetrySink
-from repro.harness.tools import (
-    GenMcTool,
-    PeriodTool,
-    RffTool,
-    TestingTool,
-    muzz_tool,
-    pct_tool,
-    pos_tool,
-    qlearning_tool,
-    random_tool,
-)
+from repro.harness.tools import TOOL_FACTORIES, TestingTool
 
 
 def tool_factories() -> dict[str, Callable[[], TestingTool]]:
     """Name -> constructor for every tool eval-gen can run."""
-    return {
-        "RFF": RffTool,
-        "POS": pos_tool,
-        "PCT3": pct_tool,
-        "PERIOD": PeriodTool,
-        "GenMC": GenMcTool,
-        "QLearning RF": qlearning_tool,
-        "Random": random_tool,
-        "MUZZ-like": muzz_tool,
-    }
+    return dict(TOOL_FACTORIES)
 
 
 @dataclass(frozen=True)
@@ -119,13 +101,13 @@ class GroundTruthHarness:
         return kinds
 
     # -- crash channel --------------------------------------------------
-    def run_campaign(self, processes: int | None = 1) -> CampaignResult:
-        """Crash-channel search over the corpus.
+    def run_campaign(self, processes: int | None = 0) -> CampaignResult:
+        """Crash-channel search over the corpus, with this harness's sink.
 
-        ``processes=1`` (default) runs the serial :class:`Campaign`;
-        anything else hands the *names* to the parallel engine, whose
-        workers re-synthesize each program from its ``gen:`` name — the
-        two paths produce bit-identical results.
+        The campaign engine gets the ``gen:`` *names*: ``processes=0``
+        (default) runs every slice in-process, ``N`` in ``N`` worker
+        processes that re-synthesize each program from its name — the
+        results are bit-identical either way.
         """
         names = [generated.name for generated in self.corpus()]
         campaign_config = CampaignConfig(
@@ -133,15 +115,7 @@ class GroundTruthHarness:
             budget=self.config.budget,
             base_seed=self.config.base_seed,
         )
-        if processes == 1:
-            from repro import bench
-
-            tools = [tool_factories()[name]() for name in self.config.tools]
-            programs = [bench.get(name) for name in names]
-            return Campaign(campaign_config).run(tools, programs)
-        from repro.harness.parallel import ParallelCampaign
-
-        engine = ParallelCampaign(config=campaign_config, processes=processes)
+        engine = ParallelCampaign(campaign_config, processes=processes, telemetry=self.sink)
         return engine.run(list(self.config.tools), names)
 
     # -- sanitizer channel ----------------------------------------------
@@ -166,7 +140,7 @@ class GroundTruthHarness:
         return judgements
 
     # -- full evaluation ------------------------------------------------
-    def evaluate(self, processes: int | None = 1) -> dict[str, Any]:
+    def evaluate(self, processes: int | None = 0) -> dict[str, Any]:
         """Both channels end to end; returns the BENCH_groundtruth payload."""
         programs = self.corpus()
         kinds = self._emit_corpus(programs)

@@ -3,12 +3,13 @@
 The paper runs its experiments with GNU Parallel over up to 50 cores
 (Appendix A.2); :class:`ParallelCampaign` provides the same scale-out for
 our campaigns.  It runs the campaign round loop of
-:func:`repro.harness.campaign.run_rounds` — the loop the serial
-:class:`~repro.harness.campaign.Campaign` runs — and hands each round's
-slices to a :class:`~repro.harness.pool.WorkerPool` of long-lived worker
-processes.  Every slice derives its seed the same way in both, so results
-are bit-identical to the serial campaign and parallelism is purely a
-wall-clock optimisation.
+:func:`repro.harness.campaign.run_rounds` and hands each round's slices to
+a :class:`~repro.harness.pool.WorkerPool` of long-lived worker processes,
+or, with ``processes=0``, runs them in-process through the same pool.
+The serial :class:`~repro.harness.campaign.Campaign` is that in-process
+path with the caller's tool and program instances, so every slice
+derives its seed the same way everywhere: results are bit-identical to
+the serial campaign and parallelism is purely a wall-clock optimisation.
 
 The engine survives its workers:
 
@@ -48,11 +49,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.harness.campaign import CampaignConfig, CampaignResult, run_rounds
 from repro.harness.telemetry import TelemetrySink
-from repro.harness.tools import BugSearchResult, TestingTool
+from repro.harness.tools import TOOL_FACTORIES, BugSearchResult, TestingTool, tool_factory
 
 
 class CampaignError(RuntimeError):
@@ -73,18 +74,9 @@ class CellSpec:
     trial: int
     seed: int
     budget: int
-    factory_ref: str
-    #: Optional importable fault-injection hook called with the spec before
-    #: the slice runs (see repro.harness.faults).
-    fault_hook: str | None = None
-    #: Online sanitizer names attached to the tool inside the worker.
-    sanitizers: tuple[str, ...] = ()
-    #: Replays per found bug for STABLE/FLAKY verification (0 = off).
-    verify_replays: int = 0
-    #: Guardrail identity triple (step budget, wall seconds, livelock
-    #: window) reconstructed into a GuardConfig inside the worker; carried
-    #: as a plain tuple so specs stay trivially picklable and comparable.
-    guard: tuple | None = None
+    #: None for a tool instance seeded into the in-process cache by
+    #: :class:`~repro.harness.campaign.Campaign`, which is never rebuilt.
+    factory_ref: str | None
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -101,11 +93,8 @@ class CellOutcome:
 
 
 # ----------------------------------------------------------------------
-# Tool factory registry (parent side) + importable references (worker side)
+# Importable tool-factory references (resolved worker side)
 # ----------------------------------------------------------------------
-_TOOL_FACTORIES: dict[str, Callable[[], TestingTool]] = {}
-
-
 def resolve_ref(ref: str) -> Any:
     """Resolve an importable ``"module:qualname"`` reference."""
     module_name, _, qualname = ref.partition(":")
@@ -146,36 +135,14 @@ def factory_ref(factory: Callable[[], TestingTool]) -> str:
 
 
 def register_tool(name: str, factory: Callable[[], TestingTool]) -> None:
-    """Register a custom tool factory for parallel campaigns.
+    """Add a custom tool factory to :data:`~repro.harness.tools.TOOL_FACTORIES`.
 
     The factory must be a module-level callable (validated eagerly) so that
     worker processes under any start method — including ``spawn``, which
     inherits nothing — can re-import it from its cell spec reference.
     """
     factory_ref(factory)  # validate now, not inside a worker
-    _TOOL_FACTORIES[name] = factory
-
-
-def _register_default_factories() -> None:
-    from repro.harness.tools import (
-        GenMcTool,
-        PeriodTool,
-        RffTool,
-        muzz_tool,
-        pct_tool,
-        pos_tool,
-        qlearning_tool,
-        random_tool,
-    )
-
-    _TOOL_FACTORIES.setdefault("RFF", RffTool)
-    _TOOL_FACTORIES.setdefault("POS", pos_tool)
-    _TOOL_FACTORIES.setdefault("PCT3", pct_tool)
-    _TOOL_FACTORIES.setdefault("PERIOD", PeriodTool)
-    _TOOL_FACTORIES.setdefault("GenMC", GenMcTool)
-    _TOOL_FACTORIES.setdefault("QLearning RF", qlearning_tool)
-    _TOOL_FACTORIES.setdefault("Random", random_tool)
-    _TOOL_FACTORIES.setdefault("MUZZ-like", muzz_tool)
+    TOOL_FACTORIES[name] = factory
 
 
 def _rff_env_snapshot() -> tuple[tuple[str, str], ...]:
@@ -234,51 +201,43 @@ class ParallelCampaign:
 
     def run(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
         """Run all campaign cells; the result is bit-identical to serial runs."""
-        from repro.harness.pool import WorkerPool
-
-        _register_default_factories()
         tools: list[tuple[str, bool]] = []
         refs: dict[str, str] = {}
         for tool_name in tool_names:
-            if tool_name not in _TOOL_FACTORIES:
-                raise KeyError(f"unknown tool {tool_name!r}; known: {sorted(_TOOL_FACTORIES)}")
-            factory = _TOOL_FACTORIES[tool_name]
+            factory = tool_factory(tool_name)
             refs[tool_name] = factory_ref(factory)
             tools.append((tool_name, factory().deterministic))
+        return self._run(tools, list(program_names), refs)
+
+    def _run(
+        self,
+        tools: list[tuple[str, bool]],
+        programs: list[str],
+        refs: dict[str, str],
+        tool_instances: Iterable[TestingTool] = (),
+        program_instances: Iterable[Any] = (),
+    ) -> CampaignResult:
+        """The round loop over a fresh pool.
+
+        ``tools`` are ``(name, deterministic)`` pairs and ``refs`` maps tool
+        names to factory references.  ``tool_instances`` and
+        ``program_instances`` seed the pool's in-process caches:
+        :meth:`~repro.harness.campaign.Campaign.run` passes its caller's
+        this way, so tools and programs that no registry resolves still run.
+        """
+        from repro.harness.pool import WorkerPool
+
         self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
         pool = WorkerPool(
             self,
             mp.get_context(self.start_method or _default_start_method()),
             self._process_count(),
             self._worker_profile(),
+            refs,
+            tools=tool_instances,
+            programs=program_instances,
         )
-
-        def execute(pending, record) -> None:
-            specs = [
-                CellSpec(
-                    tool=tool,
-                    program=program,
-                    trial=trial,
-                    seed=seed,
-                    budget=budget,
-                    factory_ref=refs[tool],
-                    fault_hook=self.fault_hook,
-                )
-                for (tool, program, trial), seed, budget in pending
-            ]
-            pool.execute(specs, record)
-
-        return run_rounds(
-            self.config,
-            tools,
-            list(program_names),
-            execute,
-            store=self.store,
-            sink=self.telemetry,
-            processes=self._process_count(),
-            stats=pool.stats,
-            close=pool.close,
-        )
+        return run_rounds(self.config, tools, programs, pool, store=self.store)
 
     def _process_count(self) -> int:
         if self.processes is None:
@@ -295,7 +254,7 @@ class ParallelCampaign:
         return WorkerProfile(
             sanitizers=tuple(self.config.sanitizers),
             verify_replays=self.config.verify_replays,
-            guard=self.config.guard.as_tuple() if self.config.guard is not None else None,
+            guard=self.config.guard,
             fault_hook=self.fault_hook,
             heartbeat_seconds=self.heartbeat_seconds,
             profile_dir=profile_dir,

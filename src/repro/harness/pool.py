@@ -38,7 +38,10 @@ cost across executions.  This module is the analogue of the fork server:
   SIGKILL'd-and-resumed, bit for bit.
 * **In-process execution.**  A pool of size 0 runs every slice in the
   dispatcher's own process, and a pool whose workers cannot be started
-  at all degrades to that same in-process drain.
+  at all degrades to that same in-process drain.  It is the only
+  in-process runner: the serial :class:`~repro.harness.campaign.Campaign`
+  is a size-0 pool whose caches are seeded with the caller's tool and
+  program instances.
 
 Wire protocol (one duplex pipe per worker):
 
@@ -63,13 +66,15 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.core.trace import intern_schedule
+from repro.harness.campaign import PendingSlice
+from repro.harness.parallel import CampaignError, CellOutcome, CellSpec, resolve_ref
 from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
+from repro.runtime.guard import GuardConfig
 
 #: Maximum slices per dispatched batch.
 BATCH_SLICES = 8
@@ -91,7 +96,7 @@ class WorkerProfile:
 
     sanitizers: tuple[str, ...] = ()
     verify_replays: int = 0
-    guard: tuple | None = None
+    guard: GuardConfig | None = None
     fault_hook: str | None = None
     #: Interval of the worker's heartbeat thread; None disables heartbeats.
     heartbeat_seconds: float | None = None
@@ -118,42 +123,21 @@ def wire_slice(spec) -> tuple:
 def _apply_profile(tool, profile: WorkerProfile) -> None:
     """Apply the campaign-wide tool attributes of ``profile``."""
     if profile.sanitizers:
-        tool.sanitizers = tuple(profile.sanitizers)
+        tool.sanitizers = profile.sanitizers
     if profile.verify_replays:
         tool.verify_replays = profile.verify_replays
     if profile.guard is not None:
-        from repro.runtime.guard import GuardConfig
-
-        step_budget, wall_seconds, livelock_window = profile.guard
-        tool.guard = GuardConfig(
-            step_budget=step_budget,
-            wall_seconds=wall_seconds,
-            livelock_window=livelock_window,
-        )
+        tool.guard = profile.guard
 
 
 def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict):
     """Run one slice against the given caches; returns its CellOutcome."""
-    from repro import bench
-    from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
-
     tool_name, program_name, trial, seed, budget, ref = wire
     if profile.fault_hook:
-        # Fault hooks receive a full CellSpec so chaos plans key cells by
-        # tool|program|trial.
-        spec = CellSpec(
-            tool=tool_name,
-            program=program_name,
-            trial=trial,
-            seed=seed,
-            budget=budget,
-            factory_ref=ref,
-            fault_hook=profile.fault_hook,
-            sanitizers=profile.sanitizers,
-            verify_replays=profile.verify_replays,
-            guard=profile.guard,
+        # Fault hooks key cells by tool|program|trial of a full CellSpec.
+        resolve_ref(profile.fault_hook)(
+            CellSpec(tool_name, program_name, trial, seed, budget, ref)
         )
-        resolve_ref(profile.fault_hook)(spec)
     cache_key = (tool_name, program_name)
     tool = tools.get(cache_key)
     if tool is None:
@@ -163,6 +147,8 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
     _apply_profile(tool, profile)
     program = programs.get(program_name)
     if program is None:
+        from repro import bench
+
         program = programs[program_name] = bench.get(program_name)
     before = GLOBAL_COUNTERS.snapshot()
     start = time.perf_counter()
@@ -293,10 +279,8 @@ def _intern_reply(data: dict) -> dict:
     return data
 
 
-def _decode_outcome(payload):
-    """Reply payload -> CellOutcome (lazy import avoids a module cycle)."""
-    from repro.harness.parallel import CellOutcome
-
+def _decode_outcome(payload) -> CellOutcome:
+    """Reply payload -> CellOutcome."""
     data, wall_time, counters = payload
     return CellOutcome(
         result=result_from_dict(_intern_reply(data)),
@@ -387,20 +371,34 @@ class WorkerPool:
     counts ``retries`` and ``failed`` cells in :attr:`stats`.
     """
 
-    def __init__(self, engine, context, size: int, profile: WorkerProfile):
+    def __init__(
+        self,
+        engine,
+        context,
+        size: int,
+        profile: WorkerProfile,
+        refs: dict[str, str],
+        tools: Iterable[Any] = (),
+        programs: Iterable[Any] = (),
+    ):
         self.engine = engine
         self.sink: TelemetrySink = engine.telemetry
         self.context = context
         #: Worker processes; 0 runs every slice in-process.
         self.size = size
         self.profile = profile
+        #: Tool name -> importable factory reference, carried in every slice.
+        self.refs = refs
         self.stats = {"retries": 0, "failed": 0}
         self._workers: dict[Any, _PoolWorker] = {}
         self._batch_seq = 0
         self._degraded = False
-        #: Tool and program caches of the in-process drain.
-        self._tools: dict[tuple[str, str], Any] = {}
-        self._programs: dict[str, Any] = {}
+        #: Tool and program caches of the in-process drain, seeded with the
+        #: given instances (``Campaign.run`` passes its caller's).
+        self._programs: dict[str, Any] = {program.name: program for program in programs}
+        self._tools: dict[tuple[str, str], Any] = {
+            (tool.name, name): tool for tool in tools for name in self._programs
+        }
 
     # -- batching -------------------------------------------------------
     def _make_batch(self, specs: list, attempts: list[int], not_before: float = 0.0) -> _Batch:
@@ -505,8 +503,6 @@ class WorkerPool:
         """A cell that cannot complete: telemetry, then the structured error
         result (or :class:`~repro.harness.parallel.CampaignError` when the
         engine does not isolate failures)."""
-        from repro.harness.parallel import CampaignError
-
         self.stats["failed"] += 1
         self.sink.emit(
             "cell_error",
@@ -685,14 +681,18 @@ class WorkerPool:
                 record(spec.key, outcome.result)
 
     # -- the dispatch loop ----------------------------------------------
-    def execute(self, specs: list, record: Recorder) -> None:
-        """Run every slice of ``specs`` through the pool (one round barrier).
+    def execute(self, pending: list[PendingSlice], record: Recorder) -> None:
+        """Run every pending slice through the pool (one round barrier).
 
         Returns when every slice has been recorded (success or structured
         failure).  Workers left idle at return stay alive for the next call.
         """
-        if not specs:
+        if not pending:
             return
+        specs = [
+            CellSpec(tool, program, trial, seed, budget, self.refs.get(tool))
+            for (tool, program, trial), seed, budget in pending
+        ]
         engine = self.engine
         ready: deque[_Batch] = deque(self._pack(specs))
         #: Retried slices waiting out their backoff delay.
@@ -700,6 +700,9 @@ class WorkerPool:
         if self.size == 0 or self._degraded:
             self._drain_serial(ready, waiting, record)
             return
+        # Imported here: in-process campaigns never wait on a pipe.
+        from multiprocessing import connection as mp_connection
+
         while ready or waiting or any(w.batch is not None for w in self._workers.values()):
             now = time.perf_counter()
             for batch in [b for b in waiting if b.not_before <= now]:

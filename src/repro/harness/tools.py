@@ -9,10 +9,11 @@ baseline).
 
 from __future__ import annotations
 
+import difflib
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.algos.modelcheck import ModelChecker, UnsupportedProgram
 from repro.algos.period import PeriodExplorer
@@ -359,3 +360,31 @@ class GenMcTool(TestingTool):
 def paper_tools() -> list[TestingTool]:
     """The six techniques of Figure 4, in its legend order."""
     return [pct_tool(), PeriodTool(), RffTool(), pos_tool(), qlearning_tool(), GenMcTool()]
+
+
+#: Tool name -> factory: the one table every tool name resolves through
+#: (``rff run``/``campaign``/``eval-gen`` and ``ParallelCampaign``).
+#: :func:`repro.harness.parallel.register_tool` adds custom tools to it.
+TOOL_FACTORIES: dict[str, Callable[[], TestingTool]] = {
+    "RFF": RffTool,
+    "POS": pos_tool,
+    "PCT3": pct_tool,
+    "PERIOD": PeriodTool,
+    "GenMC": GenMcTool,
+    "QLearning RF": qlearning_tool,
+    "Random": random_tool,
+    "MUZZ-like": muzz_tool,
+}
+
+
+def tool_factory(name: str) -> Callable[[], TestingTool]:
+    """The factory registered as ``name``; an unknown name raises a
+    ``KeyError`` naming the closest matches."""
+    try:
+        return TOOL_FACTORIES[name]
+    except KeyError:
+        close = difflib.get_close_matches(name, TOOL_FACTORIES, n=3, cutoff=0.4)
+        hint = f"; did you mean: {', '.join(close)}?" if close else ""
+        raise KeyError(
+            f"unknown tool {name!r}{hint} (known: {', '.join(sorted(TOOL_FACTORIES))})"
+        ) from None

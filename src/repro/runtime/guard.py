@@ -73,7 +73,8 @@ class GuardConfig:
         )
 
     def as_tuple(self) -> tuple[int | None, float | None, int | None]:
-        """Identity triple used in checkpoint headers and cell specs."""
+        """Identity triple used in store headers and repro artifacts (not
+        a full copy: ``wall_check_interval`` is left out)."""
         return (self.step_budget, self.wall_seconds, self.livelock_window)
 
 

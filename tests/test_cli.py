@@ -75,6 +75,86 @@ class TestCampaign:
         assert "cumulative bugs" in out
 
 
+class TestOneRunner:
+    """Every campaign runs through ParallelCampaign; only --parallel picks
+    the worker count, and misuse fails before anything runs."""
+
+    ARGS = ["campaign", "--trials", "2", "--budget", "60", "--tools", "RFF", "POS"]
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel", "2"]], ids=["default", "parallel-2"])
+    @pytest.mark.parametrize(
+        "names, hint",
+        [
+            (["--programs", "CS/acount", "--tools", "RFF"], "did you mean: CS/account"),
+            (["--programs", "CS/account", "--tools", "Randon"], "did you mean: Random"),
+            (["--programs", "NoSuch", "--tools", "RFF"], "unknown benchmark 'NoSuch'"),
+            (["--programs", "CS/account", "--tools", "NotATool"], "unknown tool 'NotATool'"),
+        ],
+    )
+    def test_unknown_names_exit_2_before_running(self, capsys, parallel, names, hint):
+        assert main(["campaign", "--trials", "1", "--budget", "20"] + names + parallel) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert hint in captured.err
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel", "0"]], ids=["default", "parallel-0"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--timeout", "5"],
+            ["--profile", "prof"],
+            ["--fault-hook", "repro.harness.faults:crash_once"],
+        ],
+    )
+    def test_worker_flags_require_workers(self, capsys, tmp_path, monkeypatch, parallel, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(CAMPAIGN_ARGS + flag + parallel) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[0] in captured.err and "--parallel N" in captured.err
+        assert not (tmp_path / "prof").exists()
+
+    @pytest.mark.parametrize("command", [["campaign"], ["eval-gen"]])
+    def test_negative_parallel_exits_2(self, capsys, command):
+        # A negative worker count would neither start a worker nor run
+        # in-process: the dispatch loop would wait forever.
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--parallel", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_store_and_telemetry_run_in_process(self, capsys, tmp_path):
+        from repro.harness.store import CorpusStore
+        from repro.harness.telemetry import validate_jsonl
+
+        args = self.ARGS + ["--programs", "CS/account", "Splash2/lu"]
+        telemetry = tmp_path / "t.jsonl"
+        assert main(args + ["--store", str(tmp_path / "a"), "--telemetry", str(telemetry)]) == 0
+        in_process = capsys.readouterr().out
+        assert main(args + ["--store", str(tmp_path / "b"), "--parallel", "2"]) == 0
+        pooled = capsys.readouterr().out
+        records = validate_jsonl(telemetry)
+        start = next(r for r in records if r["event"] == "campaign_start")
+        assert start["processes"] == 0
+        assert not [r for r in records if r["event"] == "batch_dispatch"]
+        table = lambda text: text.split("\n\n")[0]  # the Appendix-B table
+        assert "mean bugs found" in table(in_process)
+        assert table(in_process) == table(pooled)
+        with CorpusStore(tmp_path / "a", readonly=True) as a, CorpusStore(
+            tmp_path / "b", readonly=True
+        ) as b:
+            assert a.completed() == b.completed()
+
+    def test_verbose_reports_each_slice_start(self, capsys):
+        assert main(CAMPAIGN_ARGS + ["--trials", "2", "--verbose"]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "... RFF / CS/account / trial 0",
+            "... RFF / CS/account / trial 1",
+        ]
+
+
 class TestGen:
     def test_gen_prints_corpus_table(self, capsys):
         assert main(["gen", "--seed", "5", "--count", "6"]) == 0
@@ -191,6 +271,31 @@ class TestEvalGen:
         assert set(payload["tools"]) == {"RFF"}
         assert set(payload["sanitizers"]) == {"race", "lockset", "lockorder"}
         assert len(payload["corpus"]["programs"]) == 4
+
+    def test_telemetry_records_the_crash_channel(self, capsys, tmp_path):
+        from repro.harness.telemetry import validate_jsonl
+
+        telemetry = tmp_path / "t.jsonl"
+        code = main(
+            [
+                "eval-gen",
+                "--seed", "2000",
+                "--count", "2",
+                "--tools", "RFF",
+                "--trials", "1",
+                "--budget", "30",
+                "--sanitizer-budget", "10",
+                "--out", str(tmp_path / "report.json"),
+                "--telemetry", str(telemetry),
+            ]
+        )
+        assert code == 0
+        records = validate_jsonl(telemetry)
+        events = [r["event"] for r in records]
+        assert events[0] == "gen_corpus" and events[-1] == "gen_eval_end"
+        start = records[events.index("campaign_start")]
+        assert start["processes"] == 0  # --parallel defaults to in-process
+        assert events.count("cell_end") == 2
 
 
 class TestFigure5:

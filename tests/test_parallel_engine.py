@@ -15,17 +15,13 @@ import pytest
 from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
-from repro.harness.parallel import (
-    CampaignError,
-    ParallelCampaign,
-    _TOOL_FACTORIES,
-    register_tool,
-)
+from repro.harness.parallel import CampaignError, ParallelCampaign, register_tool
 from repro.harness.persist import read_jsonl
 from repro.harness.pool import WorkerPool
 from repro.harness.store import CorpusStore, StoreMismatchError
 from repro.harness.telemetry import TelemetryAggregator
 from repro.harness.tools import (
+    TOOL_FACTORIES,
     PerExecutionPolicyTool,
     PeriodTool,
     RffTool,
@@ -278,7 +274,7 @@ class TestSpawnSafeRegistry:
             assert parallel == serial
             assert parallel.trials("CustomRandom", "CS/account")[0].tool == "CustomRandom"
         finally:
-            _TOOL_FACTORIES.pop("CustomRandom", None)
+            TOOL_FACTORIES.pop("CustomRandom", None)
 
     def test_non_importable_factory_rejected_eagerly(self):
         with pytest.raises(ValueError, match="importable"):
