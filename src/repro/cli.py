@@ -142,7 +142,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.minimize and report.crashes:
         from repro.core.minimize import minimize_schedule
 
-        outcome = minimize_schedule(prog, report.crashes[0].abstract_schedule)
+        outcome = minimize_schedule(prog, report.crashes[0].abstract_schedule, config=config)
         print(f"minimized schedule ({outcome.removed} constraints removed, "
               f"reproduces {outcome.reproduction_rate:.0%}):")
         print(f"    {outcome.minimized}")
@@ -416,13 +416,11 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     )
     fuzzer = RffFuzzer(prog, seed=args.seed, config=config)
     report = fuzzer.run(args.budget, stop_on_first_crash=False)
-    result = triage_report(
-        prog, report, replays=args.replays, config=config, minimize=args.minimize
-    )
+    result = triage_report(prog, report, replays=args.replays, minimize=args.minimize)
     print(f"schedules executed: {report.executions}")
     print(result.summary())
     if args.artifacts:
-        written = write_artifacts(result, args.artifacts, config)
+        written = write_artifacts(result, args.artifacts)
         print(f"wrote {len(written)} STABLE repro artifact(s) under {args.artifacts}")
         for path in written:
             print(f"  {path}")
@@ -430,9 +428,10 @@ def _cmd_triage(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a persisted crash file or repro artifact; optionally verify."""
-    from repro.harness.persist import load_json
-    from repro.runtime import run_program
+    """Replay a bug file (a repro artifact or a saved crash); optionally verify."""
+    from repro.core.reproduce import RunEnv
+    from repro.harness.persist import ChecksumError, load_json
+    from repro.harness.triage import load_artifact, verify_artifact
     from repro.schedulers import ReplayPolicy
 
     raw = load_json(args.file)
@@ -447,54 +446,29 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if isinstance(raw, dict) and raw.get("artifact") == "rff-repro":
-        from repro.harness.persist import ChecksumError
-        from repro.harness.triage import load_artifact, verify_artifact
-
-        try:
-            payload = load_artifact(args.file)  # re-read with checksum check
-        except (ChecksumError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"program:  {payload['program']}")
-        print(f"bucket:   {payload['bucket']}")
-        print(f"expected: {payload.get('outcome')} — {payload.get('failure')}")
-        replays = args.replays if args.verify else 1
-        verdict = verify_artifact(payload, replays=replays)
-        for index, run in enumerate(verdict.runs, start=1):
-            diverged = f", diverged at step {run.diverged}" if run.diverged is not None else ""
-            print(f"replay {index}: {run.outcome} ({run.steps} steps{diverged})")
-        if args.verify:
-            print(f"verdict:  {verdict.verdict} ({verdict.matches}/{verdict.replays} matched)")
-            return 0 if verdict.stable else 1
-        return 0 if verdict.runs[0].matched else 1
-
-    from repro.harness.persist import crash_from_dict
-
-    program_name, crash = raw["program"], crash_from_dict(raw)
-    prog = _resolve_program(program_name)
-    if args.verify:
-        from repro.core.reproduce import bucket_id, verify_replay
-        from repro.harness.triage import crash_bucket_key
-
-        key = crash.dedup_key or crash_bucket_key(prog, crash)
-        verdict = verify_replay(
-            prog, crash.concrete_schedule, crash.outcome, key, replays=args.replays
-        )
-        print(f"program:  {program_name}")
-        print(f"expected: {crash.outcome} — {crash.failure}")
-        print(f"bucket:   {bucket_id(key)}")
-        print(f"verdict:  {verdict.verdict} ({verdict.matches}/{verdict.replays} matched)")
-        return 0 if verdict.stable else 1
-    result = run_program(prog, ReplayPolicy(list(crash.concrete_schedule)))
-    print(f"program:  {program_name}")
-    print(f"expected: {crash.outcome} — {crash.failure}")
-    print(f"replayed: {result.outcome} — {result.trace.failure}")
-    print(f"abstract schedule: {crash.abstract_schedule}")
+    try:
+        payload = load_artifact(args.file)
+    except (ChecksumError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    prog = _resolve_program(payload["program"])
+    print(f"program:  {payload['program']}")
+    print(f"bucket:   {payload['bucket']}")
+    print(f"expected: {payload['outcome']} — {payload['failure']}")
+    run = RunEnv.from_artifact(payload).runner(prog)
+    result = run(ReplayPolicy(list(payload["concrete_schedule"])))
+    print(f"replayed: {result.outcome} — {result.trace.failure} ({result.steps} steps)")
     if args.trace:
         print()
         print(result.trace.format(limit=args.trace))
-    return 0 if result.outcome == crash.outcome else 1
+    verdict = verify_artifact(payload, replays=args.replays if args.verify else 1, program=prog)
+    if not args.verify:
+        return 0 if verdict.stable else 1
+    for index, replay in enumerate(verdict.runs, start=1):
+        diverged = f", diverged at step {replay.diverged}" if replay.diverged is not None else ""
+        print(f"replay {index}: {replay.outcome} ({replay.steps} steps{diverged})")
+    print(f"verdict:  {verdict.verdict} ({verdict.matches}/{verdict.replays} matched)")
+    return 0 if verdict.stable else 1
 
 
 def _worker_count(text: str) -> int:

@@ -29,16 +29,16 @@ from repro.core.feedback import RfFeedback
 from repro.core.mutation import EventPool, ScheduleMutator
 from repro.core.power import FlatSchedule, PowerSchedule
 from repro.core.proactive import RffSchedulerPolicy
-from repro.core.reproduce import dedup_key, failure_frames
+from repro.core.reproduce import RunEnv, dedup_key, failure_frames
 from repro.core.trace import RfPair
-from repro.runtime.executor import DEFAULT_MAX_STEPS, ExecutionResult, Executor
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pos import PosPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.analysis.online import Sanitizer, SanitizerReport
+    from repro.analysis.online import SanitizerReport
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class RffConfig:
     #: clock, livelock detector); None = unguarded.  Watchdog kills surface
     #: as ``timeout``/``livelock`` crashes and are triaged like any bug.
     guard: GuardConfig | None = None
+
+    @property
+    def env(self) -> RunEnv:
+        """The runtime environment every execution of this config runs in."""
+        return RunEnv(self.memory_model, self.max_steps, self.sanitizers, self.guard)
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,8 @@ class FuzzReport:
     truncated_runs: int = 0
     #: rf-signature -> observation count (the Figure 5 histogram data).
     signature_counts: dict[frozenset[RfPair], int] = field(default_factory=dict)
+    #: The runtime environment every finding above was observed under.
+    env: RunEnv = RunEnv()
 
     @property
     def found_bug(self) -> bool:
@@ -165,7 +172,9 @@ class RffFuzzer:
         initial = seeds if seeds else [AbstractSchedule.empty()]
         for schedule in initial:
             self.corpus.add(CorpusEntry(schedule=schedule))
-        self.report = FuzzReport(program_name=program.name)
+        env = self.config.env
+        self._run = env.runner(program)
+        self.report = FuzzReport(program_name=program.name, env=env)
         #: dedup keys of every sanitizer finding recorded so far.
         self._sanitizer_keys: set[tuple] = set()
         #: rf signature of the most recent execution (stage cut-off input).
@@ -176,48 +185,15 @@ class RffFuzzer:
         self._counters = GLOBAL_COUNTERS
 
     # ------------------------------------------------------------------
-    def _max_steps(self) -> int:
-        if self.config.max_steps is not None:
-            return self.config.max_steps
-        if self.program.max_steps is not None:
-            return self.program.max_steps
-        return DEFAULT_MAX_STEPS
-
     def _make_policy(self, schedule: AbstractSchedule) -> SchedulerPolicy:
         seed = self.rng.randrange(2**63)
         if self.config.use_constraints:
             return RffSchedulerPolicy(schedule, seed=seed)
         return PosPolicy(seed=seed)
 
-    def _executor_class(self) -> type[Executor]:
-        if self.config.memory_model == "sc":
-            return Executor
-        if self.config.memory_model == "tso":
-            from repro.runtime.tso import TsoExecutor
-
-            return TsoExecutor
-        raise ValueError(f"unknown memory model {self.config.memory_model!r}")
-
-    def _sanitizer_stack(self) -> list["Sanitizer"]:
-        if not self.config.sanitizers:
-            return []
-        # Lazy import: keeps the fuzzer import chain free of the analysis
-        # package (and its networkx dependency) when sanitizers are off.
-        from repro.analysis.online import build_stack
-
-        return build_stack(self.config.sanitizers)
-
     def _execute(self, schedule: AbstractSchedule) -> tuple[ExecutionResult, SchedulerPolicy]:
         policy = self._make_policy(schedule)
-        executor_class = self._executor_class()
-        result = executor_class(
-            self.program,
-            policy,
-            max_steps=self._max_steps(),
-            sanitizers=self._sanitizer_stack(),
-            guard=self.config.guard,
-        ).run()
-        return result, policy
+        return self._run(policy), policy
 
     # ------------------------------------------------------------------
     def run(self, max_executions: int, stop_on_first_crash: bool = False) -> FuzzReport:

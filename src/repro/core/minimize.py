@@ -24,8 +24,8 @@ from typing import Callable
 from repro.core.constraints import AbstractSchedule
 from repro.core.fuzzer import RffConfig
 from repro.core.proactive import RffSchedulerPolicy
-from repro.core.reproduce import dedup_key, same_bucket
-from repro.runtime.executor import DEFAULT_MAX_STEPS, ExecutionResult, Executor
+from repro.core.reproduce import RunEnv, dedup_key, same_bucket
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.program import Program
 
 #: Accepts an execution as "still failing" during minimization.
@@ -60,16 +60,15 @@ def crash_rate(
     schedule: AbstractSchedule,
     probes: int = 5,
     base_seed: int = 0,
-    max_steps: int | None = None,
+    env: RunEnv = RunEnv(),
     still_failing: FailurePredicate = any_crash,
 ) -> float:
-    """Fraction of ``probes`` seeds under which ``schedule`` still fails
-    according to ``still_failing`` (default: any crash)."""
-    steps = max_steps or program.max_steps or DEFAULT_MAX_STEPS
+    """Fraction of ``probes`` seeds under which ``schedule`` still fails in
+    ``env`` according to ``still_failing`` (default: any crash)."""
+    run = env.runner(program)
     failures = 0
     for probe in range(probes):
-        policy = RffSchedulerPolicy(schedule, seed=base_seed + 31 * probe)
-        result = Executor(program, policy, max_steps=steps).run()
+        result = run(RffSchedulerPolicy(schedule, seed=base_seed + 31 * probe))
         failures += bool(still_failing(result))
     return failures / probes
 
@@ -79,14 +78,14 @@ def _probe_target_key(
     schedule: AbstractSchedule,
     probes: int,
     base_seed: int,
+    env: RunEnv,
 ) -> tuple[tuple[str, str, str] | None, int]:
     """Dedup key of the bug the original schedule triggers (majority vote
     over the probe seeds), plus the executions spent probing."""
-    steps = program.max_steps or DEFAULT_MAX_STEPS
+    run = env.runner(program)
     votes: dict[tuple[str, str, str], int] = {}
     for probe in range(probes):
-        policy = RffSchedulerPolicy(schedule, seed=base_seed + 31 * probe)
-        result = Executor(program, policy, max_steps=steps).run()
+        result = run(RffSchedulerPolicy(schedule, seed=base_seed + 31 * probe))
         if result.crashed:
             key = dedup_key(result)
             votes[key] = votes.get(key, 0) + 1
@@ -117,13 +116,15 @@ def minimize_schedule(
     the original schedule is probed first and reductions must stay in the
     same triage bucket (:func:`repro.core.reproduce.dedup_key`) as the bug
     it triggers; if the original never reproduces, minimization degrades to
-    the permissive any-crash predicate.
+    the permissive any-crash predicate.  Every probe runs in the runtime
+    environment of ``config`` (default: SC, unguarded): a ``timeout`` found
+    under a step watchdog is only the same bug under that watchdog.
     """
-    del config  # reserved for future knobs (kept for API stability)
+    env = (config or RffConfig()).env
     executions = 0
     target_key: tuple[str, str, str] | None = None
     if still_failing is None:
-        target_key, spent = _probe_target_key(program, schedule, probes, base_seed)
+        target_key, spent = _probe_target_key(program, schedule, probes, base_seed, env)
         executions += spent
         still_failing = same_bucket(target_key) if target_key is not None else any_crash
     current = schedule
@@ -137,6 +138,7 @@ def minimize_schedule(
                 candidate,
                 probes=probes,
                 base_seed=base_seed,
+                env=env,
                 still_failing=still_failing,
             )
             executions += probes
@@ -148,6 +150,7 @@ def minimize_schedule(
         current,
         probes=probes,
         base_seed=base_seed + 7,
+        env=env,
         still_failing=still_failing,
     )
     executions += probes

@@ -17,21 +17,26 @@ underlying bugs.  Two facilities turn that pile into verified findings:
   worth shipping as a reproducer; anything else is ``FLAKY`` and must be
   quarantined, never reported as reproduced (rr's record-and-replay lesson:
   divergence detection is the hard part that must be engineered).
+* **the runtime environment** — :class:`RunEnv` is everything besides the
+  program and the schedule that decides what an execution does.  A finding
+  carries the environment it was found under, and every replay runs in it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.runtime.executor import DEFAULT_MAX_STEPS, ExecutionResult, Executor
+from repro.runtime.guard import GuardConfig
 from repro.schedulers.replay import ReplayPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.analysis.online import SanitizerReport
-    from repro.runtime.guard import GuardConfig
     from repro.runtime.program import Program
+    from repro.schedulers.base import SchedulerPolicy
 
 #: Replay verdicts.
 STABLE = "STABLE"
@@ -93,6 +98,80 @@ def same_bucket(expected_key: DedupKey) -> Callable[[ExecutionResult], bool]:
 
 
 # ----------------------------------------------------------------------
+# The runtime environment
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class RunEnv:
+    """The runtime an execution runs under, besides program and schedule.
+
+    Built once (``RffConfig.env``), carried with the findings
+    (``FuzzReport.env``, ``TriagedBug.env``) and written into every bug
+    file, so a replay runs the same memory model, step bound, sanitizer
+    stack and guard as the run that found the bug.
+    """
+
+    #: "sc" (sequential consistency) or "tso" (see repro.runtime.tso).
+    memory_model: str = "sc"
+    #: Per-execution step bound (None = the program's, then the default).
+    max_steps: int | None = None
+    #: Online sanitizer names attached to every execution.
+    sanitizers: tuple[str, ...] = ()
+    #: Runtime guardrails (None = unguarded).
+    guard: GuardConfig | None = None
+
+    def step_bound(self, program: "Program") -> int:
+        """This env's step bound, else the program's, else the default."""
+        if self.max_steps is not None:
+            return self.max_steps
+        if program.max_steps is not None:
+            return program.max_steps
+        return DEFAULT_MAX_STEPS
+
+    def runner(self, program: "Program") -> Callable[["SchedulerPolicy"], ExecutionResult]:
+        """``run(policy)``: one execution of ``program`` in this environment.
+
+        The executor class (SC or TSO) and the step bound are resolved here,
+        once; every run gets a fresh sanitizer stack."""
+        cls: type[Executor] = Executor
+        if self.memory_model == "tso":
+            from repro.runtime.tso import TsoExecutor as cls
+        elif self.memory_model != "sc":
+            raise ValueError(f"unknown memory model {self.memory_model!r}")
+        steps = self.step_bound(program)
+        guard = self.guard
+        names = self.sanitizers
+        if not names:
+            return lambda policy: cls(program, policy, max_steps=steps, guard=guard).run()
+        # Lazy import: keeps the analysis package (and its networkx
+        # dependency) off the import chain when sanitizers are off.
+        from repro.analysis.online import build_stack
+
+        return lambda policy: cls(
+            program, policy, max_steps=steps, sanitizers=build_stack(names), guard=guard
+        ).run()
+
+    def to_artifact(self) -> dict[str, Any]:
+        """The bug file's ``memory_model``/``max_steps``/``sanitizers``/``guard`` keys."""
+        return {
+            "memory_model": self.memory_model,
+            "max_steps": self.max_steps,
+            "sanitizers": list(self.sanitizers),
+            "guard": list(self.guard.as_tuple()) if self.guard is not None else None,
+        }
+
+    @classmethod
+    def from_artifact(cls, payload: dict[str, Any]) -> "RunEnv":
+        """Inverse of :meth:`to_artifact`; absent keys mean SC, unguarded."""
+        guard = payload.get("guard")
+        return cls(
+            memory_model=payload.get("memory_model", "sc"),
+            max_steps=payload.get("max_steps"),
+            sanitizers=tuple(payload.get("sanitizers") or ()),
+            guard=GuardConfig(*guard) if guard is not None else None,
+        )
+
+
+# ----------------------------------------------------------------------
 # Replay verification
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -135,51 +214,32 @@ def verify_replay(
     expected_key: DedupKey | None = None,
     *,
     replays: int = 5,
-    max_steps: int | None = None,
-    sanitizers: tuple[str, ...] = (),
+    env: RunEnv = RunEnv(),
     expected_sanitizer_key: tuple | None = None,
-    executor_class: type[Executor] | None = None,
-    guard: "GuardConfig | None" = None,
 ) -> ReplayVerdict:
-    """Re-execute ``schedule`` ``replays`` times and classify STABLE/FLAKY.
+    """Re-execute ``schedule`` ``replays`` times in ``env`` and classify
+    STABLE/FLAKY.
 
     A replay *matches* when it follows the recorded schedule without
     divergence and reproduces the expected outcome and dedup key (for
     sanitizer findings: a report with ``expected_sanitizer_key`` appears).
     STABLE requires every replay to match; anything less is FLAKY.
-
-    ``guard``, ``sanitizers``, ``max_steps`` and ``executor_class`` must
-    mirror the configuration of the execution that found the bug — replay
-    fidelity includes the runtime environment, not just the schedule.
+    ``env`` must be the environment the bug was found under: replay
+    fidelity includes the runtime, not just the schedule.
     """
     if replays < 1:
         raise ValueError(f"replays must be >= 1, got {replays}")
-    cls = executor_class or Executor
-    steps = max_steps or program.max_steps or DEFAULT_MAX_STEPS
-    if guard is not None and guard.wall_seconds is not None:
+    if env.guard is not None and env.guard.wall_seconds is not None:
         # The wall-clock watchdog is the one nondeterministic guard: a slow
         # machine (or a debugger pause) would flip a genuinely STABLE
         # reproducer to FLAKY.  Replay fidelity is already policed by the
         # deterministic step budget and divergence tracking, so strip the
         # wall clock for verification runs only.
-        import dataclasses
-
-        guard = dataclasses.replace(guard, wall_seconds=None)
-    stack_builder = None
-    if sanitizers:
-        from repro.analysis.online import build_stack
-
-        stack_builder = build_stack
+        env = dataclasses.replace(env, guard=dataclasses.replace(env.guard, wall_seconds=None))
+    run = env.runner(program)
     runs: list[ReplayRun] = []
     for _ in range(replays):
-        stack = stack_builder(sanitizers) if stack_builder else None
-        result = cls(
-            program,
-            ReplayPolicy(list(schedule)),
-            max_steps=steps,
-            sanitizers=stack,
-            guard=guard,
-        ).run()
+        result = run(ReplayPolicy(list(schedule)))
         followed = result.diverged is None
         if expected_sanitizer_key is not None:
             key = None

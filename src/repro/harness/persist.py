@@ -3,7 +3,8 @@
 The paper's artifact ships raw experiment data alongside the tool; this
 module provides the same affordance — everything the harness produces can
 be serialised to JSON, reloaded, and (for crashes) *re-executed*: a crash
-record round-trips into a ReplayPolicy run that reproduces the failure.
+file is a checksummed bug file (:mod:`repro.harness.triage`) that carries
+its runtime environment and replays like any repro artifact.
 """
 
 from __future__ import annotations
@@ -144,18 +145,6 @@ def crash_from_dict(data: dict[str, Any]) -> CrashRecord:
     )
 
 
-def report_to_dict(report: FuzzReport) -> dict[str, Any]:
-    return {
-        "program": report.program_name,
-        "executions": report.executions,
-        "corpus_size": report.corpus_size,
-        "pair_coverage": report.pair_coverage,
-        "unique_signatures": report.unique_signatures,
-        "truncated_runs": report.truncated_runs,
-        "crashes": [crash_to_dict(c) for c in report.crashes],
-    }
-
-
 def result_to_dict(result: BugSearchResult) -> dict[str, Any]:
     out = {
         "tool": result.tool,
@@ -215,19 +204,26 @@ def load_json(path: str | Path) -> Any:
 
 
 def save_crashes(report: FuzzReport, directory: str | Path) -> list[Path]:
-    """Persist every crash of a fuzz report as ``crash-NNN.json`` files."""
+    """Persist every crash of a fuzz report as a ``crash-NNN.json`` bug file
+    that carries the report's runtime environment (see
+    :func:`repro.harness.triage.crash_artifact`)."""
+    from repro.harness.triage import crash_artifact  # triage imports this module
+
     base = Path(directory)
     written = []
     for index, crash in enumerate(report.crashes):
-        payload = {"program": report.program_name, **crash_to_dict(crash)}
+        payload = crash_artifact(report.program_name, crash, report.env)
         written.append(save_json(payload, base / f"crash-{index:03d}.json"))
     return written
 
 
 def load_crash(path: str | Path) -> tuple[str, CrashRecord]:
-    """Load one persisted crash; returns (program name, crash record)."""
-    data = load_json(path)
-    return data["program"], crash_from_dict(data)
+    """Load one crash file (or a legacy crash dict); returns (program name,
+    crash record)."""
+    from repro.harness.triage import load_artifact  # triage imports this module
+
+    payload = load_artifact(path)
+    return payload["program"], crash_from_dict({**payload, "dedup_key": payload["signature"]})
 
 
 # ----------------------------------------------------------------------

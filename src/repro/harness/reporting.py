@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.fuzzer import FuzzReport, RffConfig, RffFuzzer
+from repro.core.reproduce import RunEnv
 from repro.harness.campaign import CampaignResult
 from repro.harness.stats import logrank, logrank_direction
-from repro.runtime.executor import Executor
 from repro.runtime.program import Program
 from repro.schedulers.pos import PosPolicy
 
@@ -118,10 +118,10 @@ def rf_distribution_pos(program: Program, executions: int, seed: int = 0) -> RfD
     import random
 
     rng = random.Random(seed)
+    run = RunEnv().runner(program)
     counts: Counter = Counter()
     for _ in range(executions):
-        policy = PosPolicy(seed=rng.randrange(2**63))
-        result = Executor(program, policy, max_steps=program.max_steps or 20000).run()
+        result = run(PosPolicy(seed=rng.randrange(2**63)))
         counts[result.trace.rf_signature()] += 1
     return RfDistribution("POS", executions, sorted(counts.values(), reverse=True))
 

@@ -13,14 +13,20 @@ import difflib
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.algos.modelcheck import ModelChecker, UnsupportedProgram
 from repro.algos.period import PeriodExplorer
 from repro.algos.qlearning import QLearningRfPolicy
 from repro.core.fuzzer import RffConfig, RffFuzzer
-from repro.core.reproduce import bucket_id, dedup_key, sanitizer_key, verify_replay
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
+from repro.core.reproduce import (
+    STABLE,
+    RunEnv,
+    bucket_id,
+    dedup_key,
+    sanitizer_key,
+    verify_replay,
+)
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
@@ -121,42 +127,36 @@ class TestingTool(ABC):
             new_signatures=new_signatures,
         )
 
-    def _verify(
+    def _first_bug(
         self,
         program: Program,
+        env: RunEnv,
         schedule: tuple[int, ...],
-        expected_outcome: str | None,
-        expected_key: tuple[str, str, str] | None = None,
-        expected_sanitizer_key: tuple | None = None,
-        executor_class: type[Executor] | None = None,
-        sanitizers: tuple[str, ...] | None = None,
-        max_steps: int | None = None,
-        guard: GuardConfig | None = None,
-    ) -> str | None:
-        """Replay-verify one found bug; returns STABLE/FLAKY or None (off)."""
-        if self.verify_replays <= 0:
-            return None
-        verdict = verify_replay(
-            program,
-            schedule,
-            expected_outcome,
-            expected_key,
-            replays=self.verify_replays,
-            max_steps=max_steps,
-            sanitizers=tuple(self.sanitizers) if sanitizers is None else sanitizers,
-            expected_sanitizer_key=expected_sanitizer_key,
-            executor_class=executor_class,
-            guard=self.guard if guard is None else guard,
-        )
-        if not verdict.stable:
-            from repro.harness.telemetry import GLOBAL_COUNTERS
+        outcome: str | None = None,
+        key: tuple[str, str, str] | None = None,
+        report: "SanitizerReport | None" = None,
+    ) -> dict[str, Any]:
+        """The ``_result`` fields of a first bug found in ``env``: a crash
+        (``outcome`` in bucket ``key``) or a sanitizer ``report``, with its
+        replay verdict when verification is on."""
+        if report is not None:
+            outcome, key = f"sanitizer:{report.sanitizer}", sanitizer_key(report)
+        verdict = None
+        if self.verify_replays > 0:
+            verdict = verify_replay(
+                program,
+                schedule,
+                outcome,
+                key,
+                replays=self.verify_replays,
+                env=env,
+                expected_sanitizer_key=report.dedup_key if report is not None else None,
+            ).verdict
+            if verdict != STABLE:
+                from repro.harness.telemetry import GLOBAL_COUNTERS
 
-            GLOBAL_COUNTERS.flaky_quarantined += 1
-        return verdict.verdict
-
-
-def _program_steps(program: Program) -> int:
-    return program.max_steps if program.max_steps is not None else DEFAULT_MAX_STEPS
+                GLOBAL_COUNTERS.flaky_quarantined += 1
+        return {"outcome": outcome, "bucket": bucket_id(key), "replay_verdict": verdict}
 
 
 class RffTool(TestingTool):
@@ -176,51 +176,26 @@ class RffTool(TestingTool):
         report = fuzzer.run(budget, stop_on_first_crash=True)
         crash = report.crashes[0] if report.crashes else None
         record = report.sanitizer_records[0] if report.sanitizer_records else None
+        bug: dict[str, Any] = {}
         if record is not None and (
             crash is None or record.execution_index < crash.execution_index
         ):
-            crash = None  # the sanitizer finding is the first bug
-        outcome = None
-        bucket = None
-        verdict = None
-        executor_class = fuzzer._executor_class()
-        if crash is not None:
-            outcome = crash.outcome
-            if crash.dedup_key is not None:
-                bucket = bucket_id(crash.dedup_key)
-            verdict = self._verify(
-                program,
-                crash.concrete_schedule,
-                crash.outcome,
-                crash.dedup_key,
-                executor_class=executor_class,
-                sanitizers=config.sanitizers,
-                max_steps=config.max_steps,
-                guard=config.guard,
+            # The sanitizer finding is the first bug.
+            bug = self._first_bug(
+                program, report.env, record.concrete_schedule, report=record.report
             )
-        elif record is not None:
-            outcome = f"sanitizer:{record.report.sanitizer}"
-            bucket = bucket_id(sanitizer_key(record.report))
-            verdict = self._verify(
-                program,
-                record.concrete_schedule,
-                None,
-                expected_sanitizer_key=record.report.dedup_key,
-                executor_class=executor_class,
-                sanitizers=config.sanitizers,
-                max_steps=config.max_steps,
-                guard=config.guard,
+        elif crash is not None:
+            bug = self._first_bug(
+                program, report.env, crash.concrete_schedule, crash.outcome, crash.dedup_key
             )
         return self._result(
             program,
             seed,
             report.first_bug_at,
             report.executions,
-            outcome,
             sanitizer_reports=tuple(r.report for r in report.sanitizer_records),
-            bucket=bucket,
-            replay_verdict=verdict,
             new_signatures=report.unique_signatures,
+            **bug,
         )
 
 
@@ -238,21 +213,14 @@ class PerExecutionPolicyTool(TestingTool):
     def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
         rng = random.Random(seed)
         policy: SchedulerPolicy | None = self._make_policy(rng.randrange(2**63)) if self.persistent else None
-        max_steps = _program_steps(program)
-        stack_builder = None
-        if self.sanitizers:
-            from repro.analysis.online import build_stack
-
-            stack_builder = build_stack
+        env = RunEnv(sanitizers=tuple(self.sanitizers), guard=self.guard)
+        run = env.runner(program)
         seen_keys: set[tuple] = set()
         all_reports: list["SanitizerReport"] = []
         seen_signatures: set[int] = set()
         for index in range(1, budget + 1):
             current = policy if policy is not None else self._make_policy(rng.randrange(2**63))
-            stack = stack_builder(self.sanitizers) if stack_builder else None
-            result = Executor(
-                program, current, max_steps=max_steps, sanitizers=stack, guard=self.guard
-            ).run()
+            result = run(current)
             seen_signatures.add(result.trace.rf_sig_hash())
             new_reports = [
                 r for r in result.sanitizer_reports if r.dedup_key not in seen_keys
@@ -260,33 +228,17 @@ class PerExecutionPolicyTool(TestingTool):
             for report in new_reports:
                 seen_keys.add(report.dedup_key)
                 all_reports.append(report)
-            if result.crashed:
-                key = dedup_key(result)
-                verdict = self._verify(
-                    program, tuple(result.schedule), result.outcome, key
-                )
-                return self._result(
-                    program, seed, index, index, result.outcome,
-                    sanitizer_reports=tuple(all_reports),
-                    bucket=bucket_id(key),
-                    replay_verdict=verdict,
-                    new_signatures=len(seen_signatures),
-                )
-            if new_reports:
-                first = new_reports[0]
-                verdict = self._verify(
-                    program,
-                    tuple(result.schedule),
-                    None,
-                    expected_sanitizer_key=first.dedup_key,
-                )
+            if result.crashed or new_reports:
+                schedule = tuple(result.schedule)
+                if result.crashed:
+                    bug = self._first_bug(program, env, schedule, result.outcome, dedup_key(result))
+                else:
+                    bug = self._first_bug(program, env, schedule, report=new_reports[0])
                 return self._result(
                     program, seed, index, index,
-                    f"sanitizer:{first.sanitizer}",
                     sanitizer_reports=tuple(all_reports),
-                    bucket=bucket_id(sanitizer_key(first)),
-                    replay_verdict=verdict,
                     new_signatures=len(seen_signatures),
+                    **bug,
                 )
         return self._result(
             program, seed, None, budget,
@@ -334,7 +286,7 @@ class PeriodTool(TestingTool):
 
     def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
         explorer = PeriodExplorer(
-            program, max_executions=budget, max_bound=self.max_bound, max_steps=_program_steps(program)
+            program, max_executions=budget, max_bound=self.max_bound, max_steps=RunEnv().step_bound(program)
         )
         report = explorer.run()
         return self._result(program, seed, report.first_bug_at, report.executions, report.bug_outcome)
@@ -347,7 +299,7 @@ class GenMcTool(TestingTool):
     deterministic = True
 
     def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
-        checker = ModelChecker(program, max_executions=budget, max_steps=_program_steps(program))
+        checker = ModelChecker(program, max_executions=budget, max_steps=RunEnv().step_bound(program))
         try:
             report = checker.check()
         except UnsupportedProgram as exc:

@@ -16,8 +16,15 @@ every novel sanitizer report.  Triage turns them into *bugs*:
    buckets are quarantined: they stay in the triage result (a flaky finding
    is information) but are never reported as reproduced and never shipped.
 4. **ship** — STABLE bugs become standalone, checksummed JSON artifacts
-   (program reference + concrete schedule + expected signature) that
-   ``rff replay --verify`` re-triggers end-to-end.
+   (program reference + concrete schedule + expected signature + runtime
+   environment) that ``rff replay --verify`` re-triggers end-to-end.
+
+A bug file is one format: :func:`make_artifact` writes it for triaged
+bugs and :func:`crash_artifact` for the raw crashes ``save_crashes``
+persists, and :func:`load_artifact` / :func:`verify_artifact` read and
+replay either.  Every finding carries the :class:`RunEnv` it was found
+under (``FuzzReport.env``), and bucketing, minimization and verification
+all run in it.
 
 Everything here is deterministic given the fuzz report: serial and parallel
 campaigns that produced bit-identical reports triage bit-identically.
@@ -32,20 +39,21 @@ from typing import TYPE_CHECKING, Any
 from repro.core.fuzzer import CrashRecord, FuzzReport, RffConfig, SanitizerRecord
 from repro.core.reproduce import (
     ReplayVerdict,
+    RunEnv,
     bucket_id,
     dedup_key,
-    failure_frames,
+    same_bucket,
     sanitizer_key,
     verify_replay,
 )
 from repro.harness.persist import (
     attach_checksum,
-    load_checksummed,
+    crash_from_dict,
+    load_json,
     save_checksummed,
-    schedule_from_dict,
     schedule_to_dict,
+    verify_checksum,
 )
-from repro.runtime.executor import Executor
 from repro.schedulers.replay import ReplayPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -62,7 +70,8 @@ class TriagedBug:
 
     program: str
     bucket: str
-    #: (kind, frame hash, rf hash) triage signature.
+    #: (kind, frame hash, rf hash) triage signature; None (and no bucket)
+    #: only for a legacy crash dict written before dedup keys existed.
     key: tuple[str, str, str]
     frames: tuple[str, ...]
     #: Findings folded into this bucket.
@@ -76,6 +85,8 @@ class TriagedBug:
     sanitizer: str | None = None
     sanitizer_dedup_key: tuple | None = None
     verdict: ReplayVerdict | None = None
+    #: The runtime environment the bug was found under and replays in.
+    env: RunEnv = RunEnv()
 
     @property
     def kind(self) -> str:
@@ -132,19 +143,13 @@ class TriageResult:
 
 
 def crash_bucket_key(
-    program: "Program", crash: CrashRecord, config: RffConfig | None = None
+    program: "Program", crash: CrashRecord, env: RunEnv = RunEnv()
 ) -> tuple[str, str, str]:
-    """The crash's dedup key, recomputed by one replay when the record
-    predates triage (files written before dedup keys existed)."""
+    """The crash's dedup key, recomputed by one replay in ``env`` when the
+    record predates triage (files written before dedup keys existed)."""
     if crash.dedup_key is not None:
         return crash.dedup_key
-    config = config or RffConfig()
-    result = Executor(
-        program,
-        ReplayPolicy(list(crash.concrete_schedule)),
-        max_steps=config.max_steps or program.max_steps or 20000,
-        guard=config.guard,
-    ).run()
+    result = env.runner(program)(ReplayPolicy(list(crash.concrete_schedule)))
     if result.crashed:
         return dedup_key(result)
     # The schedule no longer crashes: key off the recorded outcome alone so
@@ -152,31 +157,52 @@ def crash_bucket_key(
     return (crash.outcome, "unreproduced", "unreproduced")
 
 
-def _shrink_reproducer(
-    program: "Program",
-    bug: TriagedBug,
-    config: RffConfig,
+def _crash_bug(
+    program_name: str,
+    key: tuple[str, str, str] | None,
+    findings: list[CrashRecord],
+    env: RunEnv,
 ) -> TriagedBug:
+    """One crash bucket as a bug, reproduced by its shortest finding (ties
+    broken by discovery order)."""
+    best = min(findings, key=lambda c: (len(c.concrete_schedule), c.execution_index))
+    return TriagedBug(
+        program=program_name,
+        bucket=bucket_id(key) if key is not None else None,
+        key=key,
+        frames=best.frames,
+        count=len(findings),
+        outcome=best.outcome,
+        failure=best.failure,
+        concrete_schedule=best.concrete_schedule,
+        abstract_schedule=best.abstract_schedule,
+        env=env,
+    )
+
+
+def _shrink_reproducer(program: "Program", bug: TriagedBug) -> TriagedBug:
     """Bucket-constrained ddmin, then hunt for a shorter concrete schedule.
 
     Minimization operates on the abstract schedule; a shorter *concrete*
     reproducer is adopted only when probing the minimized schedule yields a
-    crashing execution in the same bucket with fewer steps."""
+    crashing execution in the same bucket with fewer steps.  Both run in the
+    bug's environment."""
     from repro.core.minimize import minimize_schedule
     from repro.core.proactive import RffSchedulerPolicy
-    from repro.core.reproduce import same_bucket
 
     if bug.abstract_schedule is None:
         return bug
     predicate = same_bucket(bug.key)
     outcome = minimize_schedule(
-        program, bug.abstract_schedule, still_failing=predicate
+        program,
+        bug.abstract_schedule,
+        config=RffConfig(**vars(bug.env)),
+        still_failing=predicate,
     )
     best = bug
-    steps = config.max_steps or program.max_steps or 20000
+    run = bug.env.runner(program)
     for probe in range(5):
-        policy = RffSchedulerPolicy(outcome.minimized, seed=31 * probe)
-        result = Executor(program, policy, max_steps=steps, guard=config.guard).run()
+        result = run(RffSchedulerPolicy(outcome.minimized, seed=31 * probe))
         if predicate(result) and len(result.schedule) < len(best.concrete_schedule):
             best = replace(
                 best,
@@ -191,27 +217,20 @@ def triage_report(
     report: FuzzReport,
     *,
     replays: int = 5,
-    config: RffConfig | None = None,
     minimize: bool = False,
 ) -> TriageResult:
     """Bucket, deduplicate and replay-verify every finding of a fuzz run.
 
-    ``config`` must mirror the fuzzing configuration (memory model, guard,
-    sanitizers, step budget) so verification replays the same runtime the
-    findings were observed under.  With ``minimize=True`` each bucket's
-    reproducer is additionally shrunk by bucket-constrained delta debugging
-    before verification (slower; off by default)."""
-    config = config or RffConfig()
-    executor_class = Executor
-    if config.memory_model == "tso":
-        from repro.runtime.tso import TsoExecutor
-
-        executor_class = TsoExecutor
+    Bucketing, minimization and verification all run in ``report.env``,
+    the runtime the findings were observed under.  With ``minimize=True``
+    each bucket's reproducer is additionally shrunk by bucket-constrained
+    delta debugging before verification (slower; off by default)."""
+    env = report.env
 
     # -- bucket crashes -------------------------------------------------
     crash_buckets: dict[tuple[str, str, str], list[CrashRecord]] = {}
     for crash in report.crashes:
-        key = crash_bucket_key(program, crash, config)
+        key = crash_bucket_key(program, crash, env)
         crash_buckets.setdefault(key, []).append(crash)
 
     # -- bucket sanitizer findings (already deduplicated by the fuzzer,
@@ -221,52 +240,25 @@ def triage_report(
         sanitizer_buckets.setdefault(sanitizer_key(record.report), []).append(record)
 
     bugs: list[TriagedBug] = []
-    total_replays = 0
     for key in sorted(crash_buckets):
-        findings = crash_buckets[key]
-        best = min(findings, key=lambda c: (len(c.concrete_schedule), c.execution_index))
-        bug = TriagedBug(
-            program=program.name,
-            bucket=bucket_id(key),
-            key=key,
-            frames=best.frames,
-            count=len(findings),
-            outcome=best.outcome,
-            failure=best.failure,
-            concrete_schedule=best.concrete_schedule,
-            abstract_schedule=best.abstract_schedule,
-        )
+        bug = _crash_bug(program.name, key, crash_buckets[key], env)
         if minimize:
-            bug = _shrink_reproducer(program, bug, config)
+            bug = _shrink_reproducer(program, bug)
         verdict = verify_replay(
-            program,
-            bug.concrete_schedule,
-            bug.outcome,
-            bug.key,
-            replays=replays,
-            max_steps=config.max_steps,
-            sanitizers=config.sanitizers,
-            executor_class=executor_class,
-            guard=config.guard,
+            program, bug.concrete_schedule, bug.outcome, bug.key, replays=replays, env=env
         )
-        total_replays += verdict.replays
         bugs.append(replace(bug, verdict=verdict))
     for key in sorted(sanitizer_buckets):
         findings = sanitizer_buckets[key]
         best = min(findings, key=lambda r: (len(r.concrete_schedule), r.execution_index))
-        sanitizers = config.sanitizers or (best.report.sanitizer,)
         verdict = verify_replay(
             program,
             best.concrete_schedule,
             None,
             replays=replays,
-            max_steps=config.max_steps,
-            sanitizers=sanitizers,
+            env=env,
             expected_sanitizer_key=best.report.dedup_key,
-            executor_class=executor_class,
-            guard=config.guard,
         )
-        total_replays += verdict.replays
         bugs.append(
             TriagedBug(
                 program=program.name,
@@ -281,6 +273,7 @@ def triage_report(
                 sanitizer=best.report.sanitizer,
                 sanitizer_dedup_key=best.report.dedup_key,
                 verdict=verdict,
+                env=env,
             )
         )
     quarantined = sum(1 for bug in bugs if bug.quarantined)
@@ -293,27 +286,26 @@ def triage_report(
         program=program.name,
         bugs=bugs,
         findings=len(report.crashes) + len(report.sanitizer_records),
-        replays=total_replays,
+        replays=sum(bug.verdict.replays for bug in bugs),
     )
 
 
 # ----------------------------------------------------------------------
 # Standalone repro artifacts
 # ----------------------------------------------------------------------
-def make_artifact(bug: TriagedBug, config: RffConfig | None = None) -> dict[str, Any]:
-    """The checksummed, self-contained JSON form of one verified bug.
+def make_artifact(bug: TriagedBug) -> dict[str, Any]:
+    """The checksummed, self-contained JSON form of one bug.
 
     The artifact carries everything a fresh process needs to re-trigger the
     bug: the program reference, the exact concrete schedule, the runtime
     environment (memory model, guard, sanitizers, step budget) and the
     expected signature to compare against."""
-    config = config or RffConfig()
     payload: dict[str, Any] = {
         "artifact": ARTIFACT_KIND,
         "version": ARTIFACT_VERSION,
         "program": bug.program,
         "bucket": bug.bucket,
-        "signature": list(bug.key),
+        "signature": list(bug.key) if bug.key is not None else None,
         "outcome": bug.outcome,
         "failure": bug.failure,
         "frames": list(bug.frames),
@@ -329,18 +321,21 @@ def make_artifact(bug: TriagedBug, config: RffConfig | None = None) -> dict[str,
         ),
         "verdict": bug.verdict.verdict if bug.verdict is not None else None,
         "replays": bug.verdict.replays if bug.verdict is not None else 0,
-        "memory_model": config.memory_model,
-        "max_steps": config.max_steps,
-        "sanitizers": list(config.sanitizers),
-        "guard": list(config.guard.as_tuple()) if config.guard is not None else None,
+        **bug.env.to_artifact(),
     }
     return attach_checksum(payload)
+
+
+def crash_artifact(program_name: str, crash: CrashRecord, env: RunEnv) -> dict[str, Any]:
+    """One fuzzer crash as a bug file: the :func:`make_artifact` payload,
+    unverified (``verdict: null``), plus the crash's ``execution_index``."""
+    bug = _crash_bug(program_name, crash.dedup_key, [crash], env)
+    return attach_checksum({**make_artifact(bug), "execution_index": crash.execution_index})
 
 
 def write_artifacts(
     result: TriageResult,
     directory: str | Path,
-    config: RffConfig | None = None,
     stable_only: bool = True,
 ) -> list[Path]:
     """Persist one ``repro-<bucket>.json`` per bug; STABLE-only by default
@@ -351,7 +346,7 @@ def write_artifacts(
         if stable_only and not bug.reproduced:
             continue
         path = base / f"repro-{_safe_name(bug.bucket)}.json"
-        save_checksummed(make_artifact(bug, config), path)
+        save_checksummed(make_artifact(bug), path)
         written.append(path)
     return written
 
@@ -361,8 +356,15 @@ def _safe_name(bucket: str) -> str:
 
 
 def load_artifact(path: str | Path) -> dict[str, Any]:
-    """Load a repro artifact, verifying its checksum and format."""
-    payload = load_checksummed(path)
+    """Load a bug file, verifying its checksum and format.
+
+    A legacy crash dict (no ``artifact`` key: ``save_crashes`` output from
+    before crash files were artifacts) loads as the bug file of the SC,
+    unguarded run it came from."""
+    payload = load_json(path)
+    if "artifact" not in payload:
+        return crash_artifact(payload["program"], crash_from_dict(payload), RunEnv())
+    verify_checksum(payload, source=str(path))
     if payload.get("artifact") != ARTIFACT_KIND:
         raise ValueError(f"{path}: not a {ARTIFACT_KIND} artifact")
     if payload.get("version") != ARTIFACT_VERSION:
@@ -371,11 +373,6 @@ def load_artifact(path: str | Path) -> dict[str, Any]:
             f"(expected {ARTIFACT_VERSION})"
         )
     return payload
-
-
-def artifact_schedule(payload: dict[str, Any]) -> "AbstractSchedule | None":
-    raw = payload.get("abstract_schedule")
-    return schedule_from_dict(raw) if raw is not None else None
 
 
 def verify_artifact(
@@ -392,31 +389,14 @@ def verify_artifact(
         from repro import bench
 
         program = bench.get(payload["program"])
-    executor_class = Executor
-    if payload.get("memory_model") == "tso":
-        from repro.runtime.tso import TsoExecutor
-
-        executor_class = TsoExecutor
-    guard = None
-    if payload.get("guard") is not None:
-        from repro.runtime.guard import GuardConfig
-
-        step_budget, wall_seconds, livelock_window = payload["guard"]
-        guard = GuardConfig(
-            step_budget=step_budget,
-            wall_seconds=wall_seconds,
-            livelock_window=livelock_window,
-        )
+    signature = payload.get("signature")
     sanitizer_raw = payload.get("sanitizer_key")
     return verify_replay(
         program,
         tuple(payload["concrete_schedule"]),
         payload.get("outcome"),
-        tuple(payload["signature"]) if sanitizer_raw is None else None,
+        tuple(signature) if signature is not None and sanitizer_raw is None else None,
         replays=replays if replays is not None else max(1, payload.get("replays") or 3),
-        max_steps=payload.get("max_steps"),
-        sanitizers=tuple(payload.get("sanitizers") or ()),
+        env=RunEnv.from_artifact(payload),
         expected_sanitizer_key=tuple(sanitizer_raw) if sanitizer_raw is not None else None,
-        executor_class=executor_class,
-        guard=guard,
     )

@@ -93,7 +93,9 @@ class ExecutionResult:
     """Outcome of one complete execution under a scheduler policy."""
 
     trace: Trace
-    #: Thread ids in the order their events executed (the concrete schedule).
+    #: The concrete schedule: one entry per scheduler choice, the chosen
+    #: thread id, or ``~tid`` for a chosen TSO store-buffer flush of thread
+    #: ``tid`` (fence drains are no choice).  ReplayPolicy replays it exactly.
     schedule: list[int]
     steps: int
     #: True when the step bound was hit before all threads finished.

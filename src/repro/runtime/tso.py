@@ -107,14 +107,14 @@ class TsoExecutor(Executor):
     def _execute(self, choice: Candidate) -> Event:
         if choice.kind == FLUSH_KIND:
             # The main loop notifies the policy about the returned event.
-            return self._flush_one(choice.tid, notify=False)
+            return self._flush_one(choice.tid, chosen=True)
         thread = self.threads[choice.tid]
         if thread.pending is not None and thread.pending.kind in _FENCING_KINDS:
             self._drain(choice.tid)
         return super()._execute(choice)
 
     # ------------------------------------------------------------------
-    def _flush_one(self, tid: int, notify: bool = True) -> Event:
+    def _flush_one(self, tid: int, chosen: bool = False) -> Event:
         buffer = self.buffer_of(tid)
         store = buffer.pop(0)
         store.var.value = store.value
@@ -133,7 +133,13 @@ class TsoExecutor(Executor):
             aux=store.write_eid,
         )
         self._record(event)
-        if notify:
+        # The concrete schedule lists scheduler choices only, so replay can
+        # follow it: a chosen flush is ``~tid`` (never the thread's own next
+        # op), and a fence drain is no choice (replay drains at the fence).
+        if chosen:
+            self.schedule[-1] = ~tid
+        else:
+            self.schedule.pop()
             self.policy.notify(event, self)
         return event
 

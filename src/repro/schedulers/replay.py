@@ -71,8 +71,12 @@ class ReplayPolicy(SchedulerPolicy):
         wanted = self.schedule[self._cursor] if self._cursor < len(self.schedule) else None
         self._cursor += 1
         if wanted is not None:
+            # ``~tid`` records a TSO store-buffer flush of thread ``tid``; a
+            # plain tid is that thread's own op and never matches a flush.
+            flush = wanted < 0
+            tid = ~wanted if flush else wanted
             for candidate in candidates:
-                if candidate.tid == wanted:
+                if candidate.tid == tid and (candidate.kind == "flush") == flush:
                     return candidate
         if self.strict:
             raise ReplayDivergence(

@@ -245,6 +245,57 @@ class TestSubstrate:
         assert captured.out == ""
 
 
+class TestReplay:
+    """Every bug file goes through one load -> replay -> verify path."""
+
+    def _crash_file(self, tmp_path, capsys, *fuzz_args):
+        assert main(["fuzz", *fuzz_args, "--save-crashes", str(tmp_path)]) == 0
+        capsys.readouterr()
+        return tmp_path / "crash-000.json"
+
+    def test_tso_crash_file_verifies_stable(self, capsys, tmp_path):
+        crash = self._crash_file(tmp_path, capsys, "CS/lazy01", "--memory-model", "tso")
+        assert main(["replay", str(crash), "--verify"]) == 0
+        assert "verdict:  STABLE (5/5 matched)" in capsys.readouterr().out
+
+    def test_watchdog_crash_file_replays_as_timeout(self, capsys, tmp_path):
+        crash = self._crash_file(
+            tmp_path, capsys, "CS/account", "--watchdog-steps", "5", "--budget", "5"
+        )
+        assert main(["replay", str(crash), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed: timeout" in out
+        assert "verdict:  STABLE (5/5 matched)" in out
+
+    def test_artifact_trace_prints_the_requested_events(self, capsys, tmp_path):
+        assert main(
+            ["triage", "CS/account", "--budget", "300", "--replays", "2",
+             "--artifacts", str(tmp_path)]
+        ) == 0
+        [artifact] = tmp_path.glob("repro-*.json")
+        capsys.readouterr()
+        assert main(["replay", str(artifact), "--trace", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if line.startswith("#")]) == 5
+        assert "... (4 more events)" in lines
+
+    def test_legacy_crash_dict_still_replays(self, capsys, tmp_path):
+        import json
+
+        from repro import bench
+        from repro.core.fuzzer import fuzz
+        from repro.harness.persist import crash_to_dict
+
+        report = fuzz(bench.get("CS/account"), max_executions=300, seed=1, stop_on_first_crash=True)
+        legacy = {"program": "CS/account", **crash_to_dict(report.crashes[0])}
+        keyless = {key: value for key, value in legacy.items() if key != "dedup_key"}
+        for name, payload in (("legacy", legacy), ("keyless", keyless)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            assert main(["replay", str(path), "--verify"]) == 0, name
+            assert "verdict:  STABLE (5/5 matched)" in capsys.readouterr().out
+
+
 class TestEvalGen:
     def test_small_eval_writes_report(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -13,7 +13,9 @@ locks that in two ways:
    comparison with a per-program, per-policy message.
 2. **Replay closure** — for each combination the recorded concrete schedule
    is re-executed under :class:`ReplayPolicy` and must reproduce the exact
-   trace digest with zero divergence (serial == replay).
+   trace digest with zero divergence (serial == replay), under the SC
+   executor and under :class:`TsoExecutor`, whose schedules also record
+   store-buffer flush choices.
 
 Regenerate the goldens (only after intentionally changing semantics) with::
 
@@ -36,6 +38,7 @@ from repro import bench
 from repro.analysis.online import build_stack
 from repro.core.events import AbstractEvent, intern_abstract
 from repro.runtime.executor import Executor
+from repro.runtime.tso import TsoExecutor
 from repro.schedulers.pct import PctPolicy
 from repro.schedulers.pos import PosPolicy
 from repro.schedulers.random_walk import RandomWalkPolicy
@@ -97,8 +100,8 @@ def _record(program, policy_name: str, seed: int) -> dict:
     }
 
 
-def _replay_digest(program, schedule: list[int]) -> tuple[str, int | None]:
-    result = Executor(program, ReplayPolicy(schedule), max_steps=MAX_STEPS).run()
+def _replay_digest(program, schedule: list[int], executor=Executor) -> tuple[str, int | None]:
+    result = executor(program, ReplayPolicy(schedule), max_steps=MAX_STEPS).run()
     return (
         _digest(
             "\n".join(
@@ -176,18 +179,23 @@ def test_interned_abstract_events_equal_fresh_ones(kind, location, loc):
     assert interned != other
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
-def test_replay_reproduces_recorded_schedule(policy_name):
+@pytest.mark.parametrize(
+    "policy_name, executor",
+    [(name, Executor) for name in sorted(POLICIES)]
+    + [(name, TsoExecutor) for name in sorted(POLICIES)],
+    ids=[*sorted(POLICIES), *(f"{name}-tso" for name in sorted(POLICIES))],
+)
+def test_replay_reproduces_recorded_schedule(policy_name, executor):
     """serial == replay: re-running the recorded schedule is bit-identical."""
     for name in bench.names():
         program = bench.get(name)
         policy = POLICIES[policy_name](0)
-        result = Executor(program, policy, max_steps=MAX_STEPS).run()
+        result = executor(program, policy, max_steps=MAX_STEPS).run()
         original = _digest(
             "\n".join(
                 f"{e.eid}|{e.tid}|{e.kind}|{e.location}|{e.loc}|{e.rf}" for e in result.trace.events
             )
         )
-        replayed, diverged = _replay_digest(program, result.schedule)
+        replayed, diverged = _replay_digest(program, result.schedule, executor)
         assert diverged is None, f"{name}: replay diverged at step {diverged}"
         assert replayed == original, f"{name}: replayed trace differs under {policy_name}"

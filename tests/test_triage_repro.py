@@ -19,6 +19,7 @@ from repro.core.minimize import any_crash, crash_rate, minimize_schedule
 from repro.core.reproduce import (
     FLAKY,
     STABLE,
+    RunEnv,
     bucket_id,
     dedup_key,
     same_bucket,
@@ -31,10 +32,12 @@ from repro.harness.persist import (
     attach_checksum,
     crash_from_dict,
     crash_to_dict,
+    load_crash,
     payload_checksum,
     read_jsonl,
     result_from_dict,
     result_to_dict,
+    save_crashes,
     verify_checksum,
 )
 from repro.harness.telemetry import GLOBAL_COUNTERS
@@ -46,6 +49,7 @@ from repro.harness.triage import (
     write_artifacts,
 )
 from repro.runtime import program, run_program
+from repro.runtime.guard import GuardConfig
 from repro.schedulers import PctPolicy, RandomWalkPolicy, ReplayPolicy
 from repro.schedulers.replay import ReplayDivergence
 
@@ -211,7 +215,7 @@ class TestVerifyReplay:
             found.outcome,
             key,
             replays=5,
-            guard=guard,
+            env=RunEnv(guard=guard),
         )
         assert verdict.verdict == STABLE
         assert verdict.matches == 5
@@ -229,7 +233,7 @@ class TestVerifyReplay:
             found.outcome,
             key,
             replays=3,
-            guard=GuardConfig(wall_seconds=1e-9, step_budget=1),
+            env=RunEnv(guard=GuardConfig(wall_seconds=1e-9, step_budget=1)),
         )
         # One step is never enough to reach the bug: deterministic budget
         # violations must still surface as FLAKY, only the wall clock is
@@ -287,6 +291,16 @@ class TestBucketPreservingMinimize:
             )
             assert final > 0  # the minimized schedule still hits *this* bug
 
+    def test_minimize_runs_in_the_configs_environment(self):
+        # A 5-step watchdog kills CS/account before its assertion: the bug
+        # found is a timeout, and minimization must pin that bucket.
+        config = RffConfig(guard=GuardConfig(step_budget=5))
+        prog = bench.get("CS/account")
+        crash = RffFuzzer(prog, config=config).run(5, stop_on_first_crash=True).crashes[0]
+        assert crash.outcome == "timeout"
+        outcome = minimize_schedule(prog, crash.abstract_schedule, config=config)
+        assert outcome.target_key == crash.dedup_key
+
     def test_any_crash_predicate_is_the_permissive_legacy(self):
         report = self._crashing_schedule()
         crash = report.crashes[0]
@@ -307,15 +321,12 @@ class TestBucketPreservingMinimize:
 class TestTriage:
     @pytest.fixture(scope="class")
     def triaged(self):
-        config = RffConfig()
-        fuzzer = RffFuzzer(twobugs_program, seed=9, config=config)
+        fuzzer = RffFuzzer(twobugs_program, seed=9)
         report = fuzzer.run(300, stop_on_first_crash=False)
-        return config, report, triage_report(
-            twobugs_program, report, replays=5, config=config
-        )
+        return report, triage_report(twobugs_program, report, replays=5)
 
     def test_buckets_fold_findings(self, triaged):
-        _, report, result = triaged
+        report, result = triaged
         assert result.findings == len(report.crashes)
         assert len(result.bugs) == 2  # both bugs, deduplicated
         assert sum(bug.count for bug in result.bugs) == result.findings
@@ -324,14 +335,14 @@ class TestTriage:
         )
 
     def test_every_bug_has_a_verdict(self, triaged):
-        _, _, result = triaged
+        _, result = triaged
         for bug in result.bugs:
             assert bug.verdict is not None
             assert bug.verdict.verdict in (STABLE, FLAKY)
         assert result.stable and not result.quarantined
 
     def test_shortest_reproducer_kept(self, triaged):
-        _, report, result = triaged
+        report, result = triaged
         for bug in result.bugs:
             lengths = [
                 len(c.concrete_schedule)
@@ -341,8 +352,8 @@ class TestTriage:
             assert len(bug.concrete_schedule) == min(lengths)
 
     def test_triage_is_deterministic(self, triaged):
-        config, report, result = triaged
-        again = triage_report(twobugs_program, report, replays=5, config=config)
+        report, result = triaged
+        again = triage_report(twobugs_program, report, replays=5)
         assert [b.bucket for b in again.bugs] == [b.bucket for b in result.bugs]
         assert [b.concrete_schedule for b in again.bugs] == [
             b.concrete_schedule for b in result.bugs
@@ -350,8 +361,8 @@ class TestTriage:
         assert [b.verdict for b in again.bugs] == [b.verdict for b in result.bugs]
 
     def test_artifact_roundtrip_and_verify(self, triaged, tmp_path):
-        config, _, result = triaged
-        written = write_artifacts(result, tmp_path, config)
+        _, result = triaged
+        written = write_artifacts(result, tmp_path)
         assert len(written) == len(result.stable)
         for path in written:
             payload = load_artifact(path)
@@ -359,8 +370,8 @@ class TestTriage:
             assert verdict.verdict == STABLE
 
     def test_tampered_artifact_rejected(self, triaged, tmp_path):
-        config, _, result = triaged
-        path = write_artifacts(result, tmp_path, config)[0]
+        _, result = triaged
+        path = write_artifacts(result, tmp_path)[0]
         payload = json.loads(path.read_text())
         payload["concrete_schedule"] = payload["concrete_schedule"][:-1]
         path.write_text(json.dumps(payload))
@@ -374,10 +385,8 @@ class TestTriage:
             load_artifact(path)
 
     def test_minimized_triage_stays_in_bucket(self, triaged):
-        config, report, plain = triaged
-        shrunk = triage_report(
-            twobugs_program, report, replays=3, config=config, minimize=True
-        )
+        report, plain = triaged
+        shrunk = triage_report(twobugs_program, report, replays=3, minimize=True)
         assert [b.key for b in shrunk.bugs] == [b.key for b in plain.bugs]
         for small, big in zip(shrunk.bugs, plain.bugs):
             assert len(small.concrete_schedule) <= len(big.concrete_schedule)
@@ -404,6 +413,23 @@ class TestPersistHardening:
         del legacy["frames"]
         loaded = crash_from_dict(legacy)
         assert loaded.dedup_key is None and loaded.frames == ()
+
+    def test_crash_files_are_bug_files(self, tmp_path):
+        config = RffConfig(memory_model="tso", guard=GuardConfig(step_budget=5000))
+        fuzzer = RffFuzzer(twobugs_program, seed=9, config=config)
+        report = fuzzer.run(200, stop_on_first_crash=True)
+        [path] = save_crashes(report, tmp_path)
+        payload = load_artifact(path)
+        assert RunEnv.from_artifact(payload) == report.env == config.env
+        assert payload["verdict"] is None
+        assert payload["execution_index"] == report.crashes[0].execution_index
+        assert load_crash(path) == (twobugs_program.name, report.crashes[0])
+        verdict = verify_artifact(payload, replays=3, program=twobugs_program)
+        assert verdict.verdict == STABLE
+        payload["memory_model"] = "sc"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_artifact(path)
 
     def test_result_roundtrips_bucket_and_verdict(self):
         from repro.harness.tools import random_tool
@@ -561,7 +587,6 @@ def test_found_bugs_replay_or_quarantine(name):
             found.outcome,
             key,
             replays=20,
-            max_steps=prog.max_steps or 20000,
         )
         assert verdict.replays == 20, (name, label)
         if verdict.verdict == STABLE:

@@ -10,6 +10,7 @@ from repro import RffConfig, fuzz, program, run_program
 from repro.analysis import check_lock_discipline, find_races
 from repro.harness import Campaign, CampaignConfig, appendix_b_table, paper_tools
 from repro.harness.persist import load_crash, save_crashes
+from repro.harness.triage import load_artifact, verify_artifact
 from repro.schedulers import PosPolicy
 
 
@@ -114,11 +115,10 @@ class TestTutorialSection5:
         paths = save_crashes(report, tmp_path)
         name, crash = load_crash(paths[0])
         assert name == "tutorial/single_flight"
-        from repro.runtime.tso import TsoExecutor
-        from repro.schedulers import ReplayPolicy
-
-        replayed = TsoExecutor(single_flight, ReplayPolicy(list(crash.concrete_schedule))).run()
-        assert replayed.outcome == crash.outcome
+        assert crash == report.crashes[0]
+        bug = load_artifact(paths[0])
+        assert bug["memory_model"] == "tso"
+        assert verify_artifact(bug, replays=5, program=single_flight).verdict == "STABLE"
 
 
 class TestTutorialSection6:
