@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.analysis.hb import Race, find_races
 from repro.core.constraints import AbstractSchedule, Constraint
 from repro.core.proactive import RffSchedulerPolicy
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
+from repro.core.reproduce import RunEnv
 from repro.runtime.program import Program
 from repro.schedulers.pos import PosPolicy
 
@@ -75,10 +75,10 @@ def _dedupe(schedules: list[AbstractSchedule]) -> list[AbstractSchedule]:
 
 def predict_races(program: Program, executions: int = 10, seed: int = 0) -> list[Race]:
     """Phase 1: sample schedules and collect distinct predicted races."""
-    max_steps = program.max_steps or DEFAULT_MAX_STEPS
+    run = RunEnv().runner(program)
     distinct: dict[tuple[str, str, str], Race] = {}
     for index in range(executions):
-        result = Executor(program, PosPolicy(seed + 101 * index), max_steps=max_steps).run()
+        result = run(PosPolicy(seed + 101 * index))
         for race in find_races(result.trace):
             key = (race.location, race.first.loc, race.second.loc)
             distinct.setdefault(key, race)
@@ -92,7 +92,7 @@ def confirm_races(
     seed: int = 0,
 ) -> list[DirectedResult]:
     """Predict races, then try to convert each prediction into a crash."""
-    max_steps = program.max_steps or DEFAULT_MAX_STEPS
+    run = RunEnv().runner(program)
     results: list[DirectedResult] = []
     for race in predict_races(program, executions=executions, seed=seed):
         tried = 0
@@ -100,7 +100,7 @@ def confirm_races(
         for schedule in _dedupe(_candidate_schedules(race)):
             for probe in range(probes_per_schedule):
                 policy = RffSchedulerPolicy(schedule, seed=seed + 977 * tried + probe)
-                outcome = Executor(program, policy, max_steps=max_steps).run()
+                outcome = run(policy)
                 tried += 1
                 if outcome.crashed:
                     confirmed = (outcome, schedule)

@@ -83,7 +83,12 @@ def lock_order_on_event(
 
 
 def cycle_predictions(edges: dict[tuple[str, str], set[int]]) -> list[DeadlockPrediction]:
-    """Inter-thread cycles of the lock-order graph spanned by ``edges``."""
+    """Inter-thread cycles of the lock-order graph spanned by ``edges``.
+
+    Each cycle starts at its minimal lock and the predictions are sorted:
+    the rotation ``nx.simple_cycles`` picks follows hash order, so without
+    this a report's text would depend on ``PYTHONHASHSEED``.
+    """
     if not edges:
         # No nested acquisitions anywhere in the trace: the graph has no
         # edges, hence no cycles — skip building a DiGraph per execution.
@@ -102,10 +107,13 @@ def cycle_predictions(edges: dict[tuple[str, str], set[int]]) -> list[DeadlockPr
         # A cycle one thread creates alone (nested reacquisition in a
         # consistent order) is not a deadlock between threads.
         if len(contributors) >= 2:
+            pivot = cycle.index(min(cycle))
             predictions.append(
-                DeadlockPrediction(cycle=tuple(cycle), threads=frozenset(contributors))
+                DeadlockPrediction(
+                    cycle=tuple(cycle[pivot:] + cycle[:pivot]), threads=frozenset(contributors)
+                )
             )
-    return predictions
+    return sorted(predictions, key=lambda prediction: prediction.cycle)
 
 
 class LockGraphAnalyzer:

@@ -347,26 +347,18 @@ class OnlineLockOrderSanitizer(Sanitizer):
         self.report = report
         findings: list[SanitizerReport] = []
         for prediction in report.predictions:
-            cycle = _canonical_cycle(prediction.cycle)
             findings.append(
                 SanitizerReport(
                     sanitizer=self.name,
                     kind="lock-order-cycle",
-                    location=cycle[0],
-                    pair=(" -> ".join(cycle), ""),
+                    location=prediction.cycle[0],
+                    pair=(" -> ".join(prediction.cycle), ""),
                     message=str(prediction),
                 )
             )
-        # simple_cycles order is graph-construction-dependent; sort for a
-        # deterministic, serial==parallel report sequence.
+        # By rendered text, which can order differently from the cycle tuples.
         findings.sort(key=lambda r: r.pair)
         return findings
-
-
-def _canonical_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
-    """Rotate a cycle so it starts at its minimal element."""
-    pivot = cycle.index(min(cycle))
-    return cycle[pivot:] + cycle[:pivot]
 
 
 #: Registry of built-in sanitizers, in canonical stack order.

@@ -157,16 +157,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Dynamic analyses over sampled schedules: races, locksets, deadlocks."""
     from repro.analysis import check_lock_discipline, find_races, predict_deadlocks
-    from repro.runtime.executor import Executor
+    from repro.core.reproduce import RunEnv
     from repro.schedulers.pos import PosPolicy
 
     prog = _resolve_program(args.program, args.substrate)
+    run = RunEnv().runner(prog)
     races: set[tuple[str, str, str]] = set()
     discipline: set[str] = set()
     deadlock_cycles: set[tuple[str, ...]] = set()
     crashes = 0
     for seed in range(args.executions):
-        result = Executor(prog, PosPolicy(args.seed + seed)).run()
+        result = run(PosPolicy(args.seed + seed))
         crashes += result.crashed
         races |= find_races(result.trace).distinct()
         discipline |= check_lock_discipline(result.trace).flagged_locations
@@ -249,16 +250,15 @@ def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> 
 
 
 #: ``rff campaign`` flags that act on worker processes only.
-_WORKER_FLAGS = ("--timeout", "--profile", "--fault-hook")
+_WORKER_FLAGS = ("--timeout", "--profile")
 
 
 def _validate_campaign_run(
     args: argparse.Namespace, tool_names: list[str], program_names: list[str]
 ) -> str | None:
-    """Reject bad names, and worker-only flags without workers, before
-    anything runs: in-process, ``--timeout`` is never enforced,
-    ``--profile`` dumps nothing and a crashing fault hook would kill the
-    CLI itself."""
+    """Reject bad names, worker-only flags without workers and a lease no
+    heartbeat can renew, before anything runs: in-process, ``--timeout`` is
+    never enforced and ``--profile`` dumps nothing."""
     try:
         for name in tool_names:
             tool_factory(name)
@@ -271,11 +271,16 @@ def _validate_campaign_run(
     ]
     if given and not args.parallel:
         return f"worker-process flags need --parallel N with N >= 1: {', '.join(given)}"
+    if args.heartbeat_seconds >= args.lease_seconds:
+        return (
+            f"--heartbeat-seconds {args.heartbeat_seconds:g} must be below "
+            f"--lease-seconds {args.lease_seconds:g}, or every worker loses its lease"
+        )
     return None
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.harness.parallel import CampaignError, ParallelCampaign
+    from repro.harness.parallel import ParallelCampaign
     from repro.harness.persist import TornLineError
     from repro.harness.reporting import throughput_summary
     from repro.harness.store import StoreError
@@ -345,12 +350,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         store=args.store,
         heartbeat_seconds=args.heartbeat_seconds,
         lease_seconds=args.lease_seconds,
-        fault_hook=args.fault_hook,
         profile_dir=args.profile,
     )
     try:
         result = campaign.run(tool_names, program_names)
-    except (CampaignError, StoreError, TornLineError) as exc:
+    except (StoreError, TornLineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -471,13 +475,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if verdict.stable else 1
 
 
-def _worker_count(text: str) -> int:
-    """``--parallel N``: a negative count would never start a worker nor
-    run in-process, so the dispatch loop would wait forever."""
+def _count(text: str) -> int:
+    """``--parallel N`` and ``--retries N``: a negative worker count would
+    never start a worker nor run in-process, so the dispatch loop would
+    wait forever."""
     count = int(text)
     if count < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
     return count
+
+
+def _seconds(text: str) -> float:
+    """``--timeout``/``--lease-seconds``/``--heartbeat-seconds``: 0 would
+    kill every busy worker at once or stop heartbeats (and with them the
+    orphaned-worker exit)."""
+    seconds = float(text)
+    if not 0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return seconds
 
 
 def _parse_gen_config(token: str | None):
@@ -707,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--programs", nargs="*")
     p_campaign.add_argument("--tools", nargs="*")
     p_campaign.add_argument("--verbose", action="store_true")
-    p_campaign.add_argument("--parallel", type=_worker_count, metavar="N",
+    p_campaign.add_argument("--parallel", type=_count, metavar="N",
                             help="run slices in N persistent worker processes "
                                  "(default 0: in-process; results are bit-identical)")
     p_campaign.add_argument("--profile", metavar="DIR",
@@ -721,18 +736,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="durable corpus store directory: every completed cell is "
                                  "recorded there crash-safely (continue with --resume, "
                                  "examine with 'rff store')")
-    p_campaign.add_argument("--heartbeat-seconds", type=float, default=0.5, metavar="S",
-                            help="worker heartbeat interval (default 0.5)")
-    p_campaign.add_argument("--lease-seconds", type=float, default=10.0, metavar="S",
+    p_campaign.add_argument("--heartbeat-seconds", type=_seconds, default=0.5, metavar="S",
+                            help="worker heartbeat interval, below the lease (default 0.5)")
+    p_campaign.add_argument("--lease-seconds", type=_seconds, default=10.0, metavar="S",
                             help="kill and reassign a worker silent this long (default 10)")
-    p_campaign.add_argument("--fault-hook", metavar="MODULE:FUNC",
-                            help="chaos-testing hook called in the worker at the start of "
-                                 "every cell (e.g. repro.harness.faults:chaos_hook with "
-                                 "RFF_CHAOS_PLAN set; needs --parallel)")
-    p_campaign.add_argument("--timeout", type=float, metavar="SECONDS",
+    p_campaign.add_argument("--timeout", type=_seconds, metavar="SECONDS",
                             help="seconds a worker may go without finishing a slice "
                                  "before it is killed and the slice retried (needs --parallel)")
-    p_campaign.add_argument("--retries", type=int, default=2,
+    p_campaign.add_argument("--retries", type=_count, default=2,
                             help="extra attempts per crashed/timed-out cell (default 2)")
     p_campaign.add_argument("--sanitize", metavar="LIST",
                             help="attach online sanitizers to every tool: comma-separated "
@@ -821,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--budget", type=int, default=400)
     p_eval.add_argument("--base-seed", type=int, default=1234)
     p_eval.add_argument("--sanitizer-budget", type=int, default=80)
-    p_eval.add_argument("--parallel", type=_worker_count, default=0, metavar="N",
+    p_eval.add_argument("--parallel", type=_count, default=0, metavar="N",
                         help="worker processes for the crash channel "
                              "(default 0: in-process; results are bit-identical either way)")
     p_eval.add_argument("--out", default="results/BENCH_groundtruth.json",

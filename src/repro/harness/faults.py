@@ -1,41 +1,33 @@
-"""Fault injection for the campaign engines: one-shot hooks + chaos plans.
+"""Fault injection for the campaign engines: seeded chaos plans.
 
 The engines' robustness claims — bounded retries, per-slice timeouts, lease
-expiry, crash isolation, store resume — are only testable if
-worker and storage failure can be provoked on demand.  Two mechanisms:
+expiry, crash isolation, store resume — are only testable if worker and
+storage failure can be provoked on demand.  A :class:`ChaosPlan` is a pure
+function of its seed and its ``cells`` targeting map: for any cell key or
+store-write index it answers "which fault, if any, fires here?" —
+identically on every call, in every process, under any start method.
 
-**One-shot hooks** (the original layer).  A
-:class:`~repro.harness.parallel.CellSpec` may carry an importable
-``fault_hook`` reference (``"module:qualname"``); the worker entrypoint
-resolves and calls it with the spec *before* running the cell.  The
-built-in :func:`crash_once` hook targets a single cell through environment
-variables and fires exactly once per campaign via an atomically created
-state file:
+A plan is armed through the environment only: :data:`ENV_PLAN` carries its
+JSON form and :data:`ENV_PLAN_STATE` the directory of its claim files, and
+:meth:`ChaosPlan.from_env` is their only reader.  The store reads the plan
+at every append; :class:`~repro.harness.parallel.ParallelCampaign` reads it
+once into the worker profile it ships to every pool worker.  Every one-shot
+injection point fires *exactly once* per campaign via ``O_CREAT | O_EXCL``
+claim files, so a retried or resumed attempt of a faulted cell proceeds
+normally and the campaign provably converges to the fault-free result.
 
-* ``RFF_FAULT_CELL``  — target cell as ``"tool|program|trial"``;
-* ``RFF_FAULT_STATE`` — path of the once-only state file (must not exist);
-* ``RFF_FAULT_MODE``  — ``"crash"`` (default: hard ``os._exit``) or
-  ``"hang"`` (wedge the worker: heartbeats stop, then sleep until the
-  engine's lease/timeout kills it);
-* ``RFF_FAULT_HANG_SECONDS`` — sleep length for ``"hang"`` (default 3600).
-
-**Chaos plans** (the composable layer).  A :class:`ChaosPlan` is a pure
-function of its seed: for any cell key or store-write index it answers
-"which fault, if any, fires here?" — identically on every call, in every
-process, under any start method.  Plans travel through the environment
-(:data:`ENV_PLAN` carries the JSON form, inherited by fork and spawn
-workers alike), and every injection point fires *exactly once* per
-campaign via ``O_CREAT | O_EXCL`` claim files under :data:`ENV_PLAN_STATE`
-— so a retried or resumed attempt of a faulted cell proceeds normally and
-the campaign provably converges to the fault-free result.
-
-Worker-side fault kinds (applied by :func:`chaos_hook`):
+Worker-side fault kinds (applied by :func:`worker_chaos`):
 
 * ``kill`` — hard ``os._exit`` mid-trial (segfault/OOM/SIGKILL model);
 * ``hang`` — wedge the worker past its lease: the heartbeat thread checks
-  :func:`is_wedged` and stops beating, then the hook sleeps until the
+  :func:`is_wedged` and stops beating, then the worker sleeps until the
   pool's lease expiry kills the process;
-* ``skew`` — a benign slow-worker clock skew: sleep briefly, keep beating.
+* ``skew`` — a benign slow-worker clock skew: sleep briefly, keep beating;
+* ``poison`` — a ``kill`` on every attempt, never claimed: the
+  deterministic crasher whose retry budget must run out (targeted only).
+
+Seeded draws pick ``kill``/``hang``/``skew`` at the plan's rates; a cell
+named in ``cells`` gets its targeted kind instead.
 
 Store-side fault kinds (applied by
 :class:`~repro.harness.store.CorpusStore` during appends):
@@ -45,9 +37,10 @@ Store-side fault kinds (applied by
 * ``corrupt`` — commit the record with a poisoned checksum, modelling
   at-rest corruption the reader must detect and re-run around.
 
-Hooks run inside worker processes.  In-process (``processes=0`` or a
-degraded pool) they run in the campaign process itself, so tests combining degradation
-with ``kill`` faults would kill the whole campaign — don't.
+Worker faults fire only inside pool worker processes: the in-process drain
+(``processes=0``, or a pool whose workers cannot start) runs none, so a
+kill plan never takes the campaign itself down.  Store faults fire wherever
+the store is written.
 """
 
 from __future__ import annotations
@@ -56,12 +49,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
-
-ENV_TARGET = "RFF_FAULT_CELL"
-ENV_STATE = "RFF_FAULT_STATE"
-ENV_MODE = "RFF_FAULT_MODE"
-ENV_HANG_SECONDS = "RFF_FAULT_HANG_SECONDS"
+from dataclasses import asdict, dataclass, field
 
 #: JSON form of a ChaosPlan (see ChaosPlan.to_env / from_env).
 ENV_PLAN = "RFF_CHAOS_PLAN"
@@ -71,13 +59,8 @@ ENV_PLAN_STATE = "RFF_CHAOS_STATE"
 #: Exit code of a crash-injected worker (distinctive in worker_exit records).
 CRASH_EXIT_CODE = 17
 
-#: Importable reference for CellSpec.fault_hook / ParallelCampaign.fault_hook.
-CRASH_ONCE_REF = "repro.harness.faults:crash_once"
-#: Importable reference of the chaos-plan worker hook.
-CHAOS_HOOK_REF = "repro.harness.faults:chaos_hook"
-
-#: Fault kinds applied inside worker processes by chaos_hook.
-WORKER_FAULTS = ("kill", "hang", "skew")
+#: Fault kinds applied inside pool worker processes by worker_chaos.
+WORKER_FAULTS = ("kill", "hang", "skew", "poison")
 #: Fault kinds applied by CorpusStore during record appends.
 STORE_FAULTS = ("torn_write", "corrupt")
 FAULT_KINDS = WORKER_FAULTS + STORE_FAULTS
@@ -138,6 +121,14 @@ class ChaosPlan:
     hang_seconds: float = 3600.0
     #: Sleep length of a skewed (slow) worker; benign, under the lease.
     skew_seconds: float = 0.02
+    #: Targeted cells, ``"tool|program|trial"`` (see :func:`cell_key`) ->
+    #: worker fault kind; checked before the seeded draw.
+    cells: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.cells.values()) - set(WORKER_FAULTS))
+        if unknown:
+            raise ValueError(f"unknown worker fault kind(s) {unknown}; expected {WORKER_FAULTS}")
 
     def _uniform(self, scope: str, token: str) -> float:
         digest = hashlib.sha256(f"{self.seed}|{scope}|{token}".encode()).digest()
@@ -153,7 +144,10 @@ class ChaosPlan:
         return None
 
     def worker_fault(self, key: str) -> str | None:
-        """Fault kind (kill/hang/skew) injected into cell ``key``, if any."""
+        """Fault kind injected into cell ``key``, if any: its targeted kind,
+        else the seeded draw (kill/hang/skew)."""
+        if key in self.cells:
+            return self.cells[key]
         return self._pick(
             self._uniform("cell", key),
             [("kill", self.kill), ("hang", self.hang), ("skew", self.skew)],
@@ -182,11 +176,14 @@ class ChaosPlan:
         return {ENV_PLAN: json.dumps(asdict(self)), ENV_PLAN_STATE: str(state_dir)}
 
     @classmethod
-    def from_env(cls, environ=os.environ) -> "ChaosPlan | None":
+    def from_env(cls, environ=os.environ) -> "tuple[ChaosPlan, str] | None":
+        """Inverse of :meth:`to_env`: the armed plan and its claim
+        directory, or None when either variable is unset."""
         raw = environ.get(ENV_PLAN)
-        if not raw:
+        state = environ.get(ENV_PLAN_STATE)
+        if not raw or not state:
             return None
-        return cls(**json.loads(raw))
+        return cls(**json.loads(raw)), state
 
 
 def claim_once(state_dir: str, token: str) -> bool:
@@ -215,13 +212,9 @@ def claimed_tokens(state_dir: str) -> list[str]:
     return sorted(tokens)
 
 
-def chaos_hook(spec) -> None:
-    """Worker-side chaos: apply the planned kill/hang/skew fault, once."""
-    plan = ChaosPlan.from_env()
-    state = os.environ.get(ENV_PLAN_STATE)
-    if plan is None or not state:
-        return
-    key = cell_key(spec.tool, spec.program, spec.trial)
+def worker_chaos(plan: ChaosPlan, state: str, key: str) -> None:
+    """Apply the planned worker fault of cell ``key``; pool workers call
+    this before every slice."""
     kind = plan.worker_fault(key)
     if kind is None:
         return
@@ -230,7 +223,8 @@ def chaos_hook(spec) -> None:
         # a deterministically slow worker, not a one-shot failure.
         time.sleep(plan.skew_seconds)
         return
-    if not claim_once(state, f"{kind}:{key}"):
+    # ``poison`` claims nothing: it kills every attempt.
+    if kind != "poison" and not claim_once(state, f"{kind}:{key}"):
         return
     if kind == "hang":
         _wedge()
@@ -244,61 +238,13 @@ def chaos_hook(spec) -> None:
 def store_chaos(index: int) -> str | None:
     """Store-side chaos: the planned torn_write/corrupt fault for append
     #``index``, claimed once; None when nothing fires."""
-    plan = ChaosPlan.from_env()
-    state = os.environ.get(ENV_PLAN_STATE)
-    if plan is None or not state:
+    armed = ChaosPlan.from_env()
+    if armed is None:
         return None
+    plan, state = armed
     kind = plan.store_fault(index)
     if kind is None:
         return None
     if not claim_once(state, f"{kind}:write-{index}"):
         return None
     return kind
-
-
-# ----------------------------------------------------------------------
-# One-shot targeted hook (the original layer)
-# ----------------------------------------------------------------------
-def crash_once(spec) -> None:
-    """Fail the *first* attempt of the targeted cell, then never again.
-
-    The once-only guarantee comes from ``O_CREAT | O_EXCL`` on the state
-    file: exactly one worker attempt wins the creation race and dies; every
-    later attempt (the engine's retry, or a resumed campaign) sees the file
-    and proceeds normally.
-    """
-    target = os.environ.get(ENV_TARGET)
-    state = os.environ.get(ENV_STATE)
-    if not target or not state:
-        return
-    if cell_key(spec.tool, spec.program, spec.trial) != target:
-        return
-    try:
-        fd = os.open(state, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return
-    os.close(fd)
-    if os.environ.get(ENV_MODE, "crash") == "hang":
-        # A wedged worker: its heartbeat thread (if any) stops beating, so
-        # only the parent's lease/timeout machinery can end it.
-        _wedge()
-        time.sleep(float(os.environ.get(ENV_HANG_SECONDS, "3600")))
-        return
-    # A hard exit models a segfaulting/oom-killed worker: no exception, no
-    # result message, just a dead process the engine must notice and retry.
-    os._exit(CRASH_EXIT_CODE)
-
-
-def crash_always(spec) -> None:
-    """Crash *every* attempt of the targeted cell — a deterministic crasher
-    (the retry budget must exhaust and classify it as such)."""
-    target = os.environ.get(ENV_TARGET)
-    if not target:
-        return
-    if cell_key(spec.tool, spec.program, spec.trial) != target:
-        return
-    os._exit(CRASH_EXIT_CODE)
-
-
-#: Importable reference of the deterministic-crasher hook.
-CRASH_ALWAYS_REF = "repro.harness.faults:crash_always"

@@ -17,7 +17,7 @@ The engine survives its workers:
   kill, SIGKILL) costs the slice it was running one attempt; the slice is
   retried on a fresh worker after a capped exponential backoff, up to
   ``max_retries`` times, and then recorded as a structured error result
-  (``isolate_failures``) instead of aborting everything;
+  instead of aborting everything;
 * **timeouts and leases** — a worker that goes ``cell_timeout`` seconds
   without finishing a slice, or ``lease_seconds`` without a heartbeat, is
   killed and handled like a crash;
@@ -52,12 +52,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.harness.campaign import CampaignConfig, CampaignResult, run_rounds
+from repro.harness.faults import ChaosPlan
 from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import TOOL_FACTORIES, BugSearchResult, TestingTool, tool_factory
-
-
-class CampaignError(RuntimeError):
-    """A campaign cell failed and ``isolate_failures`` is off."""
 
 
 @dataclass(frozen=True)
@@ -145,19 +142,6 @@ def register_tool(name: str, factory: Callable[[], TestingTool]) -> None:
     TOOL_FACTORIES[name] = factory
 
 
-def _rff_env_snapshot() -> tuple[tuple[str, str], ...]:
-    """The parent's ``RFF_*`` environment, as a picklable sorted tuple.
-
-    Fault-injection state travels through ``RFF_*`` variables.  Under the
-    ``fork`` start method children inherit them implicitly, but ``spawn``
-    re-executes the interpreter and ``forkserver`` forks from a *server*
-    process whose environment was frozen at first use — both can miss
-    variables set (e.g. by a chaos test) after interpreter start.  Workers
-    therefore restore this snapshot explicitly before running any slice.
-    """
-    return tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("RFF_")))
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -169,6 +153,9 @@ class ParallelCampaign:
     debugging); ``processes=None`` uses the CPU count.  ``max_retries``
     bounds *extra* attempts after a worker crash, timeout or lost lease;
     in-worker Python exceptions are deterministic and are not retried.
+    A slice whose retries run out is a structured error cell.  A chaos plan
+    armed in the environment (:class:`~repro.harness.faults.ChaosPlan`) is
+    read once per run and fires its worker faults in the pool workers.
     """
 
     config: CampaignConfig
@@ -177,13 +164,9 @@ class ParallelCampaign:
     cell_timeout: float | None = None
     #: Extra attempts (each on a fresh worker) after crash/timeout/lost lease.
     max_retries: int = 2
-    #: Record exhausted cells as structured error results instead of raising.
-    isolate_failures: bool = True
     telemetry: TelemetrySink = field(default_factory=TelemetrySink)
     #: Multiprocessing start method (None = see _default_start_method).
     start_method: str | None = None
-    #: Importable fault-injection hook called before every slice.
-    fault_hook: str | None = None
     #: Durable corpus store (CorpusStore instance or path); completed cells
     #: and slices are recorded there and resumed from it.
     store: Any = None
@@ -194,10 +177,6 @@ class ParallelCampaign:
     heartbeat_seconds: float = 0.5
     #: A worker silent this long loses its lease and is killed.
     lease_seconds: float = 10.0
-    #: First-retry backoff delay; doubles per attempt.
-    backoff_base: float = 0.1
-    #: Upper bound on any single backoff delay.
-    backoff_cap: float = 5.0
 
     def run(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
         """Run all campaign cells; the result is bit-identical to serial runs."""
@@ -227,7 +206,6 @@ class ParallelCampaign:
         """
         from repro.harness.pool import WorkerPool
 
-        self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
         pool = WorkerPool(
             self,
             mp.get_context(self.start_method or _default_start_method()),
@@ -255,31 +233,18 @@ class ParallelCampaign:
             sanitizers=tuple(self.config.sanitizers),
             verify_replays=self.config.verify_replays,
             guard=self.config.guard,
-            fault_hook=self.fault_hook,
+            chaos=ChaosPlan.from_env(),
             heartbeat_seconds=self.heartbeat_seconds,
             profile_dir=profile_dir,
-            env=_rff_env_snapshot(),
         )
-
-    # -- failure policy -------------------------------------------------
-    def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry #``attempt`` (1-based): capped exponential."""
-        return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
-
-    def _classify(self, key: tuple[str, str, int]) -> str:
-        """Triage of an exhausted cell from the kinds its attempts failed with."""
-        kinds = self._failure_kinds.get(key, [])
-        if len(set(kinds)) == 1:
-            return f"deterministic crasher: every attempt failed with {kinds[0]!r}"
-        return f"flaky environment: attempts failed with {sorted(set(kinds))}"
 
 
 def _default_start_method() -> str:
     """Prefer ``forkserver`` on 3.12+ (fork-from-threaded-parent is deprecated
     there and the server process keeps launches cheap and thread-safe); keep
     ``fork`` on older interpreters where it is still the fastest safe default.
-    Workers re-apply the parent's ``RFF_*`` env either way, so fault-injection
-    behaviour is identical across start methods."""
+    The chaos plan travels in the worker profile, not the environment, so
+    fault injection behaves identically across start methods."""
     methods = mp.get_all_start_methods()
     if sys.version_info >= (3, 12) and "forkserver" in methods:
         return "forkserver"

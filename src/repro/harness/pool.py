@@ -26,13 +26,15 @@ cost across executions.  This module is the analogue of the fork server:
 * **Supervision.**  Workers beat from a daemon thread every
   ``heartbeat_seconds``; a worker silent for ``lease_seconds`` loses its
   lease and is killed, as is one that goes ``cell_timeout`` seconds
-  without finishing a slice.
+  without finishing a slice.  Workers apply the profile's chaos plan
+  (:mod:`repro.harness.faults`) before every slice.
 * **Crash replay of the running slice only.**  Workers stream one
   ``slice_done`` message per slice, in batch order, so when a worker dies
   the dispatcher knows which slice it was running.  That slice is retried
-  after a capped exponential backoff, up to ``max_retries`` times, and
-  then recorded as a structured error classified as a *deterministic
-  crasher* (every attempt failed the same way) or a *flaky environment*.
+  after a capped exponential backoff (:func:`backoff_delay`), up to
+  ``max_retries`` times, and then recorded as a structured error
+  classified as a *deterministic crasher* (every attempt failed the same
+  way) or a *flaky environment* (:func:`classify_failures`).
   The batch's never-started slices go back to the ready queue at their
   current attempt.  For a fixed (seed, allocator), serial == pool ==
   SIGKILL'd-and-resumed, bit for bit.
@@ -41,7 +43,7 @@ cost across executions.  This module is the analogue of the fork server:
   at all degrades to that same in-process drain.  It is the only
   in-process runner: the serial :class:`~repro.harness.campaign.Campaign`
   is a size-0 pool whose caches are seeded with the caller's tool and
-  program instances.
+  program instances.  It runs no worker faults.
 
 Wire protocol (one duplex pipe per worker):
 
@@ -69,8 +71,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from repro.core.trace import intern_schedule
+from repro.harness import faults
 from repro.harness.campaign import PendingSlice
-from repro.harness.parallel import CampaignError, CellOutcome, CellSpec, resolve_ref
+from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
 from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
@@ -82,6 +85,10 @@ BATCH_SLICES = 8
 #: cap is sized so a round splits into roughly this many batches per worker,
 #: keeping any single batch from holding the round barrier hostage.
 BATCH_WAVES = 4
+#: Delay (seconds) before a slice's first retry; doubles per attempt.
+BACKOFF_BASE = 0.1
+#: Upper bound (seconds) on any single backoff delay.
+BACKOFF_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -89,25 +96,22 @@ class WorkerProfile:
     """Campaign-wide configuration shipped to each worker exactly once.
 
     Everything here is constant for the life of one campaign, which is what
-    makes the worker-side tool cache sound: a cached tool re-applies the
-    same profile attributes before every slice, so no slice can observe
-    state leaked from a differently-configured predecessor.
+    makes the tool caches sound: a cached tool is assigned the same profile
+    attributes before every slice, so no slice can observe state left by a
+    differently-configured predecessor or an earlier campaign.
     """
 
     sanitizers: tuple[str, ...] = ()
     verify_replays: int = 0
     guard: GuardConfig | None = None
-    fault_hook: str | None = None
+    #: The armed chaos plan and its claim directory
+    #: (:meth:`~repro.harness.faults.ChaosPlan.from_env`), read once
+    #: dispatcher-side; None injects no worker faults.
+    chaos: tuple[faults.ChaosPlan, str] | None = None
     #: Interval of the worker's heartbeat thread; None disables heartbeats.
     heartbeat_seconds: float | None = None
     #: Directory for per-worker cProfile dumps; None disables profiling.
     profile_dir: str | None = None
-    #: Snapshot of ``RFF_*`` environment variables taken dispatcher-side.
-    #: Restored inside the worker so chaos plans and fault hooks behave
-    #: identically under fork, forkserver and spawn — the forkserver
-    #: process inherits the environment of its *first* use, not of the
-    #: campaign that is currently running.
-    env: tuple[tuple[str, str], ...] = ()
 
 
 def wire_slice(spec) -> tuple:
@@ -120,31 +124,22 @@ def wire_slice(spec) -> tuple:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _apply_profile(tool, profile: WorkerProfile) -> None:
-    """Apply the campaign-wide tool attributes of ``profile``."""
-    if profile.sanitizers:
-        tool.sanitizers = profile.sanitizers
-    if profile.verify_replays:
-        tool.verify_replays = profile.verify_replays
-    if profile.guard is not None:
-        tool.guard = profile.guard
-
-
 def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict):
     """Run one slice against the given caches; returns its CellOutcome."""
     tool_name, program_name, trial, seed, budget, ref = wire
-    if profile.fault_hook:
-        # Fault hooks key cells by tool|program|trial of a full CellSpec.
-        resolve_ref(profile.fault_hook)(
-            CellSpec(tool_name, program_name, trial, seed, budget, ref)
-        )
+    if profile.chaos is not None:
+        faults.worker_chaos(*profile.chaos, faults.cell_key(tool_name, program_name, trial))
     cache_key = (tool_name, program_name)
     tool = tools.get(cache_key)
     if tool is None:
         tool = resolve_ref(ref)()
         if getattr(tool, "reusable", True):
             tools[cache_key] = tool
-    _apply_profile(tool, profile)
+    # The campaign's settings, every slice: a cached (or caller-seeded)
+    # tool keeps nothing from an earlier campaign.
+    tool.sanitizers = profile.sanitizers
+    tool.verify_replays = profile.verify_replays
+    tool.guard = profile.guard
     program = programs.get(program_name)
     if program is None:
         from repro import bench
@@ -169,10 +164,7 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
     Replies stream per slice so the dispatcher can replay only unfinished
     work when this process dies mid-batch.
     """
-    os.environ.update(dict(profile.env))
     import threading
-
-    from repro.harness import faults
 
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -259,6 +251,18 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
 # ----------------------------------------------------------------------
 # Dispatcher side
 # ----------------------------------------------------------------------
+def backoff_delay(attempt: int) -> float:
+    """Delay before retry #``attempt`` (1-based): capped exponential."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
+
+
+def classify_failures(kinds: list[str]) -> str:
+    """Triage of an exhausted cell from the kinds its attempts failed with."""
+    if len(set(kinds)) == 1:
+        return f"deterministic crasher: every attempt failed with {kinds[0]!r}"
+    return f"flaky environment: attempts failed with {sorted(set(kinds))}"
+
+
 def _intern_reply(data: dict) -> dict:
     """Re-intern the repeated strings of one reply's result dict in place.
 
@@ -364,11 +368,12 @@ class WorkerPool:
     """A pool of long-lived batch-serving workers for one campaign.
 
     The pool outlives individual ``execute()`` calls — the round loop calls
-    it once per round, and worker caches persist across rounds.  Failure
-    *policy* (retry budget, timeout, lease, backoff, isolate-failures) is
-    read from the owning :class:`~repro.harness.parallel.ParallelCampaign`;
-    the pool implements dispatch, streaming replies and crash replay, and
-    counts ``retries`` and ``failed`` cells in :attr:`stats`.
+    it once per round, and worker caches persist across rounds.  The retry
+    budget, timeout and lease are read from the owning
+    :class:`~repro.harness.parallel.ParallelCampaign`; the pool implements
+    dispatch, streaming replies, crash replay and the failure policy
+    (:func:`backoff_delay`, :func:`classify_failures`), and counts
+    ``retries`` and ``failed`` cells in :attr:`stats`.
     """
 
     def __init__(
@@ -390,6 +395,8 @@ class WorkerPool:
         #: Tool name -> importable factory reference, carried in every slice.
         self.refs = refs
         self.stats = {"retries": 0, "failed": 0}
+        #: Cell key -> the failure kinds of its attempts so far.
+        self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
         self._workers: dict[Any, _PoolWorker] = {}
         self._batch_seq = 0
         self._degraded = False
@@ -500,9 +507,7 @@ class WorkerPool:
             )
 
     def _fail(self, spec, attempts: int, kind: str, detail: str) -> BugSearchResult:
-        """A cell that cannot complete: telemetry, then the structured error
-        result (or :class:`~repro.harness.parallel.CampaignError` when the
-        engine does not isolate failures)."""
+        """A cell that cannot complete: telemetry, then its structured error result."""
         self.stats["failed"] += 1
         self.sink.emit(
             "cell_error",
@@ -513,10 +518,6 @@ class WorkerPool:
             kind=kind,
             detail=detail,
         )
-        if not self.engine.isolate_failures:
-            raise CampaignError(
-                f"cell {spec.tool}/{spec.program} trial {spec.trial} failed ({kind}): {detail}"
-            )
         return BugSearchResult(
             tool=spec.tool,
             program=spec.program,
@@ -591,7 +592,8 @@ class WorkerPool:
                 )
             )
         spec, attempt = batch.specs[running], batch.attempts[running]
-        engine._failure_kinds.setdefault(spec.key, []).append(kind)
+        kinds = self._failure_kinds.setdefault(spec.key, [])
+        kinds.append(kind)
         if attempt > engine.max_retries:
             if kind == "crash":
                 detail = f"worker died with exit code {exitcode}"
@@ -602,11 +604,11 @@ class WorkerPool:
                     f"worker missed its heartbeat deadline "
                     f"({engine.lease_seconds:g}s lease expired)"
                 )
-            detail = f"{detail} [{engine._classify(spec.key)}]"
+            detail = f"{detail} [{classify_failures(kinds)}]"
             record(spec.key, self._fail(spec, attempt, kind, detail))
             return
         self.stats["retries"] += 1
-        delay = engine.backoff_delay(attempt)
+        delay = backoff_delay(attempt)
         identity = {"tool": spec.tool, "program": spec.program, "trial": spec.trial}
         self.sink.emit("cell_retry", **identity, attempt=attempt, kind=kind)
         self.sink.emit("lease_reassign", **identity, attempt=attempt, kind=kind, delay=delay)
@@ -664,6 +666,8 @@ class WorkerPool:
     def _drain_serial(self, ready: deque, waiting: list[_Batch], record: Recorder) -> None:
         """Run every remaining slice in this process (pool size 0, or no
         worker could be started)."""
+        # Worker faults fire in workers only: a kill here would end the campaign.
+        profile = replace(self.profile, chaos=None)
         while ready or waiting:
             batch = ready.popleft() if ready else waiting.pop(0)
             for index in batch.unfinished():
@@ -671,7 +675,7 @@ class WorkerPool:
                 self._start(batch, index)
                 try:
                     outcome = _run_slice(
-                        batch.wires[index], self.profile, self._tools, self._programs
+                        batch.wires[index], profile, self._tools, self._programs
                     )
                 except Exception as exc:  # deterministic failure: no retry in-process
                     detail = f"{type(exc).__name__}: {exc}"

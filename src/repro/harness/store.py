@@ -34,7 +34,7 @@ design is a miniature write-ahead log:
   A second campaign pointed at the same store fails fast with
   :class:`StoreLockedError` instead of interleaving records.
 
-Chaos hooks: when a :class:`~repro.harness.faults.ChaosPlan` is armed in
+Chaos faults: when a :class:`~repro.harness.faults.ChaosPlan` is armed in
 the environment, :meth:`record_result` consults
 :func:`repro.harness.faults.store_chaos` per append — ``torn_write``
 flushes half a line and raises :class:`~repro.harness.faults.ChaosKill`;

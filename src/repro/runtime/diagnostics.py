@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.trace import Trace
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
 from repro.runtime.program import Program
 from repro.schedulers.pos import PosPolicy
 
@@ -38,12 +37,15 @@ def verify_determinism(
     A divergence means the *program* (not the runtime) is nondeterministic
     — its behaviour depends on something other than the schedule — which
     silently breaks replay, abstract-schedule feedback and every
-    deterministic baseline.
+    deterministic baseline.  ``max_steps`` overrides the program's step bound.
     """
-    steps = max_steps or program.max_steps or DEFAULT_MAX_STEPS
+    # Lazy import: repro.core.reproduce imports repro.runtime, which imports this module.
+    from repro.core.reproduce import RunEnv
+
+    run = RunEnv(max_steps=max_steps).runner(program)
     for seed in range(seeds):
-        first = Executor(program, PosPolicy(seed), max_steps=steps).run()
-        second = Executor(program, PosPolicy(seed), max_steps=steps).run()
+        first = run(PosPolicy(seed))
+        second = run(PosPolicy(seed))
         # Compare structure AND values: value divergence (e.g. a wall-clock
         # read) is exactly the smuggled-nondeterminism case to catch.
         a = [f"{e} ={e.value!r}" for e in first.trace]

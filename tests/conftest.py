@@ -37,6 +37,31 @@ def make_reorder(n: int, mc: bool = False):
 
 
 @pytest.fixture
+def fast_retries(monkeypatch):
+    """Retry backoff from 0.01 s instead of 0.1 s.  The dispatcher computes
+    the backoff, so patching the constant holds under every start method."""
+    from repro.harness import pool
+
+    monkeypatch.setattr(pool, "BACKOFF_BASE", 0.01)
+
+
+@pytest.fixture
+def fault_env(tmp_path, monkeypatch, fast_retries):
+    """Arm a chaos plan that targets one cell with one worker fault, with
+    fast retries; returns the arming helper."""
+    from repro.harness import faults
+
+    def arm(tool: str, program: str, trial: int, kind: str = "kill"):
+        state = tmp_path / "chaos-state"
+        state.mkdir(exist_ok=True)
+        plan = faults.ChaosPlan(seed=0, cells={faults.cell_key(tool, program, trial): kind})
+        for key, value in plan.to_env(state).items():
+            monkeypatch.setenv(key, value)
+
+    return arm
+
+
+@pytest.fixture
 def reorder2():
     return make_reorder(2, mc=True)
 

@@ -163,7 +163,6 @@ def run_until_converged(store_dir, max_rounds: int = 12, **engine_kwargs):
             processes=2,
             store=store_dir,
             heartbeat_seconds=0.05,
-            backoff_base=0.01,
             **engine_kwargs,
         )
         try:
@@ -190,9 +189,7 @@ class TestLaplaceEngineEquivalence:
         assert inprocess.allocation == laplace_serial.allocation
 
     def test_supervised_matches_serial(self, laplace_serial):
-        engine = ParallelCampaign(
-            LAPLACE_CONFIG, processes=2, heartbeat_seconds=0.05, backoff_base=0.01
-        )
+        engine = ParallelCampaign(LAPLACE_CONFIG, processes=2, heartbeat_seconds=0.05)
         supervised = engine.run(TOOLS, PROGRAMS)
         assert supervised.results == laplace_serial.results
         assert supervised.allocation == laplace_serial.allocation
@@ -216,14 +213,14 @@ class TestLaplaceEngineEquivalence:
         assert resumed.results == laplace_serial.results
         assert resumed.allocation == laplace_serial.allocation
 
-    def test_worker_kills_converge_to_serial(self, laplace_serial, tmp_path, monkeypatch):
+    def test_worker_kills_converge_to_serial(
+        self, laplace_serial, tmp_path, monkeypatch, fast_retries
+    ):
         seed = seed_with_injections(
             lambda s: "kill" in cell_keys(ChaosPlan(seed=s, kill=0.3)).values()
         )
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed, kill=0.3))
-        result = run_until_converged(
-            tmp_path / "store", fault_hook=faults.CHAOS_HOOK_REF
-        )
+        result = run_until_converged(tmp_path / "store")
         assert result.results == laplace_serial.results
         assert result.allocation == laplace_serial.allocation
 

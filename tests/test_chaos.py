@@ -76,7 +76,6 @@ def run_until_converged(store_dir, max_rounds: int = 10, **engine_kwargs):
             processes=2,
             store=store_dir,
             heartbeat_seconds=0.05,
-            backoff_base=0.01,
             **engine_kwargs,
         )
         try:
@@ -93,15 +92,14 @@ def cell_keys(plan: ChaosPlan) -> dict[str, str]:
     return plan.injection_points([faults.cell_key(*key) for key in sorted(ALL_KEYS)])
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestDifferentialConvergence:
     def test_worker_kills_converge(self, serial, tmp_path, monkeypatch):
         seed = seed_with_injections(
             lambda s: "kill" in cell_keys(ChaosPlan(seed=s, kill=0.3)).values()
         )
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed, kill=0.3))
-        result = run_until_converged(
-            tmp_path / "store", fault_hook=faults.CHAOS_HOOK_REF
-        )
+        result = run_until_converged(tmp_path / "store")
         assert result == serial
 
     def test_hangs_past_lease_converge(self, serial, tmp_path, monkeypatch):
@@ -109,11 +107,7 @@ class TestDifferentialConvergence:
             lambda s: "hang" in cell_keys(ChaosPlan(seed=s, hang=0.3)).values()
         )
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed, hang=0.3))
-        result = run_until_converged(
-            tmp_path / "store",
-            fault_hook=faults.CHAOS_HOOK_REF,
-            lease_seconds=0.5,
-        )
+        result = run_until_converged(tmp_path / "store", lease_seconds=0.5)
         assert result == serial
 
     def test_torn_writes_converge(self, serial, tmp_path, monkeypatch):
@@ -152,11 +146,7 @@ class TestDifferentialConvergence:
             tmp_path,
             ChaosPlan(seed=11, kill=0.2, hang=0.1, skew=0.2, torn_write=0.15, corrupt=0.15),
         )
-        result = run_until_converged(
-            tmp_path / "store",
-            fault_hook=faults.CHAOS_HOOK_REF,
-            lease_seconds=0.5,
-        )
+        result = run_until_converged(tmp_path / "store", lease_seconds=0.5)
         assert result == serial
 
     def test_serial_campaign_through_store_converges(self, serial, tmp_path, monkeypatch):
@@ -191,11 +181,7 @@ class TestDifferentialConvergence:
         from repro.harness.telemetry import TelemetryAggregator
 
         aggregator = TelemetryAggregator()
-        result = run_until_converged(
-            tmp_path / "store",
-            fault_hook=faults.CHAOS_HOOK_REF,
-            telemetry=aggregator,
-        )
+        result = run_until_converged(tmp_path / "store", telemetry=aggregator)
         assert result == serial
         fired = faults.claimed_tokens(str(tmp_path / "chaos-state"))
         planned = sorted(f"{kind}:{key}" for key, kind in cell_keys(plan).items())

@@ -104,7 +104,7 @@ class TestOneRunner:
         [
             ["--timeout", "5"],
             ["--profile", "prof"],
-            ["--fault-hook", "repro.harness.faults:crash_once"],
+            ["--timeout", "5", "--profile", "prof"],
         ],
     )
     def test_worker_flags_require_workers(self, capsys, tmp_path, monkeypatch, parallel, flag):
@@ -112,7 +112,10 @@ class TestOneRunner:
         assert main(CAMPAIGN_ARGS + flag + parallel) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert flag[0] in captured.err and "--parallel N" in captured.err
+        assert "--parallel N" in captured.err
+        # The error names every worker-only flag given, not just the first.
+        for name in flag[::2]:
+            assert name in captured.err
         assert not (tmp_path / "prof").exists()
 
     @pytest.mark.parametrize("command", [["campaign"], ["eval-gen"]])
@@ -123,6 +126,33 @@ class TestOneRunner:
             main(command + ["--parallel", "-1"])
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--timeout", "0"], "--timeout"),
+            (["--lease-seconds", "0"], "--lease-seconds"),
+            (["--heartbeat-seconds", "0"], "--heartbeat-seconds"),
+            (["--heartbeat-seconds", "-1"], "--heartbeat-seconds"),
+            (["--heartbeat-seconds", "2", "--lease-seconds", "1"], "--heartbeat-seconds"),
+            (["--heartbeat-seconds", "1", "--lease-seconds", "1"], "--lease-seconds"),
+            (["--retries", "-1"], "--retries"),
+        ],
+        ids=["timeout-0", "lease-0", "heartbeat-0", "heartbeat-negative",
+             "heartbeat-above-lease", "heartbeat-equals-lease", "retries-negative"],
+    )
+    def test_supervision_flags_that_cannot_work_exit_2(self, capsys, flags, named):
+        """A zero timeout or lease kills healthy workers, a zero heartbeat
+        silently disables heartbeats and the orphaned-worker exit, and a
+        heartbeat no faster than the lease loses every lease."""
+        try:
+            code = main(CAMPAIGN_ARGS + ["--parallel", "2"] + flags)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_store_and_telemetry_run_in_process(self, capsys, tmp_path):
         from repro.harness.store import CorpusStore
@@ -406,6 +436,7 @@ class TestDurableCampaign:
             ["--checkpoint", "ck.jsonl"],
             ["--pool-size", "2"],
             ["--batch-size", "4"],
+            ["--fault-hook", "repro.harness.faults:chaos_hook"],
         ],
     )
     def test_removed_flags_exit_2(self, capsys, flag):
@@ -418,7 +449,9 @@ class TestDurableCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--engine", "--durable", "--checkpoint", "--pool-size", "--batch-size"):
+        for flag in (
+            "--engine", "--durable", "--checkpoint", "--pool-size", "--batch-size", "--fault-hook"
+        ):
             assert flag not in out
 
     def test_existing_store_requires_resume(self, capsys, tmp_path):

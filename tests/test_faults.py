@@ -15,9 +15,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import faults
+import pytest
+
+from repro.harness import faults, pool
 from repro.harness.faults import ChaosPlan, cell_key, claim_once, claimed_tokens
-from repro.harness.parallel import ParallelCampaign
 
 KEYS = [
     cell_key(tool, program, trial)
@@ -27,6 +28,7 @@ KEYS = [
 ]
 
 rates = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
+targets = st.dictionaries(st.sampled_from(KEYS), st.sampled_from(faults.WORKER_FAULTS))
 
 
 def plans(**overrides):
@@ -37,6 +39,7 @@ def plans(**overrides):
         "skew": rates,
         "torn_write": rates,
         "corrupt": rates,
+        "cells": targets,
     }
     base.update(overrides)
     return st.builds(ChaosPlan, **base)
@@ -56,7 +59,12 @@ class TestDeterminism:
     @given(plans())
     def test_env_round_trip(self, plan):
         env = plan.to_env("/tmp/chaos-state")  # to_env never touches the fs
-        assert ChaosPlan.from_env(env) == plan
+        assert ChaosPlan.from_env(env) == (plan, "/tmp/chaos-state")
+
+    def test_unarmed_without_either_variable(self):
+        env = ChaosPlan(seed=1, kill=1.0).to_env("/tmp/chaos-state")
+        for name in env:
+            assert ChaosPlan.from_env({k: v for k, v in env.items() if k != name}) is None
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -90,6 +98,7 @@ class TestRatePartition:
         store indices likewise only draw store kinds."""
         for key, kind in plan.injection_points(KEYS).items():
             assert kind in faults.WORKER_FAULTS
+            assert kind != "poison" or key in plan.cells  # targeted only
         for index in range(30):
             kind = plan.store_fault(index)
             assert kind is None or kind in faults.STORE_FAULTS
@@ -102,6 +111,22 @@ class TestRatePartition:
         combined = ChaosPlan(seed=seed, kill=kill, hang=hang)
         merged = ChaosPlan(seed=seed, kill=kill + hang)
         assert set(combined.injection_points(KEYS)) == set(merged.injection_points(KEYS))
+
+
+class TestTargetedCells:
+    def test_targeted_kind_wins_over_the_draw(self):
+        key = cell_key("RFF", "CS/account", 0)
+        plan = ChaosPlan(seed=3, kill=1.0, cells={key: "hang"})
+        points = plan.injection_points(KEYS)
+        assert points[key] == "hang"
+        assert set(points.values()) == {"kill", "hang"}
+        assert ChaosPlan(seed=3, cells={key: "poison"}).injection_points(KEYS) == {
+            key: "poison"
+        }
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown worker fault"):
+            ChaosPlan(seed=0, cells={cell_key("RFF", "CS/account", 0): "crash"})
 
 
 class TestClaimAccounting:
@@ -131,16 +156,14 @@ class TestClaimAccounting:
 
 class TestBackoffArithmetic:
     def test_backoff_is_capped_exponential(self):
-        from repro.harness.campaign import CampaignConfig
-
-        engine = ParallelCampaign(
-            CampaignConfig(), backoff_base=0.1, backoff_cap=1.0
-        )
-        assert [engine.backoff_delay(a) for a in (1, 2, 3, 4, 5, 6)] == [
+        assert (pool.BACKOFF_BASE, pool.BACKOFF_CAP) == (0.1, 5.0)
+        assert [pool.backoff_delay(a) for a in range(1, 9)] == [
             0.1,
             0.2,
             0.4,
             0.8,
-            1.0,
-            1.0,
+            1.6,
+            3.2,
+            5.0,
+            5.0,
         ]

@@ -7,7 +7,9 @@ two fixed ``PYTHONHASHSEED`` values in fresh interpreters turns that into
 a deterministic failure, through the in-process ``Campaign`` and through
 ``spawn``-started pool workers.  The same interpreters recompute the
 engine goldens (``tests/golden/engine_golden.json``): every execution
-digest must match too.
+digest must match too.  Sanitizer report *messages* are part of a result
+as well, so a lockorder campaign must render its cycles identically under
+two hash seeds.
 """
 
 from __future__ import annotations
@@ -44,16 +46,34 @@ print(json.dumps({
 }))
 """
 
+LOCKORDER = """
+import json
+from repro import bench
+from repro.harness.campaign import Campaign, CampaignConfig
+from repro.harness.persist import result_to_dict
+from repro.harness.tools import random_tool
 
-@pytest.mark.parametrize("hash_seed", ["0", "4242"])
-def test_sweep_digests_are_hash_seed_independent(hash_seed):
+config = CampaignConfig(trials=4, budget=50, base_seed=1, sanitizers=("lockorder",))
+result = Campaign(config).run(
+    [random_tool()], [bench.get("CS/deadlock01"), bench.get("CS/carter01")]
+)
+print(json.dumps({
+    f"{tool}|{program}": [result_to_dict(r) for r in trials]
+    for (tool, program), trials in sorted(result.results.items())
+}))
+"""
+
+
+def _run_fresh(script: str, hash_seed: str):
+    """The last stdout line of ``script``, JSON-decoded, from a fresh
+    interpreter under ``PYTHONHASHSEED=hash_seed``."""
     env = dict(
         os.environ,
         PYTHONHASHSEED=hash_seed,
         PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SWEEP],
+        [sys.executable, "-c", script],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -61,7 +81,12 @@ def test_sweep_digests_are_hash_seed_independent(hash_seed):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    computed = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_sweep_digests_are_hash_seed_independent(hash_seed):
+    computed = _run_fresh(SWEEP, hash_seed)
     golden = json.loads(GOLDEN_PATH.read_text())
     for engine, digests in computed["sweep"].items():
         diverged = sorted(key for key in golden if digests.get(key) != golden[key])
@@ -72,3 +97,18 @@ def test_sweep_digests_are_hash_seed_independent(hash_seed):
     diverged = sorted(name for name in engine_golden if recorded.get(name) != engine_golden[name])
     assert set(recorded) == set(engine_golden)
     assert not diverged, f"engine goldens under PYTHONHASHSEED={hash_seed}: {diverged}"
+
+
+def test_lockorder_reports_are_hash_seed_independent():
+    """The cycle a lockorder report prints used to start wherever
+    ``nx.simple_cycles`` began, which follows hash order: these two seeds
+    rendered ``mutex:A -> mutex:B -> mutex:A`` and ``mutex:B -> ...``."""
+    first, second = (_run_fresh(LOCKORDER, seed) for seed in ("1", "2"))
+    messages = [
+        report["message"]
+        for trials in first.values()
+        for cell in trials
+        for report in cell.get("sanitizer_reports", ())
+    ]
+    assert any("potential deadlock" in message for message in messages)
+    assert first == second

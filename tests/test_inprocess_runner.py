@@ -5,7 +5,8 @@ in-process caches of ``ParallelCampaign(processes=0)`` and runs every
 slice through ``WorkerPool._drain_serial``.  These tests pin what that
 buys: unregistered tools and programs still run, a raising tool is the
 same structured error cell everywhere, ``progress`` is a ``cell_start``
-listener, and the campaign's guard config reaches every slice intact.
+listener, and the campaign's guard config reaches every slice intact
+while an earlier campaign's settings never do.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from repro.harness.allocator import LaplaceAllocator, slice_seed
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.parallel import ParallelCampaign, register_tool
 from repro.harness.telemetry import TelemetryAggregator
-from repro.harness.tools import TOOL_FACTORIES, PerExecutionPolicyTool, TestingTool
+from repro.harness.tools import (
+    TOOL_FACTORIES,
+    PerExecutionPolicyTool,
+    RffTool,
+    TestingTool,
+    pos_tool,
+)
 from repro.runtime.guard import GuardConfig
 from repro.schedulers.random_walk import RandomWalkPolicy
 
@@ -148,3 +155,20 @@ class TestGuardConfig:
             result = ParallelCampaign(config, processes=processes).run(["GuardEcho"], programs)
         outcomes = {r.outcome for trials in result.results.values() for r in trials}
         assert outcomes == {repr(self.GUARD)}
+
+
+class TestSettingsDoNotLeak:
+    @pytest.mark.parametrize("factory", [pos_tool, RffTool], ids=["POS", "RFF"])
+    def test_second_campaign_equals_a_fresh_instance_run(self, factory):
+        """``Campaign.run`` seeds the caller's instances into the pool, so a
+        campaign must assign every setting, not only the ones it turns on."""
+        programs = [bench.get("CS/account")]
+        plain = CampaignConfig(trials=1, budget=50)
+        checked = replace(plain, sanitizers=("race",), verify_replays=2)
+        reused = factory()
+        first = Campaign(checked).run([reused], programs)
+        (cell,) = first.trials(reused.name, "CS/account")
+        assert cell.sanitizer_reports and cell.replay_verdict == "STABLE"
+        assert Campaign(plain).run([reused], programs) == Campaign(plain).run(
+            [factory()], programs
+        )

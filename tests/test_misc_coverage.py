@@ -158,6 +158,22 @@ class TestCliExtras:
         assert "happens-before races" in out
         assert "var:balance" in out
 
+    def test_analyze_runs_the_programs_step_bound(self, capsys, monkeypatch):
+        """A program's declared ``max_steps`` holds in ``rff analyze`` as
+        everywhere else (it used to run at the default bound)."""
+        from repro import cli
+
+        @program("t/crash_past_bound", max_steps=5)
+        def prog(t):
+            x = t.var("x", 0)
+            for _ in range(10):
+                yield t.write(x, 1)
+            t.require(False, "reached past the step bound")
+
+        monkeypatch.setattr(cli.bench, "get", lambda name: prog)
+        assert cli.main(["analyze", "t/crash_past_bound", "--executions", "2"]) == 0
+        assert "(0 crashed)" in capsys.readouterr().out
+
     def test_fuzz_minimize_flag(self, capsys):
         from repro.cli import main
 

@@ -20,7 +20,6 @@ from repro.analysis.online import (
     OnlineRaceSanitizer,
     Sanitizer,
     SanitizerReport,
-    _canonical_cycle,
     build_stack,
     parse_sanitizers,
 )
@@ -102,8 +101,21 @@ class TestRegistry:
         assert str(report) == "[race] boom"
 
     def test_canonical_cycle_rotation(self):
-        assert _canonical_cycle(("mutex:B", "mutex:A")) == ("mutex:A", "mutex:B")
-        assert _canonical_cycle(("mutex:A", "mutex:B")) == ("mutex:A", "mutex:B")
+        """Cycles start at their minimal lock and come sorted, whatever
+        order the lock-order graph was built in."""
+        from repro.analysis.lockgraph import cycle_predictions
+
+        edges = {
+            ("mutex:B", "mutex:A"): {2},
+            ("mutex:A", "mutex:B"): {1},
+            ("mutex:D", "mutex:C"): {1},
+            ("mutex:C", "mutex:D"): {2},
+        }
+        for ordered in (edges, dict(reversed(list(edges.items())))):
+            assert [p.cycle for p in cycle_predictions(ordered)] == [
+                ("mutex:A", "mutex:B"),
+                ("mutex:C", "mutex:D"),
+            ]
 
 
 # ----------------------------------------------------------------------
@@ -245,13 +257,7 @@ def test_online_matches_offline(name):
         assert lockset.report.states == offline_lockset.states
 
         offline_graph = predict_deadlocks(trace)
-        online_cycles = {
-            _canonical_cycle(p.cycle) for p in lockorder.report.predictions
-        }
-        offline_cycles = {
-            _canonical_cycle(p.cycle) for p in offline_graph.predictions
-        }
-        assert online_cycles == offline_cycles
+        assert lockorder.report.predictions == offline_graph.predictions
 
 
 def test_finish_is_deterministic():

@@ -15,7 +15,7 @@ import pytest
 from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
-from repro.harness.parallel import CampaignError, ParallelCampaign, register_tool
+from repro.harness.parallel import ParallelCampaign, register_tool
 from repro.harness.persist import read_jsonl
 from repro.harness.pool import WorkerPool
 from repro.harness.store import CorpusStore, StoreMismatchError
@@ -43,19 +43,6 @@ def _serial_result():
 @pytest.fixture(scope="module")
 def serial():
     return _serial_result()
-
-
-@pytest.fixture
-def fault_env(tmp_path, monkeypatch):
-    """Arm the crash_once hook against one cell; returns the re-arm helper."""
-
-    def arm(tool: str, program: str, trial: int, mode: str = "crash", state: str = "fired"):
-        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key(tool, program, trial))
-        monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / state))
-        monkeypatch.setenv(faults.ENV_MODE, mode)
-        monkeypatch.setenv(faults.ENV_HANG_SECONDS, "3600")
-
-    return arm
 
 
 class TestDeterminism:
@@ -116,27 +103,52 @@ class TestSanitizerDeterminism:
 class TestFaultTolerance:
     def test_worker_crash_retried_bit_identical(self, serial, fault_env):
         """A hard-killed worker (os._exit, the SIGKILL model) costs one
-        attempt; the retried campaign result is bit-identical."""
-        fault_env("RFF", "CS/account", 1, mode="crash")
+        attempt; the retried campaign result is bit-identical.  The plan is
+        armed in the environment alone: no engine argument enables it."""
+        fault_env("RFF", "CS/account", 1, kind="kill")
         telemetry = TelemetryAggregator()
-        parallel = ParallelCampaign(
-            CONFIG, processes=2, telemetry=telemetry, fault_hook=faults.CRASH_ONCE_REF
-        ).run(TOOLS, PROGRAMS)
+        parallel = ParallelCampaign(CONFIG, processes=2, telemetry=telemetry).run(
+            TOOLS, PROGRAMS
+        )
         assert parallel == serial
         assert telemetry.retries == 1
         assert telemetry.worker_restarts == 1
         crash_exits = [r for r in telemetry.of_type("worker_exit") if r["kind"] == "crash"]
         assert crash_exits and crash_exits[0]["exitcode"] == faults.CRASH_EXIT_CODE
 
+    @pytest.mark.parametrize("degraded", [False, True], ids=["processes-0", "degraded"])
+    def test_in_process_drain_runs_no_worker_faults(
+        self, serial, tmp_path, monkeypatch, degraded
+    ):
+        """Worker faults fire only in workers: under a plan that kills every
+        cell, the in-process drain (processes=0, or a pool whose workers
+        cannot start) completes, equals the serial result and claims
+        nothing."""
+        state = tmp_path / "chaos-state"
+        state.mkdir()
+        poisoned = faults.cell_key("RFF", "CS/account", 0)
+        plan = faults.ChaosPlan(seed=0, kill=1.0, cells={poisoned: "poison"})
+        for key, value in plan.to_env(state).items():
+            monkeypatch.setenv(key, value)
+        if degraded:
+            monkeypatch.setattr(WorkerPool, "_spawn", lambda self: None)
+        telemetry = TelemetryAggregator()
+        result = ParallelCampaign(
+            CONFIG, processes=2 if degraded else 0, telemetry=telemetry
+        ).run(TOOLS, PROGRAMS)
+        assert result == serial
+        assert telemetry.failed_cells == 0
+        assert faults.claimed_tokens(str(state)) == []
+        assert bool(telemetry.of_type("pool_degraded")) == degraded
+
     def test_hung_worker_timed_out_and_retried(self, serial, fault_env):
-        fault_env("POS", "Splash2/lu", 0, mode="hang")
+        fault_env("POS", "Splash2/lu", 0, kind="hang")
         telemetry = TelemetryAggregator()
         parallel = ParallelCampaign(
             CONFIG,
             processes=2,
             cell_timeout=2.0,
             telemetry=telemetry,
-            fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         assert parallel == serial
         timeouts = [r for r in telemetry.of_type("worker_exit") if r["kind"] == "timeout"]
@@ -146,14 +158,13 @@ class TestFaultTolerance:
     def test_exhausted_retries_isolated_as_structured_error(self, fault_env, tmp_path):
         """With zero retries a crashing cell becomes an error result and the
         rest of the campaign completes untouched."""
-        fault_env("RFF", "CS/account", 0, mode="crash")
+        fault_env("RFF", "CS/account", 0, kind="kill")
         telemetry = TelemetryAggregator()
         parallel = ParallelCampaign(
             CONFIG,
             processes=2,
             max_retries=0,
             telemetry=telemetry,
-            fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         failed = parallel.trials("RFF", "CS/account")[0]
         assert failed.error is not None and "crash" in failed.error
@@ -162,18 +173,6 @@ class TestFaultTolerance:
         # every other cell ran normally
         assert parallel.trials("POS", "CS/account")[0].error is None
         assert parallel.trials("RFF", "Splash2/lu")[0].error is None
-
-    def test_isolate_failures_off_raises(self, fault_env):
-        fault_env("RFF", "CS/account", 0, mode="crash")
-        campaign = ParallelCampaign(
-            CONFIG,
-            processes=2,
-            max_retries=0,
-            isolate_failures=False,
-            fault_hook=faults.CRASH_ONCE_REF,
-        )
-        with pytest.raises(CampaignError, match="crash"):
-            campaign.run(TOOLS, PROGRAMS)
 
     def test_dead_pool_degrades_to_serial(self, serial, monkeypatch):
         """When worker processes cannot start at all, the engine runs the
@@ -214,13 +213,8 @@ class TestCheckpointResume:
         """Worker killed on the first attempt *and* resumed from the store:
         both fault paths compose and the result is still bit-identical."""
         store = tmp_path / "store"
-        fault_env("POS", "CS/account", 1, mode="crash")
-        first = ParallelCampaign(
-            CONFIG,
-            processes=2,
-            store=store,
-            fault_hook=faults.CRASH_ONCE_REF,
-        ).run(TOOLS, PROGRAMS)
+        fault_env("POS", "CS/account", 1, kind="kill")
+        first = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert first == serial
         resumed = ParallelCampaign(CONFIG, processes=2, store=store).run(TOOLS, PROGRAMS)
         assert resumed == serial

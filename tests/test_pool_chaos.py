@@ -59,6 +59,7 @@ def arm(monkeypatch, tmp_path, plan: ChaosPlan) -> None:
         monkeypatch.setenv(key, value)
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestKillMidBatchReplay:
     def test_replays_only_unfinished_slices(self, serial, tmp_path, monkeypatch):
         """A chaos-killed pool worker loses its batch remainder, nothing else."""
@@ -68,9 +69,7 @@ class TestKillMidBatchReplay:
             CONFIG,
             processes=2,
             telemetry=aggregator,
-            fault_hook=faults.CHAOS_HOOK_REF,
             heartbeat_seconds=0.05,
-            backoff_base=0.01,
         ).run(TOOLS, PROGRAMS)
         # The worker really died mid-batch and was recycled...
         recycles = aggregator.of_type("worker_recycle")
@@ -91,7 +90,7 @@ class TestKillMidBatchReplay:
         # And the survivors are bit-identical to the fault-free serial run.
         assert result == serial
 
-    def test_crasher_at_batch_head_costs_only_its_own_cell(self, monkeypatch):
+    def test_crasher_at_batch_head_costs_only_its_own_cell(self, tmp_path, monkeypatch):
         """A deterministic crasher at the head of a multi-slice batch
         exhausts its own retries; the slices queued behind it never ran,
         so they are re-queued unchanged instead of inheriting its
@@ -99,15 +98,12 @@ class TestKillMidBatchReplay:
         config = CampaignConfig(trials=10, budget=40, base_seed=7)
         programs = ["CS/account", "Splash2/lu"]
         serial = Campaign(config).run([random_tool()], [bench.get(p) for p in programs])
-        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key("Random", "CS/account", 0))
+        poisoned = faults.cell_key("Random", "CS/account", 0)
+        arm(monkeypatch, tmp_path, ChaosPlan(seed=0, cells={poisoned: "poison"}))
         aggregator = TelemetryAggregator()
-        result = ParallelCampaign(
-            config,
-            processes=1,
-            telemetry=aggregator,
-            fault_hook=faults.CRASH_ALWAYS_REF,
-            backoff_base=0.01,
-        ).run(["Random"], programs)
+        result = ParallelCampaign(config, processes=1, telemetry=aggregator).run(
+            ["Random"], programs
+        )
         first = aggregator.of_type("batch_dispatch")[0]
         assert first["slices"] > 1  # the crasher heads a multi-slice batch
         errors = [r for trials in result.results.values() for r in trials if r.error]
@@ -123,6 +119,7 @@ class TestKillMidBatchReplay:
                     assert result.results[key][index] == expected
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestDurablePoolConvergence:
     def run_until_converged(self, store_dir, max_rounds: int = 10, **engine_kwargs):
         for _ in range(max_rounds):
@@ -131,7 +128,6 @@ class TestDurablePoolConvergence:
                 processes=2,
                 store=store_dir,
                 heartbeat_seconds=0.05,
-                backoff_base=0.01,
                 **engine_kwargs,
             )
             try:
@@ -151,7 +147,5 @@ class TestDurablePoolConvergence:
             if ChaosPlan(seed=s, torn_write=0.2).store_fault(1) == "torn_write"
         )
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed, kill=0.2, torn_write=0.2))
-        result = self.run_until_converged(
-            tmp_path / "store", fault_hook=faults.CHAOS_HOOK_REF
-        )
+        result = self.run_until_converged(tmp_path / "store")
         assert result == serial

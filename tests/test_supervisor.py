@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import bench
-from repro.harness import faults
+from repro.harness import faults, pool
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.parallel import ParallelCampaign
 from repro.harness.telemetry import TelemetryAggregator
@@ -28,19 +28,6 @@ def serial():
     return Campaign(CONFIG).run(
         [RffTool(), pos_tool(), PeriodTool()], [bench.get(p) for p in PROGRAMS]
     )
-
-
-@pytest.fixture
-def fault_env(tmp_path, monkeypatch):
-    """Arm the crash_once hook against one cell; returns the re-arm helper."""
-
-    def arm(tool: str, program: str, trial: int, mode: str = "crash", state: str = "fired"):
-        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key(tool, program, trial))
-        monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / state))
-        monkeypatch.setenv(faults.ENV_MODE, mode)
-        monkeypatch.setenv(faults.ENV_HANG_SECONDS, "3600")
-
-    return arm
 
 
 class TestDeterminism:
@@ -63,7 +50,6 @@ class TestDeterminism:
             processes=2,
             telemetry=aggregator,
             heartbeat_seconds=0.05,
-            fault_hook=faults.CHAOS_HOOK_REF,
         ).run(TOOLS, PROGRAMS)
         assert supervised == serial
         assert aggregator.heartbeats > 0
@@ -72,7 +58,7 @@ class TestDeterminism:
 
 class TestLeases:
     def test_hung_worker_loses_lease_and_cell_is_reassigned(self, serial, fault_env):
-        fault_env("RFF", "CS/account", 1, mode="hang")
+        fault_env("RFF", "CS/account", 1, kind="hang")
         aggregator = TelemetryAggregator()
         supervised = ParallelCampaign(
             CONFIG,
@@ -80,8 +66,6 @@ class TestLeases:
             telemetry=aggregator,
             heartbeat_seconds=0.05,
             lease_seconds=0.5,
-            backoff_base=0.01,
-            fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         assert supervised == serial
         assert aggregator.lease_reassignments == 1
@@ -99,14 +83,12 @@ class TestLeases:
         assert reassign["delay"] == pytest.approx(0.01)
 
     def test_crashed_worker_reassigned_with_backoff(self, serial, fault_env):
-        fault_env("POS", "Splash2/lu", 0, mode="crash")
+        fault_env("POS", "Splash2/lu", 0, kind="kill")
         aggregator = TelemetryAggregator()
         supervised = ParallelCampaign(
             CONFIG,
             processes=2,
             telemetry=aggregator,
-            backoff_base=0.01,
-            fault_hook=faults.CRASH_ONCE_REF,
         ).run(TOOLS, PROGRAMS)
         assert supervised == serial
         assert aggregator.lease_reassignments == 1
@@ -118,16 +100,14 @@ class TestLeases:
 
 
 class TestTriage:
-    def test_deterministic_crasher_classified(self, fault_env, monkeypatch):
-        monkeypatch.setenv(faults.ENV_TARGET, faults.cell_key("RFF", "CS/account", 0))
+    def test_deterministic_crasher_classified(self, fault_env):
+        fault_env("RFF", "CS/account", 0, kind="poison")
         aggregator = TelemetryAggregator()
         result = ParallelCampaign(
             CampaignConfig(trials=1, budget=60, base_seed=7),
             processes=2,
             max_retries=2,
-            backoff_base=0.01,
             telemetry=aggregator,
-            fault_hook=faults.CRASH_ALWAYS_REF,
         ).run(["RFF"], ["CS/account"])
         (cell,) = result.results[("RFF", "CS/account")]
         assert cell.error is not None
@@ -137,8 +117,5 @@ class TestTriage:
         assert "deterministic crasher" in error["detail"]
 
     def test_mixed_failure_kinds_classified_flaky(self):
-        engine = ParallelCampaign(CONFIG)
-        engine._failure_kinds = {("T", "P", 0): ["crash", "lease", "crash"]}
-        assert "flaky environment" in engine._classify(("T", "P", 0))
-        engine._failure_kinds = {("T", "P", 0): ["crash", "crash", "crash"]}
-        assert "deterministic crasher" in engine._classify(("T", "P", 0))
+        assert "flaky environment" in pool.classify_failures(["crash", "lease", "crash"])
+        assert "deterministic crasher" in pool.classify_failures(["crash", "crash", "crash"])
