@@ -25,11 +25,23 @@ and immediately blocks waiting for its next message, so thread-local code
 between two visible operations executes atomically — the same semantics the
 generator DSL gets from ``yield``.
 
+One CPU per execution: since the threads only ever take turns, spreading
+them over several CPUs buys no parallelism, yet each visible op's two lock
+handoffs would then wake a thread on another core and drag the working set
+across.  On Linux, :meth:`SubstrateContext.activate` therefore pins the
+executor thread to the CPU it is running on; every real thread the bridge
+starts, and any thread program code starts outside the shims, inherits that
+one-CPU mask.  Pinning changes where the threads run, never which one runs,
+so schedules and traces are unaffected.  Where ``os.sched_setaffinity`` or
+libc ``sched_getcpu`` is missing, or a call fails, the execution runs
+unpinned.
+
 Teardown: the executor runs execution-scoped cleanups (``Api.add_cleanup``)
 after closing every thread generator; the context's :meth:`finalize` aborts
 all parked threads by resuming them with :class:`SubstrateAbort` (a
 ``BaseException``, so ordinary ``except Exception`` handlers in program code
-cannot swallow it), joins them, and restores the stdlib patches.
+cannot swallow it), joins them, and restores the stdlib patches, the cyclic
+GC and the caller's CPU mask.
 """
 
 from __future__ import annotations
@@ -70,6 +82,47 @@ _INTERNAL_MEMO: dict[str, bool] = {}
 #: executor's ``_derive_loc`` so dedup keys hash DSL and substrate frames
 #: interchangeably.
 _LOC_LABELS: dict[tuple[Any, int], str] = {}
+
+#: libc ``sched_getcpu`` (a ctypes function), ``False`` where it is missing,
+#: ``None`` until the first activation looks it up: every workload imports
+#: this module, and importing ``ctypes`` costs ~2 ms and ~0.4 MB.
+_sched_getcpu: Any = None
+
+
+def _lookup_sched_getcpu() -> Any:
+    try:
+        import ctypes
+
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (ImportError, OSError, AttributeError):
+        return False
+    getcpu.argtypes = ()
+    getcpu.restype = ctypes.c_int
+    return getcpu
+
+
+def _pin_to_current_cpu() -> set[int] | None:
+    """Restrict the calling thread to the CPU it runs on; return its old mask.
+
+    Returns None, leaving the thread unpinned, where the platform lacks the
+    affinity calls or one of them fails.
+    """
+    global _sched_getcpu
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    if _sched_getcpu is None:
+        _sched_getcpu = _lookup_sched_getcpu()
+    if not _sched_getcpu:
+        return None
+    cpu = _sched_getcpu()
+    if cpu < 0:
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        return None
+    return mask
 
 
 def register_internal_file(path: str) -> None:
@@ -261,6 +314,8 @@ class SubstrateContext:
         #: Optional shared-memory observer (set by the program adapter).
         self.observer = None
         self._gc_was_enabled = False
+        #: The executor thread's CPU mask before activate pinned it.
+        self._caller_mask: set[int] | None = None
 
     # -- naming ----------------------------------------------------------
     def next_index(self, kind: str) -> int:
@@ -286,6 +341,9 @@ class SubstrateContext:
         _ACTIVE = self
         self.api = api
         api.add_cleanup(self.finalize)
+        # Pin before the bridge starts any real thread, so they all inherit
+        # the one-CPU mask (see the module docstring).
+        self._caller_mask = _pin_to_current_cpu()
         # The cyclic collector runs finalizers (TPE weakref wake-ups, __del__)
         # at allocation-dependent moments — nondeterministic across the
         # process and capable of firing *inside* a gate rendezvous.  Pause it
@@ -303,7 +361,8 @@ class SubstrateContext:
         setattr(target, attr, value)
 
     def finalize(self) -> None:
-        """Abort parked threads, join them, and restore every patch."""
+        """Abort parked threads, join them, and restore every patch, the GC
+        and the caller's CPU mask."""
         global _ACTIVE
         self.closed = True
         stuck: list[str] = []
@@ -321,6 +380,12 @@ class SubstrateContext:
                 setattr(target, attr, original)
             if self._gc_was_enabled:
                 gc.enable()
+            if self._caller_mask is not None:
+                try:
+                    os.sched_setaffinity(0, self._caller_mask)
+                except OSError:  # pragma: no cover - a cpuset shrank mid-run
+                    pass
+                self._caller_mask = None
             if _ACTIVE is self:
                 _ACTIVE = None
         if stuck:  # pragma: no cover - requires a wedged native call

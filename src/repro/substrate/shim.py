@@ -235,6 +235,8 @@ class ShimSemaphore:
         return True
 
     def release(self, n: int = 1) -> None:
+        if n < 1:
+            raise ValueError("n must be one or more")
         loc = call_site()
         for _ in range(n):
             self._ctx.call(ops.SemReleaseOp(sem=self._sem, loc=loc))
@@ -254,6 +256,8 @@ class ShimBoundedSemaphore(ShimSemaphore):
         self._initial = value
 
     def release(self, n: int = 1) -> None:
+        if n < 1:
+            raise ValueError("n must be one or more")
         # The count read and the check run atomically (between gate ops).
         if self._sem.count + n > self._initial:
             raise ValueError("Semaphore released too many times")
@@ -366,6 +370,9 @@ class ShimThread:
         self.daemon = bool(daemon) if daemon is not None else False
         self._started = False
         self._handle = None
+        #: The started thread's channel, set on the thread itself before
+        #: ``run``: ``_handle`` arrives only when ``start()`` returns.
+        self._channel: OpChannel | None = None
 
     def __hash__(self) -> int:
         return self._index
@@ -375,9 +382,12 @@ class ShimThread:
             raise RuntimeError("threads can only be started once")
         loc = call_site()
         self._started = True
-        self._handle = self._ctx.call(
-            ops.SpawnOp(fn=self._ctx.spawn_adapter(self.run, self.name), name=self.name, loc=loc)
-        )
+        fn = self._ctx.spawn_adapter(self._bootstrap, self.name)
+        self._handle = self._ctx.call(ops.SpawnOp(fn=fn, name=self.name, loc=loc))
+
+    def _bootstrap(self) -> None:
+        self._channel = gate.current_channel()
+        self.run()
 
     def run(self) -> None:
         if self._target is not None:
@@ -386,6 +396,8 @@ class ShimThread:
     def join(self, timeout: float | None = None) -> None:
         if not self._started:
             raise RuntimeError("cannot join thread before it is started")
+        if self._channel is not None and self._channel is gate.current_channel():
+            raise RuntimeError("cannot join current thread")
         self._ctx.call(ops.JoinOp(handle=self._handle, loc=call_site()))
 
     def is_alive(self) -> bool:
@@ -593,6 +605,8 @@ def install(ctx: SubstrateContext) -> None:
 
     def sleep(seconds: float) -> None:
         if ctx.is_controlled():
+            if seconds < 0:
+                raise ValueError("sleep length must be non-negative")
             # A scheduling point: deterministic schedules cannot pass time,
             # but sleep() in real code marks exactly the windows racing
             # threads are expected to interleave in.

@@ -8,13 +8,18 @@ Covers the four acceptance properties of the ``py:`` namespace:
 * serial and parallel campaigns over ``py:`` programs are bit-identical.
 
 Plus unit-level checks of the shim semantics (misuse raises the stdlib's
-``RuntimeError``/``ValueError``, not a harness error) and the substrate's
-escape hatches.
+``RuntimeError``/``ValueError``, not a harness error), the substrate's
+escape hatches, and the one-CPU pinning of each execution.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading as real_threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -50,12 +55,29 @@ def _find_crash(prog, max_schedules: int = 500):
     return None
 
 
+def _os_thread_count() -> int:
+    """The process's OS threads.  ``threading.active_count()`` never counts
+    the substrate's ``_thread.start_new_thread`` threads, so read the
+    kernel's list where there is one."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return real_threading.active_count()
+
+
 @pytest.fixture(autouse=True)
 def no_thread_leaks():
-    """Every test must return the process to its baseline thread count."""
-    baseline = real_threading.active_count()
+    """Every test must return the process to its baseline thread count.
+
+    A substrate thread signals teardown just before it exits, so allow the
+    stragglers a moment to go.
+    """
+    baseline = _os_thread_count()
     yield
-    assert real_threading.active_count() == baseline
+    deadline = time.monotonic() + 2.0
+    while _os_thread_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _os_thread_count() == baseline
 
 
 class TestTargets:
@@ -130,6 +152,53 @@ class TestCampaignIntegration:
         assert result.replay_verdict == "STABLE"
 
 
+def _self_join_before_start_returned():
+    # The new thread's first op is the join, submitted while the
+    # parent is still inside start().
+    import threading
+
+    box = []
+    thread = threading.Thread(target=lambda: box[0].join())
+    box.append(thread)
+    thread.start()
+    thread.join()
+
+
+def _self_join_after_start_returned():
+    import threading
+
+    started = threading.Event()
+    box = []
+
+    def body():
+        started.wait()
+        box[0].join()
+
+    thread = threading.Thread(target=body)
+    box.append(thread)
+    thread.start()
+    started.set()
+    thread.join()
+
+
+def _release_zero():
+    import threading
+
+    threading.Semaphore(1).release(0)
+
+
+def _bounded_release_negative():
+    import threading
+
+    threading.BoundedSemaphore(1).release(-1)
+
+
+def _sleep_negative():
+    import time
+
+    time.sleep(-1)
+
+
 class TestShimSemantics:
     """Shim misuse must raise the stdlib exception (a finding), not wedge."""
 
@@ -140,6 +209,14 @@ class TestShimSemantics:
             result = Executor(prog, RandomWalkPolicy(seed=seed)).run()
             outcomes.add((result.outcome, result.trace.failure))
         return outcomes
+
+    def _assert_finding(self, entry, error, seeds=3):
+        """Every schedule ends in one ``exception`` finding naming ``error``."""
+        outcomes = self._run(entry, seeds=seeds)
+        assert len(outcomes) == 1, outcomes
+        outcome, failure = outcomes.pop()
+        assert outcome == "exception"
+        assert error in failure, failure
 
     def test_lock_nonblocking_acquire(self):
         def entry():
@@ -161,11 +238,15 @@ class TestShimSemantics:
 
             threading.Lock().release()
 
-        outcomes = self._run(entry, seeds=3)
-        assert len(outcomes) == 1
-        outcome, failure = outcomes.pop()
-        assert outcome == "exception"
-        assert "RuntimeError" in failure
+        self._assert_finding(entry, "RuntimeError")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [_self_join_before_start_returned, _self_join_after_start_returned],
+        ids=["before_start_returned", "after_start_returned"],
+    )
+    def test_self_join_is_a_finding(self, entry):
+        self._assert_finding(entry, "RuntimeError: cannot join current thread", seeds=10)
 
     def test_rlock_reentrancy_and_foreign_release(self):
         def entry():
@@ -200,10 +281,19 @@ class TestShimSemantics:
             sem.release()
             sem.release()  # one too many
 
-        outcomes = self._run(entry, seeds=3)
-        outcome, failure = outcomes.pop()
-        assert outcome == "exception"
-        assert "ValueError" in failure
+        self._assert_finding(entry, "ValueError: Semaphore released too many times")
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (_release_zero, "n must be one or more"),
+            (_bounded_release_negative, "n must be one or more"),
+            (_sleep_negative, "sleep length must be non-negative"),
+        ],
+        ids=["semaphore_release_0", "bounded_semaphore_release_-1", "sleep_-1"],
+    )
+    def test_out_of_range_argument_is_a_finding(self, entry, error):
+        self._assert_finding(entry, f"ValueError: {error}")
 
     def test_event_and_barrier(self):
         def entry():
@@ -301,3 +391,127 @@ class TestSubstrateGuards:
         guard = GuardConfig(step_budget=10)
         result = Executor(prog, RandomWalkPolicy(seed=0), guard=guard).run()
         assert result.outcome == "timeout"
+
+
+def _clean():
+    import threading
+
+    with threading.Lock():
+        pass
+
+
+def _crash():
+    assert False, "planted"
+
+
+def _self_deadlock():
+    import threading
+
+    lock = threading.Lock()
+    lock.acquire()
+    lock.acquire()
+
+
+def _spin():
+    import threading
+
+    lock = threading.Lock()
+    for _ in range(100):
+        with lock:
+            pass
+
+
+def _nested():
+    Executor(py_program("py:test_inner", lambda: None), RandomWalkPolicy(seed=0)).run()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
+)
+class TestCpuPinning:
+    """Each execution runs on one CPU and hands the caller its mask back."""
+
+    def test_threads_run_on_one_cpu(self):
+        masks = []
+
+        def entry():
+            import threading
+
+            def worker():
+                masks.append(os.sched_getaffinity(0))
+
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            masks.append(os.sched_getaffinity(0))
+
+        Executor(py_program("py:test_pinned", entry), RandomWalkPolicy(seed=0)).run()
+        assert len(masks) == 2
+        assert len(masks[0]) == 1 and masks[0] == masks[1]
+
+    @pytest.mark.parametrize(
+        "entry, options, ending",
+        [
+            (_clean, {}, (None, False)),
+            (_crash, {}, ("assertion", False)),
+            (_self_deadlock, {}, ("deadlock", False)),
+            (_spin, {"max_steps": 10}, (None, True)),
+            (_spin, {"guard": GuardConfig(step_budget=10)}, ("timeout", False)),
+            (_nested, {}, ("exception", False)),
+        ],
+        ids=["clean", "crash", "deadlock", "step_bound", "watchdog", "nested"],
+    )
+    def test_caller_mask_restored(self, entry, options, ending):
+        caller = os.sched_getaffinity(0)
+        inside = []
+
+        def probe():
+            inside.append(os.sched_getaffinity(0))
+            entry()
+
+        prog = py_program("py:test_restore", probe)
+        result = Executor(prog, RandomWalkPolicy(seed=0), **options).run()
+        assert (result.outcome, result.truncated) == ending
+        assert len(inside[0]) == 1
+        assert os.sched_getaffinity(0) == caller
+
+    def test_refused_affinity_runs_unpinned_with_equal_results(self, monkeypatch):
+        prog = bench.get("py:counter_race")
+
+        def fuzz():
+            results = [Executor(prog, RandomWalkPolicy(seed=seed)).run() for seed in range(20)]
+            return [(r.outcome, tuple(r.schedule), r.failure_frames) for r in results]
+
+        pinned = fuzz()
+        caller = os.sched_getaffinity(0)
+
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert fuzz() == pinned
+        inside = []
+        probe = py_program("py:test_unpinned", lambda: inside.append(os.sched_getaffinity(0)))
+        Executor(probe, RandomWalkPolicy(seed=0)).run()
+        assert inside == [caller]
+        assert os.sched_getaffinity(0) == caller
+
+    def test_ctypes_is_imported_only_by_a_substrate_execution(self):
+        code = (
+            "import sys\n"
+            "import repro.harness\n"
+            "from repro import bench\n"
+            "from repro.runtime.executor import Executor\n"
+            "from repro.schedulers import RandomWalkPolicy\n"
+            "Executor(bench.get('CS/account'), RandomWalkPolicy(seed=0)).run()\n"
+            "print('ctypes' in sys.modules)\n"
+            "Executor(bench.get('py:counter_race'), RandomWalkPolicy(seed=0)).run()\n"
+            "print('ctypes' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
