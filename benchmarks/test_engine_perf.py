@@ -11,7 +11,8 @@ subject (and the calibration loop) is timed ``SAMPLES`` times and the best
 rate kept, which suppresses GC/scheduler noise.  Each run writes
 ``results/BENCH_engine.json`` with:
 
-* raw steps/sec (and fuzzer schedules/sec) per subject;
+* raw steps/sec per executor subject and schedules/sec per fuzzer
+  subject (``steps_per_sec`` / ``schedules_per_sec``);
 * a *normalized* rate — steps/sec divided by a pure-Python calibration
   loop's ops/sec — so numbers from machines of different speeds are
   comparable;
@@ -39,6 +40,7 @@ from pathlib import Path
 from repro import bench
 from repro.core.fuzzer import RffFuzzer
 from repro.runtime.executor import Executor
+from repro.schedulers.pct import PctPolicy
 from repro.schedulers.pos import PosPolicy
 from repro.schedulers.random_walk import RandomWalkPolicy
 
@@ -59,11 +61,15 @@ EXECUTOR_SUBJECTS = [
     ("executor/reorder_100-randomwalk", "CS/reorder_100", lambda: RandomWalkPolicy(1), 20),
     ("executor/reorder_10-pos", "CS/reorder_10", lambda: PosPolicy(1), 60),
     ("executor/safestack-pos", "SafeStack", lambda: PosPolicy(2), 24),
+    # Lock-contended: ~50 threads wait on one mutex at most steps.
+    ("executor/twostage_50-pct", "CS/twostage_50", lambda: PctPolicy(seed=1), 20),
 ]
 
 #: (label, program name, schedules per fuzzer run, repetitions).
 FUZZER_SUBJECTS = [
     ("fuzzer/reorder_5-rff", "CS/reorder_5", 20, 6),
+    # Mutated abstract schedules put constraints on the contended mutex.
+    ("fuzzer/twostage_20-rff", "CS/twostage_20", 20, 3),
 ]
 
 
@@ -104,7 +110,7 @@ def _sample_executor(label: str, program_name: str, policy_factory, executions: 
             steps += Executor(program, policy_factory(), max_steps=max_steps).run().steps
         wall = time.perf_counter() - start
         if not best or steps / wall > best["rate"]:
-            best = {"label": label, "steps": steps, "wall": wall, "rate": steps / wall}
+            best = {"label": label, "unit": "steps", "count": steps, "wall": wall, "rate": steps / wall}
     return best
 
 
@@ -119,7 +125,13 @@ def _sample_fuzzer(label: str, program_name: str, budget: int, reps: int) -> dic
             schedules += RffFuzzer(program, seed=seed).run(budget).executions
         wall = time.perf_counter() - start
         if not best or schedules / wall > best["rate"]:
-            best = {"label": label, "steps": schedules, "wall": wall, "rate": schedules / wall}
+            best = {
+                "label": label,
+                "unit": "schedules",
+                "count": schedules,
+                "wall": wall,
+                "rate": schedules / wall,
+            }
     return best
 
 
@@ -155,10 +167,11 @@ def test_engine_throughput_and_regression_gate():
     for sample in samples:
         label = sample["label"]
         normalized = sample["rate"] / calibration
+        unit = sample["unit"]
         entry = {
-            "steps": sample["steps"],
+            unit: sample["count"],
             "wall_sec": round(sample["wall"], 4),
-            "steps_per_sec": round(sample["rate"], 1),
+            f"{unit}_per_sec": round(sample["rate"], 1),
             "normalized": round(normalized, 6),
         }
         if pre and label in pre["subjects"]:
@@ -176,7 +189,7 @@ def test_engine_throughput_and_regression_gate():
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_engine.json").write_text(json.dumps(payload, indent=2) + "\n")
 
-    assert all(s["steps"] > 0 for s in samples)
+    assert all(s["count"] > 0 for s in samples)
     if not regen:
         assert not regressions, (
             "engine throughput regressed >20% vs benchmarks/engine_baseline.json: "

@@ -172,6 +172,21 @@ def make_tracker(constraint: Constraint) -> ConstraintTracker:
     return NegativeTracker(constraint)
 
 
+def _tier(trackers: "list[ConstraintTracker]", candidate: "Candidate", execution: "Executor") -> Bias:
+    """The tier ``trackers`` put ``candidate`` in: boosted and not delayed,
+    delayed and not boosted, else (no opinion, or a conflict) neutral."""
+    boost = delay = False
+    for tracker in trackers:
+        opinion = tracker.bias(candidate, execution)
+        if opinion is Bias.PRIORITIZE:
+            boost = True
+        elif opinion is Bias.DEPRIORITIZE:
+            delay = True
+    if boost is delay:
+        return Bias.NEUTRAL
+    return Bias.PRIORITIZE if boost else Bias.DEPRIORITIZE
+
+
 class RffSchedulerPolicy(SeededPolicy):
     """The proactive reads-from scheduler: constraint bias over a POS core.
 
@@ -181,6 +196,15 @@ class RffSchedulerPolicy(SeededPolicy):
     constraints is treated as neutral — the "multiple conflicting
     constraints" case), (3) POS breaks ties inside the chosen tier.  With an
     empty abstract schedule this is exactly POS.
+
+    A tracker has an opinion only about candidates at its constraint's
+    location, and only while it is active, so the policy keeps its active
+    trackers indexed by location: built in :meth:`begin`, shrunk in
+    :meth:`notify` as trackers retire.  ``notify`` shows an event only to
+    the trackers at its location.  ``choose`` asks them once per distinct
+    abstract event per step, because a tracker's bias reads nothing of a
+    candidate but its abstract event and the location's last write (lock
+    contention offers many candidates sharing one abstract event).
     """
 
     def __init__(self, schedule: AbstractSchedule | None = None, seed: int | None = None):
@@ -188,10 +212,16 @@ class RffSchedulerPolicy(SeededPolicy):
         self.schedule = schedule if schedule is not None else AbstractSchedule.empty()
         self.pos = PosPolicy(seed=self.rng.randrange(2**63))
         self.trackers: list[ConstraintTracker] = []
+        #: location -> its ACTIVE trackers, in ``trackers`` order.
+        self._active_at: dict[str, list[ConstraintTracker]] = {}
 
     def begin(self, execution: "Executor") -> None:
         self.pos.begin(execution)
         self.trackers = [make_tracker(c) for c in sorted(self.schedule.constraints, key=str)]
+        active_at: dict[str, list[ConstraintTracker]] = {}
+        for tracker in self.trackers:
+            active_at.setdefault(tracker.constraint.location, []).append(tracker)
+        self._active_at = active_at
 
     def choose(self, candidates: "list[Candidate]", execution: "Executor") -> "Candidate":
         if len(candidates) == 1:
@@ -201,37 +231,50 @@ class RffSchedulerPolicy(SeededPolicy):
             only = candidates[0]
             self.pos.score_of(only, execution)
             return only
-        # Inactive trackers are always NEUTRAL — prefilter them once per
-        # step instead of querying each per candidate.
-        active = [t for t in self.trackers if t.state is TrackerState.ACTIVE]
-        if not active:
+        active_at = self._active_at
+        if not active_at:
             return self.pos.choose(candidates, execution)
         prioritized: list["Candidate"] = []
         neutral: list["Candidate"] = []
         deprioritized: list["Candidate"] = []
+        # Abstract event (kind, location, loc) -> its tier at this step.
+        tier_of: dict[tuple[str, str, str], Bias] = {}
         for candidate in candidates:
-            boost = delay = False
-            for tracker in active:
-                opinion = tracker.bias(candidate, execution)
-                if opinion is Bias.PRIORITIZE:
-                    boost = True
-                elif opinion is Bias.DEPRIORITIZE:
-                    delay = True
-            if boost and not delay:
-                prioritized.append(candidate)
-            elif delay and not boost:
-                deprioritized.append(candidate)
-            else:
+            location = candidate.location
+            trackers = active_at.get(location)
+            if trackers is None:
                 neutral.append(candidate)
-        tier = prioritized or neutral or deprioritized
+                continue
+            key = (candidate.kind, location, candidate.loc)
+            tier = tier_of.get(key)
+            if tier is None:
+                tier = tier_of[key] = _tier(trackers, candidate, execution)
+            if tier is Bias.NEUTRAL:
+                neutral.append(candidate)
+            elif tier is Bias.PRIORITIZE:
+                prioritized.append(candidate)
+            else:
+                deprioritized.append(candidate)
         # PosPolicy.choose is the same first-maximal arg-max (and the same
         # score-draw order) as max(tier, key=score_of).
-        return self.pos.choose(tier, execution)
+        return self.pos.choose(prioritized or neutral or deprioritized, execution)
 
     def notify(self, event: "Event", execution: "Executor") -> None:
-        for tracker in self.trackers:
-            if tracker.state is TrackerState.ACTIVE:
+        # Only trackers at the event's location can change state (see
+        # ConstraintTracker._event_matches_pair and the observe methods).
+        trackers = self._active_at.get(event.location)
+        if trackers is not None:
+            retired = False
+            for tracker in trackers:
                 tracker.observe(event, execution)
+                if tracker.state is not TrackerState.ACTIVE:
+                    retired = True
+            if retired:
+                active = [t for t in trackers if t.state is TrackerState.ACTIVE]
+                if active:
+                    self._active_at[event.location] = active
+                else:
+                    del self._active_at[event.location]
         self.pos.notify(event, execution)
 
     # -- campaign feedback ---------------------------------------------

@@ -355,8 +355,3 @@ def verify_checksum(payload: dict[str, Any], source: str = "payload") -> dict[st
 def save_checksummed(payload: dict[str, Any], path: str | Path) -> Path:
     """Write ``payload`` with an attached checksum (pretty-printed JSON)."""
     return save_json(attach_checksum(payload), path)
-
-
-def load_checksummed(path: str | Path) -> dict[str, Any]:
-    """Load and verify a checksummed JSON payload."""
-    return verify_checksum(load_json(path), source=str(path))

@@ -12,12 +12,16 @@ Hot-path structure (PR 5): per-op-*type* dispatch tables replace the former
 ``isinstance`` chains — ``_apply`` is a table of bound per-op handlers built
 once at init (subclasses override the ``_apply_*`` methods, see
 :class:`~repro.runtime.tso.TsoExecutor`), enabledness checks live in a
-module-level per-type table, each op's memory ``location`` is precomputed at
-op construction, ``_derive_loc`` labels are memoized per ``(code object,
-lineno)``, and abstract reads-from pairs are collected incrementally as
-interned pair ids while events are recorded, so :meth:`Trace.rf_pairs` is a
-memoized O(1) lookup after the run.  All of it is differentially pinned to
-the pre-optimization engine by ``tests/test_engine_differential.py``.
+module-level per-type table (``lock``, the most frequent, is tested inline),
+each op's memory ``location`` is precomputed at op construction,
+``_derive_loc`` labels are memoized per ``(code object, lineno)``, and
+abstract reads-from pairs are collected incrementally as interned pair ids
+while events are recorded, so :meth:`Trace.rf_pairs` is a memoized O(1)
+lookup after the run.  A step allocates no candidate for a thread whose
+pending op is unchanged (:class:`Candidate` is cached per thread), and the
+run loop accepts the policy's choice by identity before equality.  All of
+it is differentially pinned to the pre-optimization engine by
+``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations
@@ -66,23 +70,51 @@ def _global_counters():
     return _COUNTERS
 
 
-@dataclass(frozen=True)
 class Candidate:
-    """One enabled thread together with the event it would execute next."""
+    """One enabled thread together with the event it would execute next.
 
-    tid: int
-    kind: str
-    location: str
-    loc: str
+    A hand-written slotted class rather than a frozen dataclass, as for
+    :class:`~repro.core.events.Event`: one is built whenever a thread's
+    pending op changes, and the frozen-dataclass ``__init__`` (one
+    ``object.__setattr__`` per field) and ``__dict__`` memo were
+    measurable on the step path.  Equality, hashing, repr and str match
+    the former frozen dataclass exactly (the four public fields, in order).
+    """
+
+    __slots__ = ("tid", "kind", "location", "loc", "_abstract")
+
+    def __init__(self, tid: int, kind: str, location: str, loc: str):
+        self.tid = tid
+        self.kind = kind
+        self.location = location
+        self.loc = loc
+        #: Memoized interned abstract event (excluded from equality/repr).
+        self._abstract: AbstractEvent | None = None
 
     @property
     def abstract(self) -> AbstractEvent:
         """The abstract event ``op(x)@l`` this candidate would produce."""
-        cached = self.__dict__.get("_abstract")
+        cached = self._abstract
         if cached is None:
-            cached = intern_abstract(self.kind, self.location, self.loc)
-            object.__setattr__(self, "_abstract", cached)
+            cached = self._abstract = intern_abstract(self.kind, self.location, self.loc)
         return cached
+
+    def _key(self) -> tuple[int, str, str, str]:
+        return (self.tid, self.kind, self.location, self.loc)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Candidate:
+            return self._key() == other._key()  # type: ignore[union-attr]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Candidate(tid={self.tid!r}, kind={self.kind!r}, "
+            f"location={self.location!r}, loc={self.loc!r})"
+        )
 
     def __str__(self) -> str:
         return f"T{self.tid}:{self.kind}({self.location})@{self.loc}"
@@ -128,14 +160,6 @@ class ExecutionResult:
     def livelocked(self) -> bool:
         """True when the guard's livelock detector tripped."""
         return self.trace.outcome == "livelock"
-
-
-def _innermost_frame(gen: Generator) -> Any:
-    """Follow ``yield from`` delegation to the innermost suspended frame."""
-    inner = gen
-    while getattr(inner, "gi_yieldfrom", None) is not None and hasattr(inner.gi_yieldfrom, "gi_frame"):
-        inner = inner.gi_yieldfrom
-    return getattr(inner, "gi_frame", None), getattr(inner, "gi_code", None)
 
 
 #: The runtime package directory; traceback frames inside it are executor
@@ -213,10 +237,11 @@ def _op_location(op: ops.Op) -> str:
     return op.location
 
 
-#: Per-op-type enabledness checks; op types absent from the table are always
-#: enabled.  Keyed on the concrete class (ops are never subclassed).
+#: Per-op-type enabledness checks of the blocking ops other than ``lock``,
+#: which :meth:`Executor.enabled_candidates` tests inline (it is by far the
+#: most frequent); op types absent from the table are always enabled.
+#: Keyed on the concrete class (ops are never subclassed).
 _ENABLED_CHECKS = {
-    ops.LockOp: lambda op: not op.mutex.held,
     ops.JoinOp: lambda op: op.handle.finished,
     ops.SemAcquireOp: lambda op: op.sem.count > 0,
 }
@@ -249,7 +274,16 @@ _APPLY_METHODS: dict[type[ops.Op], str] = {
 
 
 class Executor:
-    """Runs one program to completion under one scheduler policy."""
+    """Runs one program to completion under one scheduler policy.
+
+    Each step computes :meth:`enabled_candidates` (a buffer reused across
+    steps), asks the policy to ``choose`` one of them, executes it and
+    ``notify``-s the policy of the event.  A policy must return one of the
+    candidates it was given, or one equal to it; anything else is a
+    :class:`SchedulerError`.  Policies may inspect the execution through
+    the read-only accessors below (``threads``, :meth:`live_threads`,
+    :meth:`last_write_event`, ...).
+    """
 
     def __init__(
         self,
@@ -277,8 +311,8 @@ class Executor:
         self._last_write_event: dict[str, Event] = {}
         #: Count of unfinished threads (maintained by _advance/_spawn).
         self._live_threads = 0
-        #: Threads scanned by enabled_candidates: ``self.threads`` minus
-        #: finished ones, pruned lazily (tid order preserved by removal).
+        #: The unfinished threads (see live_threads): ``self.threads``
+        #: minus finished ones, pruned lazily (tid order preserved by removal).
         self._scan_threads: list[ThreadState] = []
         self._scan_dirty = False
         #: Interned abstract rf pair ids seen so far, plus their running
@@ -366,8 +400,14 @@ class Executor:
                     error.frames = self._frontier_frames()
                     raise error
                 choice = choose(candidates, self)
-                if choice not in candidates:
-                    raise SchedulerError(f"policy chose {choice}, not an enabled candidate")
+                # Policies return one of the candidates themselves, so an
+                # identity scan settles the check without calling __eq__.
+                for candidate in candidates:
+                    if candidate is choice:
+                        break
+                else:
+                    if choice not in candidates:
+                        raise SchedulerError(f"policy chose {choice}, not an enabled candidate")
                 event = execute(choice)
                 notify(event, self)
                 if watchdog is not None:
@@ -450,6 +490,21 @@ class Executor:
         with extra pending work, e.g. unflushed TSO store buffers)."""
         return self._live_threads == 0
 
+    def live_threads(self) -> list[ThreadState]:
+        """The unfinished threads, in tid order.
+
+        The list is the executor's own scan list: valid until the next
+        step, and not to be mutated.  Policies that look at pending
+        operations use it to skip finished threads (which have none).
+        """
+        if self._scan_dirty:
+            # Prune finished threads (irreversible state); removal keeps
+            # the list tid-ordered, preserving the candidate order
+            # policies observe.
+            self._scan_threads = [t for t in self._scan_threads if t.status is not ThreadStatus.FINISHED]
+            self._scan_dirty = False
+        return self._scan_threads
+
     def enabled_candidates(self) -> list[Candidate]:
         """All runnable threads whose pending operation can execute now.
 
@@ -457,37 +512,33 @@ class Executor:
         valid until the next call (consumers that retain candidates copy
         them, which every in-tree policy and explorer already does).
         """
-        if self._scan_dirty:
-            # Prune finished threads (irreversible state) from the scan
-            # list; removal keeps the list tid-ordered, preserving the
-            # candidate order policies observe.
-            self._scan_threads = [t for t in self._scan_threads if t.status is not ThreadStatus.FINISHED]
-            self._scan_dirty = False
         out = self._candidates_buf
         out.clear()
         append = out.append
         checks = _ENABLED_CHECKS
         runnable = ThreadStatus.RUNNABLE
-        for thread in self._scan_threads:
+        lock_op = ops.LockOp
+        for thread in self.live_threads():
             if thread.status is not runnable:
                 continue
             op = thread.pending
             if op is None:
                 continue
             if op.may_block:
-                check = checks.get(op.__class__)
-                if check is not None and not check(op):
-                    continue
+                cls = op.__class__
+                if cls is lock_op:
+                    if op.mutex.owner is not None:
+                        continue
+                else:
+                    check = checks.get(cls)
+                    if check is not None and not check(op):
+                        continue
             candidate = thread.cached_candidate
             if candidate is None:
                 candidate = Candidate(thread.tid, op.kind, op.location, thread.pending_loc)
                 thread.cached_candidate = candidate
             append(candidate)
         return out
-
-    def _op_enabled(self, thread: ThreadState, op: ops.Op) -> bool:
-        check = _ENABLED_CHECKS.get(op.__class__)
-        return True if check is None else check(op)
 
     # ------------------------------------------------------------------
     # Event execution

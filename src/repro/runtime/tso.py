@@ -20,6 +20,10 @@ Semantics (Owens, Sarkar & Sewell's x86-TSO, reduced to this runtime):
 * atomic operations (``rmw``/``cas``) and every synchronization operation
   act as fences: they drain the executing thread's buffer first, matching
   x86 locked instructions / ``mfence``;
+* a ``join`` is enabled only once the joined thread has finished *and* its
+  buffer is empty, so the joiner sees every store of the joined thread
+  (``pthread_join`` synchronizes memory).  Until the flushes run, threads
+  that did not join can still read the stale values;
 * executions complete only once every buffer is empty.
 
 Reads-from edges always point at the original ``w`` event (not the flush),
@@ -92,16 +96,28 @@ class TsoExecutor(Executor):
     # ------------------------------------------------------------------
     def enabled_candidates(self) -> list[Candidate]:
         candidates = super().enabled_candidates()
-        for tid, buffer in self._buffers.items():
-            if buffer:
-                candidates.append(
-                    Candidate(
-                        tid=tid,
-                        kind=FLUSH_KIND,
-                        location=buffer[0].location,
-                        loc="tso:flush",
-                    )
+        buffered = [tid for tid, buffer in self._buffers.items() if buffer]
+        if not buffered:
+            return candidates
+        # POSIX lists pthread_join among the functions that synchronize
+        # memory: a join returns only once the joined thread's stores are
+        # visible.  Their flushes are enabled below, so a join held back
+        # here never deadlocks the execution.
+        threads = self.threads
+        candidates[:] = [
+            c
+            for c in candidates
+            if c.kind != "join" or threads[c.tid].pending.handle.tid not in buffered
+        ]
+        for tid in buffered:
+            candidates.append(
+                Candidate(
+                    tid=tid,
+                    kind=FLUSH_KIND,
+                    location=self._buffers[tid][0].location,
+                    loc="tso:flush",
                 )
+            )
         return candidates
 
     def _execute(self, choice: Candidate) -> Event:

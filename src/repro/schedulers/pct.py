@@ -50,7 +50,21 @@ class PctPolicy(SeededPolicy):
         return self._priorities[tid]
 
     def choose(self, candidates: "list[Candidate]", execution: "Executor") -> "Candidate":
-        return max(candidates, key=lambda c: self._priority(c.tid))
+        # Explicit arg-max (first maximal element, exactly like max() with a
+        # priority key): priorities are drawn in candidate order, keeping the
+        # rng stream identical.  Every priority is >= 0.
+        priorities = self._priorities
+        best = None
+        best_priority = -1.0
+        for candidate in candidates:
+            tid = candidate.tid
+            priority = priorities.get(tid)
+            if priority is None:
+                priority = self._priority(tid)
+            if priority > best_priority:
+                best_priority = priority
+                best = candidate
+        return best
 
     def notify(self, event: "Event", execution: "Executor") -> None:
         step = execution.step_index  # 1-based once the event is recorded

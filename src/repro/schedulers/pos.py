@@ -77,7 +77,8 @@ class PosPolicy(SeededPolicy):
         location = event.location
         event_tid = event.tid
         scores = self._scores
-        for thread in execution.threads:
+        # Finished threads have no pending event: scan the live ones only.
+        for thread in execution.live_threads():
             pending = thread.pending
             if pending is None or thread.tid == event_tid:
                 continue

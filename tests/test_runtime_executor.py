@@ -250,3 +250,57 @@ class TestReplay:
         result = run_program(racy_counter, policy)
         assert policy.diverged == 0
         assert not result.truncated
+
+
+class TestCandidate:
+    """``Candidate`` is a slotted class that behaves like the frozen
+    dataclass it replaced."""
+
+    @staticmethod
+    def former():
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class Candidate:
+            tid: int
+            kind: str
+            location: str
+            loc: str
+
+            def __str__(self) -> str:
+                return f"T{self.tid}:{self.kind}({self.location})@{self.loc}"
+
+        Candidate.__qualname__ = "Candidate"  # as at module level
+        return Candidate
+
+    SAMPLES = [
+        (0, "w", "var:x", "main:3"),
+        (1, "lock", "mutex:m", "worker:12"),
+        (12, "flush", "var:y'", "tso:flush"),
+        (3, "join", "thread:T1", "?:?"),
+    ]
+
+    def test_eq_hash_repr_str_match_the_former_dataclass(self):
+        from repro.runtime.executor import Candidate
+
+        Former = self.former()
+        for fields in self.SAMPLES:
+            new, old = Candidate(*fields), Former(*fields)
+            assert repr(new) == repr(old)
+            assert repr(new) == "Candidate(tid={!r}, kind={!r}, location={!r}, loc={!r})".format(*fields)
+            assert str(new) == str(old)
+            assert hash(new) == hash(old)
+            assert new == Candidate(*fields) and not new != Candidate(*fields)
+            for other in self.SAMPLES:
+                assert (new == Candidate(*other)) == (old == Former(*other))
+            # Like the dataclass, equality needs the same class.
+            assert new != old and new != fields
+
+    def test_abstract_is_interned_and_not_part_of_equality(self):
+        from repro.core.events import intern_abstract
+        from repro.runtime.executor import Candidate
+
+        candidate = Candidate(1, "lock", "mutex:m", "worker:12")
+        assert candidate.abstract is intern_abstract("lock", "mutex:m", "worker:12")
+        assert candidate == Candidate(1, "lock", "mutex:m", "worker:12")
+        assert {candidate: 1}[Candidate(1, "lock", "mutex:m", "worker:12")] == 1

@@ -393,6 +393,25 @@ class TestAdversarialDeadlock:
         with pytest.raises(SchedulerError, match="not an enabled candidate"):
             run_program(abba_deadlock, RoguePolicy())
 
+    def test_policy_returning_equal_copy_of_candidate_accepted(self, abba_deadlock):
+        from repro.runtime.executor import Candidate
+
+        class CopyingPolicy(SchedulerPolicy):
+            copies = 0
+
+            def choose(self, candidates, execution):
+                pick = candidates[-1]
+                copy = Candidate(pick.tid, pick.kind, pick.location, pick.loc)
+                assert copy is not pick and copy == pick
+                self.copies += 1
+                return copy
+
+        policy = CopyingPolicy()
+        result = run_program(abba_deadlock, policy)
+        assert policy.copies == result.steps > 0
+        replay = run_program(abba_deadlock, ReplayPolicy(result.schedule))
+        assert replay.schedule == result.schedule and replay.outcome == result.outcome
+
 
 class TestHeapOracles:
     def test_uaf_reachable_and_reported(self, uaf):

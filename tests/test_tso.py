@@ -298,11 +298,84 @@ class TestAdversarialDraining:
         result = run_program_tso(sb_fenced, FlushAvoiderPolicy())
         assert not result.crashed and not result.truncated
 
-    def test_flush_avoider_leaves_stale_reads_visible(self):
-        # Under maximal flush delay main's reads of r1/r2 see the initial
-        # -1 values (the workers' stores are still buffered at join time):
-        # unusual, but a legal TSO execution the runtime must model.
+    def test_flush_avoider_cannot_hide_stores_from_a_joiner(self):
+        # Under maximal flush delay both workers' loads read stale memory
+        # (0), and their stores are still buffered when they finish.  A
+        # join returns only once the joined thread's buffer is empty
+        # (pthread_join synchronizes memory), so main's post-join reads
+        # see the workers' writes of 0: the weak SB outcome.
         result = run_program_tso(sb_litmus, FlushAvoiderPolicy())
-        assert not result.crashed
+        assert result.crashed and "store-buffer reordering observed" in result.trace.failure
         main_reads = [e for e in result.trace if e.tid == 0 and e.kind == "r"]
-        assert main_reads and all(e.rf == 0 and e.value == -1 for e in main_reads)
+        assert len(main_reads) == 2
+        for read in main_reads:
+            writer = result.trace.event_by_id(read.rf)
+            assert writer.tid in (1, 2) and read.value == 0
+
+    def test_thread_that_did_not_join_reads_stale_values(self):
+        # The writer finishes with its store buffered; a reader that never
+        # joined it still reads the initial value until the flush.
+        @program("t/stale_without_join")
+        def prog(t):
+            def writer(t, x):
+                yield t.write(x, 1)
+
+            def reader(t, x, out):
+                value = yield t.read(x)
+                yield t.write(out, value)
+
+            x = t.var("x", 0)
+            out = t.var("out", -1)
+            h1 = yield t.spawn(writer, x)
+            h2 = yield t.spawn(reader, x, out)
+            yield t.join(h1)
+            yield t.join(h2)
+            seen = yield t.read(x)
+            t.require(seen == 1, f"join did not publish: read {seen}")
+
+        # spawn, spawn, the writer's store (it then finishes), the read.
+        result = run_program_tso(prog, ScriptedTidPolicy([0, 0, 1, 2]))
+        assert not result.crashed
+        store = next(e for e in result.trace if e.tid == 1 and e.kind == "w")
+        read = next(e for e in result.trace if e.tid == 2 and e.kind == "r")
+        flush = next(e for e in result.trace if e.kind == FLUSH_KIND and e.tid == 1)
+        assert store.eid < read.eid < flush.eid
+        assert read.rf == 0 and read.value == 0
+
+
+@program("t/join_publishes", bug_kinds=())
+def join_publishes(t):
+    """Correct under SC and x86-TSO: join makes the worker's store visible."""
+
+    def worker(t, out):
+        yield t.write(out, 42)
+
+    out = t.var("out", 0)
+    handle = yield t.spawn(worker, out)
+    yield t.join(handle)
+    value = yield t.read(out)
+    t.require(value == 42, f"join did not publish the worker's store: read {value}")
+
+
+class TestJoinVisibility:
+    """Regression: a joined thread's buffered stores used to stay invisible
+    to the joiner, a false positive of ``--memory-model tso``."""
+
+    def test_joiner_sees_joined_threads_store(self):
+        for seed in range(200):
+            result = run_program_tso(join_publishes, RandomWalkPolicy(seed))
+            assert not result.crashed, (seed, result.trace.failure)
+
+    def test_rff_under_tso_reports_no_bug(self):
+        config = RffConfig(memory_model="tso")
+        report = fuzz(join_publishes, max_executions=300, seed=0, config=config,
+                      stop_on_first_crash=True)
+        assert not report.found_bug
+
+    def test_join_waits_for_the_flush_without_deadlock(self):
+        # The flush avoider runs the join as early as it is enabled: right
+        # after the worker's only flush, never before it.
+        result = run_program_tso(join_publishes, FlushAvoiderPolicy())
+        assert not result.crashed and not result.truncated
+        kinds = [(e.tid, e.kind) for e in result.trace]
+        assert kinds.index((1, FLUSH_KIND)) + 1 == kinds.index((0, "join"))
