@@ -36,12 +36,27 @@ so schedules and traces are unaffected.  Where ``os.sched_setaffinity`` or
 libc ``sched_getcpu`` is missing, or a call fails, the execution runs
 unpinned.
 
+One switch per handoff: on one CPU, a thread woken under the default
+``SCHED_OTHER`` policy preempts its waker, finds the GIL still held and
+blocks again, so each handoff costs about three context switches instead
+of one.  Right after a successful pin, :meth:`activate` therefore moves
+the executor thread from ``SCHED_OTHER`` to ``SCHED_BATCH`` (Linux lets
+any thread switch between the two without privilege), and every thread it
+starts inherits the policy with the mask.  A woken ``SCHED_BATCH`` thread
+does not preempt the running one, so the waker runs on to its own blocking
+acquire, which drops the GIL, and the handoff is one voluntary switch.
+Like the pin, the policy changes when a thread runs, never which one, so
+schedules and traces are unaffected.  The policy is left alone where the
+pin failed (the wake then goes to another CPU, and the policy buys
+nothing), where the caller runs on any policy but ``SCHED_OTHER``, and
+where ``os.sched_setscheduler`` is missing or refused.
+
 Teardown: the executor runs execution-scoped cleanups (``Api.add_cleanup``)
 after closing every thread generator; the context's :meth:`finalize` aborts
 all parked threads by resuming them with :class:`SubstrateAbort` (a
 ``BaseException``, so ordinary ``except Exception`` handlers in program code
 cannot swallow it), joins them, and restores the stdlib patches, the cyclic
-GC and the caller's CPU mask.
+GC, and the caller's CPU mask and scheduling policy.
 """
 
 from __future__ import annotations
@@ -123,6 +138,23 @@ def _pin_to_current_cpu() -> set[int] | None:
     except OSError:
         return None
     return mask
+
+
+def _switch_to_batch() -> bool:
+    """Move the calling thread from ``SCHED_OTHER`` to ``SCHED_BATCH``.
+
+    Returns False, leaving the thread as it was, where the platform lacks
+    the policy calls, the thread runs on another policy, or a call fails.
+    """
+    if not hasattr(os, "sched_setscheduler") or not hasattr(os, "SCHED_BATCH"):
+        return False
+    try:
+        if os.sched_getscheduler(0) != os.SCHED_OTHER:
+            return False
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except OSError:
+        return False
+    return True
 
 
 def register_internal_file(path: str) -> None:
@@ -316,6 +348,9 @@ class SubstrateContext:
         self._gc_was_enabled = False
         #: The executor thread's CPU mask before activate pinned it.
         self._caller_mask: set[int] | None = None
+        #: Whether activate moved the executor thread from ``SCHED_OTHER``
+        #: to ``SCHED_BATCH``.
+        self._batched = False
 
     # -- naming ----------------------------------------------------------
     def next_index(self, kind: str) -> int:
@@ -341,9 +376,12 @@ class SubstrateContext:
         _ACTIVE = self
         self.api = api
         api.add_cleanup(self.finalize)
-        # Pin before the bridge starts any real thread, so they all inherit
-        # the one-CPU mask (see the module docstring).
+        # Pin and switch policy before the bridge starts any real thread, so
+        # they all inherit the one-CPU mask and SCHED_BATCH (see the module
+        # docstring).
         self._caller_mask = _pin_to_current_cpu()
+        if self._caller_mask is not None:
+            self._batched = _switch_to_batch()
         # The cyclic collector runs finalizers (TPE weakref wake-ups, __del__)
         # at allocation-dependent moments — nondeterministic across the
         # process and capable of firing *inside* a gate rendezvous.  Pause it
@@ -361,8 +399,8 @@ class SubstrateContext:
         setattr(target, attr, value)
 
     def finalize(self) -> None:
-        """Abort parked threads, join them, and restore every patch, the GC
-        and the caller's CPU mask."""
+        """Abort parked threads, join them, and restore every patch, the GC,
+        and the caller's CPU mask and scheduling policy."""
         global _ACTIVE
         self.closed = True
         stuck: list[str] = []
@@ -386,6 +424,12 @@ class SubstrateContext:
                 except OSError:  # pragma: no cover - a cpuset shrank mid-run
                     pass
                 self._caller_mask = None
+            if self._batched:
+                try:
+                    os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+                except OSError:  # pragma: no cover - the switch back was refused
+                    pass
+                self._batched = False
             if _ACTIVE is self:
                 _ACTIVE = None
         if stuck:  # pragma: no cover - requires a wedged native call

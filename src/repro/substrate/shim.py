@@ -11,9 +11,18 @@ the process.
 
 Faithfulness notes (also in docs/API.md):
 
-* Timeouts are treated as blocking: ``acquire(timeout=5)`` models the
-  untimed acquire (a timeout of exactly ``0`` is the non-blocking probe).
-  Deterministic schedules cannot honour wall-clock timeouts.
+* Positive timeouts are treated as blocking: ``acquire(timeout=5)`` models
+  the untimed acquire.  Deterministic schedules cannot honour wall-clock
+  timeouts.  A timeout that has already expired (``0`` or negative, where
+  the stdlib accepts it) never blocks: the call is the stdlib's
+  non-blocking probe and returns its result (``False``, ``Empty``,
+  ``Full``, or at once for ``Thread.join``).  ``Condition.wait`` with an
+  expired timeout releases and re-takes the lock and returns ``False``; a
+  notify landing between the two is not delivered to it.  ``Barrier.wait``
+  ignores its timeout, expired or not.
+* Arguments the stdlib refuses (``acquire(False, 1)``, a negative
+  ``Lock.acquire`` or ``Queue.get`` timeout, ``release(0)``, ...) raise
+  its ``ValueError``.
 * Lock misuse (releasing an unheld lock, waiting without the lock) raises
   the same ``RuntimeError`` the stdlib raises — inside the controlled
   thread, so it surfaces as an ``exception`` finding, not a harness error.
@@ -44,6 +53,29 @@ Empty = _queue_module.Empty
 Full = _queue_module.Full
 
 
+def _expired(timeout: float | None) -> bool:
+    """Whether a timeout has run out before the call: a probe, not a wait."""
+    return timeout is not None and timeout <= 0
+
+
+def _lock_blocks(blocking: bool, timeout: float) -> bool:
+    """Whether ``Lock.acquire(blocking, timeout)`` may block; raises the
+    stdlib's ``ValueError`` for the argument pairs it refuses."""
+    if timeout != -1:
+        if not blocking:
+            raise ValueError("can't specify a timeout for a non-blocking call")
+        if timeout < 0:
+            raise ValueError("timeout value must be positive")
+    return blocking and timeout != 0
+
+
+def _check_queue_timeout(block: bool, timeout: float | None) -> None:
+    """Raise the stdlib's ``ValueError`` for a blocking queue call's
+    negative timeout."""
+    if block and timeout is not None and timeout < 0:
+        raise ValueError("'timeout' must be a non-negative number")
+
+
 # ----------------------------------------------------------------------
 # Locks
 # ----------------------------------------------------------------------
@@ -63,7 +95,7 @@ class ShimLock:
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         loc = call_site()
-        if not blocking or timeout == 0:
+        if not _lock_blocks(blocking, timeout):
             ok = self._ctx.call(ops.TryLockOp(mutex=self._mutex, loc=loc))
             if ok:
                 self._owner = gate.current_channel()
@@ -111,12 +143,13 @@ class ShimRLock:
         self._count = 0
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        blocks = _lock_blocks(blocking, timeout)
         channel = gate.current_channel()
         if channel is not None and self._owner is channel:
             self._count += 1
             return True
         loc = call_site()
-        if not blocking or timeout == 0:
+        if not blocks:
             ok = self._ctx.call(ops.TryLockOp(mutex=self._mutex, loc=loc))
             if not ok:
                 return False
@@ -166,7 +199,10 @@ class ShimCondition:
     ``wait`` submits a single ``WaitOp`` — the executor releases the lock,
     parks the thread and re-acquires on wakeup atomically, exactly like
     ``pthread_cond_wait`` — so shim-side lock state is saved/restored around
-    the suspension.
+    the suspension.  An expired timeout (``wait(t)`` with ``t <= 0``) is the
+    stdlib's failed probe instead: the lock is released and re-taken (an
+    ``UnlockOp``, then a ``LockOp``) and ``wait`` returns False; a notify
+    landing between the two is not delivered to it.
     """
 
     def __init__(self, ctx: SubstrateContext, lock: ShimLock | ShimRLock | None = None):
@@ -189,15 +225,24 @@ class ShimCondition:
     def wait(self, timeout: float | None = None) -> bool:
         channel = gate.current_channel()
         state = self._lock._presuspend(channel)
-        self._ctx.call(ops.WaitOp(cond=self._cond, mutex=self._lock._mutex, loc=call_site()))
+        mutex = self._lock._mutex
+        loc = call_site()
+        expired = _expired(timeout)
+        if expired:
+            self._ctx.call(ops.UnlockOp(mutex=mutex, loc=loc))
+            self._ctx.call(ops.LockOp(mutex=mutex, loc=loc))
+        else:
+            self._ctx.call(ops.WaitOp(cond=self._cond, mutex=mutex, loc=loc))
         self._lock._postresume(channel, state)  # type: ignore[arg-type]
-        return True
+        return not expired
 
     def wait_for(self, predicate: Callable[[], Any], timeout: float | None = None) -> Any:
         result = predicate()
         while not result:
-            self.wait()
+            self.wait(timeout)
             result = predicate()
+            if _expired(timeout):
+                break
         return result
 
     def notify(self, n: int = 1) -> None:
@@ -228,8 +273,10 @@ class ShimSemaphore:
         self._sem = Semaphore(f"py.sem{ctx.next_index('sem')}", init=value)
 
     def acquire(self, blocking: bool = True, timeout: float | None = None) -> bool:
+        if not blocking and timeout is not None:
+            raise ValueError("can't specify timeout for non-blocking acquire")
         loc = call_site()
-        if not blocking or timeout == 0:
+        if not blocking or _expired(timeout):
             return self._ctx.call(ops.TrySemAcquireOp(sem=self._sem, loc=loc))
         self._ctx.call(ops.SemAcquireOp(sem=self._sem, loc=loc))
         return True
@@ -298,10 +345,13 @@ class ShimEvent:
         loc = call_site()
         call = self._ctx.call
         call(ops.LockOp(mutex=self._mutex, loc=loc))
-        while not call(ops.ReadOp(var=self._flag, loc=loc)):
-            call(ops.WaitOp(cond=self._cond, mutex=self._mutex, loc=loc))
+        flag = call(ops.ReadOp(var=self._flag, loc=loc))
+        if not _expired(timeout):
+            while not flag:
+                call(ops.WaitOp(cond=self._cond, mutex=self._mutex, loc=loc))
+                flag = call(ops.ReadOp(var=self._flag, loc=loc))
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
-        return True
+        return bool(flag)
 
 
 class ShimBarrier:
@@ -398,6 +448,11 @@ class ShimThread:
             raise RuntimeError("cannot join thread before it is started")
         if self._channel is not None and self._channel is gate.current_channel():
             raise RuntimeError("cannot join current thread")
+        if _expired(timeout):
+            # The stdlib's probe of a thread that may still run: return at
+            # once, at a scheduling point so a polling loop lets it finish.
+            self._ctx.call(ops.YieldOp(loc=call_site()))
+            return
         self._ctx.call(ops.JoinOp(handle=self._handle, loc=call_site()))
 
     def is_alive(self) -> bool:
@@ -439,11 +494,13 @@ class ShimQueue:
             self._items.append(item)
             self._unfinished += 1
             return
+        if 0 < self.maxsize:
+            _check_queue_timeout(block, timeout)
         loc = call_site()
         call = self._ctx.call
         call(ops.LockOp(mutex=self._mutex, loc=loc))
         if 0 < self.maxsize:
-            if not block:
+            if not block or _expired(timeout):
                 if len(self._items) >= self.maxsize:
                     call(ops.UnlockOp(mutex=self._mutex, loc=loc))
                     raise Full
@@ -456,10 +513,11 @@ class ShimQueue:
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
 
     def get(self, block: bool = True, timeout: float | None = None) -> Any:
+        _check_queue_timeout(block, timeout)
         loc = call_site()
         call = self._ctx.call
         call(ops.LockOp(mutex=self._mutex, loc=loc))
-        if not block:
+        if not block or _expired(timeout):
             if not self._items:
                 call(ops.UnlockOp(mutex=self._mutex, loc=loc))
                 raise Empty
@@ -535,10 +593,11 @@ class ShimSimpleQueue:
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
 
     def get(self, block: bool = True, timeout: float | None = None) -> Any:
+        _check_queue_timeout(block, timeout)
         loc = call_site()
         call = self._ctx.call
         call(ops.LockOp(mutex=self._mutex, loc=loc))
-        if not block:
+        if not block or _expired(timeout):
             if not self._items:
                 call(ops.UnlockOp(mutex=self._mutex, loc=loc))
                 raise Empty

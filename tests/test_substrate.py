@@ -8,8 +8,9 @@ Covers the four acceptance properties of the ``py:`` namespace:
 * serial and parallel campaigns over ``py:`` programs are bit-identical.
 
 Plus unit-level checks of the shim semantics (misuse raises the stdlib's
-``RuntimeError``/``ValueError``, not a harness error), the substrate's
-escape hatches, and the one-CPU pinning of each execution.
+``RuntimeError``/``ValueError``, not a harness error, and an expired timeout
+is a probe that never blocks), the substrate's escape hatches, and the one
+CPU and ``SCHED_BATCH`` policy of each execution.
 """
 
 from __future__ import annotations
@@ -78,6 +79,22 @@ def no_thread_leaks():
     while _os_thread_count() > baseline and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _os_thread_count() == baseline
+
+
+def _scheduling() -> tuple:
+    """The calling thread's CPU mask and scheduling policy, where readable."""
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    policy = os.sched_getscheduler(0) if hasattr(os, "sched_getscheduler") else None
+    return mask, policy
+
+
+@pytest.fixture(autouse=True)
+def caller_scheduling_restored():
+    """Every test must hand the calling thread its CPU mask and policy back,
+    so no test passes on a policy an earlier one leaked."""
+    before = _scheduling()
+    yield
+    assert _scheduling() == before
 
 
 class TestTargets:
@@ -199,6 +216,130 @@ def _sleep_negative():
     time.sleep(-1)
 
 
+def _lock_nonblocking_timeout():
+    import threading
+
+    threading.Lock().acquire(False, 1)
+
+
+def _rlock_nonblocking_timeout():
+    import threading
+
+    threading.RLock().acquire(False, 1)
+
+
+def _lock_timeout_negative():
+    import threading
+
+    threading.Lock().acquire(timeout=-2)
+
+
+def _semaphore_nonblocking_timeout():
+    import threading
+
+    threading.Semaphore(1).acquire(False, 1)
+
+
+def _bounded_queue_put_timeout_negative():
+    import queue
+
+    queue.Queue(1).put(1, timeout=-1)
+
+
+def _queue_get_timeout_negative():
+    import queue
+
+    queue.Queue().get(timeout=-1)
+
+
+def _simple_queue_get_timeout_negative():
+    import queue
+
+    queue.SimpleQueue().get(timeout=-1)
+
+
+def _raises(error, call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except error:
+        return
+    raise AssertionError(f"{error.__name__} not raised")
+
+
+def _event_wait_expired():
+    import threading
+
+    event = threading.Event()
+    assert event.wait(0) is False
+    assert event.wait(-1) is False
+    event.set()
+    assert event.wait(0) is True
+
+
+def _condition_wait_expired():
+    import threading
+
+    for cond in (threading.Condition(), threading.Condition(threading.Lock())):
+        with cond:
+            assert cond.wait(0) is False
+            assert cond.wait(-1) is False
+    # An RLock comes back at its depth: both exits release it.
+    cond = threading.Condition()
+    with cond, cond:
+        assert cond.wait(0) is False
+
+
+def _condition_wait_for_expired():
+    import threading
+
+    cond = threading.Condition()
+    with cond:
+        assert cond.wait_for(lambda: False, 0) is False
+        assert cond.wait_for(lambda: 7, 0) == 7
+
+
+def _queue_get_expired():
+    import queue
+
+    _raises(queue.Empty, queue.Queue().get, timeout=0)
+
+
+def _bounded_queue_put_expired():
+    import queue
+
+    q = queue.Queue(1)
+    q.put(1, timeout=0)
+    _raises(queue.Full, q.put, 2, timeout=0)
+    assert q.get_nowait() == 1
+
+
+def _simple_queue_get_expired():
+    import queue
+
+    _raises(queue.Empty, queue.SimpleQueue().get, timeout=0)
+
+
+def _semaphore_acquire_expired():
+    import threading
+
+    sem = threading.Semaphore(0)
+    assert sem.acquire(timeout=-1) is False
+    sem.release()
+    assert sem.acquire(timeout=-1) is True
+
+
+def _join_expired():
+    import threading
+
+    go = threading.Event()
+    thread = threading.Thread(target=go.wait)
+    thread.start()
+    assert thread.join(0) is None
+    assert thread.is_alive()
+    go.set()
+    thread.join()
+
+
 class TestShimSemantics:
     """Shim misuse must raise the stdlib exception (a finding), not wedge."""
 
@@ -289,11 +430,56 @@ class TestShimSemantics:
             (_release_zero, "n must be one or more"),
             (_bounded_release_negative, "n must be one or more"),
             (_sleep_negative, "sleep length must be non-negative"),
+            (_lock_nonblocking_timeout, "can't specify a timeout for a non-blocking call"),
+            (_rlock_nonblocking_timeout, "can't specify a timeout for a non-blocking call"),
+            (_lock_timeout_negative, "timeout value must be positive"),
+            (_semaphore_nonblocking_timeout, "can't specify timeout for non-blocking acquire"),
+            (_bounded_queue_put_timeout_negative, "'timeout' must be a non-negative number"),
+            (_queue_get_timeout_negative, "'timeout' must be a non-negative number"),
+            (_simple_queue_get_timeout_negative, "'timeout' must be a non-negative number"),
         ],
-        ids=["semaphore_release_0", "bounded_semaphore_release_-1", "sleep_-1"],
+        ids=[
+            "semaphore_release_0",
+            "bounded_semaphore_release_-1",
+            "sleep_-1",
+            "lock_acquire_False_1",
+            "rlock_acquire_False_1",
+            "lock_acquire_timeout_-2",
+            "semaphore_acquire_False_1",
+            "bounded_queue_put_timeout_-1",
+            "queue_get_timeout_-1",
+            "simple_queue_get_timeout_-1",
+        ],
     )
     def test_out_of_range_argument_is_a_finding(self, entry, error):
         self._assert_finding(entry, f"ValueError: {error}")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            _event_wait_expired,
+            _condition_wait_expired,
+            _condition_wait_for_expired,
+            _queue_get_expired,
+            _bounded_queue_put_expired,
+            _simple_queue_get_expired,
+            _semaphore_acquire_expired,
+            _join_expired,
+        ],
+        ids=[
+            "event_wait",
+            "condition_wait",
+            "condition_wait_for",
+            "queue_get",
+            "bounded_queue_put",
+            "simple_queue_get",
+            "semaphore_acquire",
+            "thread_join",
+        ],
+    )
+    def test_expired_timeout_is_a_probe(self, entry):
+        """A timeout of 0 or below returns the stdlib's result at once."""
+        assert self._run(entry, seeds=5) == {(None, None)}
 
     def test_event_and_barrier(self):
         def entry():
@@ -425,11 +611,50 @@ def _nested():
     Executor(py_program("py:test_inner", lambda: None), RandomWalkPolicy(seed=0)).run()
 
 
+#: One execution per way an execution can end: (entry, Executor options,
+#: (outcome, truncated)).
+_ENDINGS = pytest.mark.parametrize(
+    "entry, options, ending",
+    [
+        (_clean, {}, (None, False)),
+        (_crash, {}, ("assertion", False)),
+        (_self_deadlock, {}, ("deadlock", False)),
+        (_spin, {"max_steps": 10}, (None, True)),
+        (_spin, {"guard": GuardConfig(step_budget=10)}, ("timeout", False)),
+        (_nested, {}, ("exception", False)),
+    ],
+    ids=["clean", "crash", "deadlock", "step_bound", "watchdog", "nested"],
+)
+
+needs_policy_calls = pytest.mark.skipif(
+    not (hasattr(os, "sched_setscheduler") and hasattr(os, "SCHED_BATCH")),
+    reason="no scheduling-policy calls on this platform",
+)
+
+
+def _policy_inside(caller: int) -> int:
+    """The policy an execution's threads run on, given the caller's: a
+    ``SCHED_OTHER`` caller's execution runs ``SCHED_BATCH``, any other
+    caller's runs on the caller's own policy."""
+    return os.SCHED_BATCH if caller == os.SCHED_OTHER else caller
+
+
+def _fuzz_counter_race():
+    prog = bench.get("py:counter_race")
+    results = [Executor(prog, RandomWalkPolicy(seed=seed)).run() for seed in range(20)]
+    return [(r.outcome, tuple(r.schedule), r.failure_frames) for r in results]
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls on this platform"
 )
 class TestCpuPinning:
-    """Each execution runs on one CPU and hands the caller its mask back."""
+    """Each execution runs on one CPU, under ``SCHED_BATCH`` where the caller
+    ran ``SCHED_OTHER``, and hands the caller its mask and policy back.
+
+    Every test compares against the policy the caller had at its start, so
+    the class also passes under ``chrt --batch 0``.
+    """
 
     def test_threads_run_on_one_cpu(self):
         masks = []
@@ -449,18 +674,7 @@ class TestCpuPinning:
         assert len(masks) == 2
         assert len(masks[0]) == 1 and masks[0] == masks[1]
 
-    @pytest.mark.parametrize(
-        "entry, options, ending",
-        [
-            (_clean, {}, (None, False)),
-            (_crash, {}, ("assertion", False)),
-            (_self_deadlock, {}, ("deadlock", False)),
-            (_spin, {"max_steps": 10}, (None, True)),
-            (_spin, {"guard": GuardConfig(step_budget=10)}, ("timeout", False)),
-            (_nested, {}, ("exception", False)),
-        ],
-        ids=["clean", "crash", "deadlock", "step_bound", "watchdog", "nested"],
-    )
+    @_ENDINGS
     def test_caller_mask_restored(self, entry, options, ending):
         caller = os.sched_getaffinity(0)
         inside = []
@@ -476,25 +690,117 @@ class TestCpuPinning:
         assert os.sched_getaffinity(0) == caller
 
     def test_refused_affinity_runs_unpinned_with_equal_results(self, monkeypatch):
-        prog = bench.get("py:counter_race")
-
-        def fuzz():
-            results = [Executor(prog, RandomWalkPolicy(seed=seed)).run() for seed in range(20)]
-            return [(r.outcome, tuple(r.schedule), r.failure_frames) for r in results]
-
-        pinned = fuzz()
-        caller = os.sched_getaffinity(0)
+        pinned = _fuzz_counter_race()
+        caller = _scheduling()
 
         def refuse(pid, mask):
             raise OSError(22, "Invalid argument")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
-        assert fuzz() == pinned
+        assert _fuzz_counter_race() == pinned
         inside = []
-        probe = py_program("py:test_unpinned", lambda: inside.append(os.sched_getaffinity(0)))
+        probe = py_program("py:test_unpinned", lambda: inside.append(_scheduling()))
+        Executor(probe, RandomWalkPolicy(seed=0)).run()
+        # Unpinned, the execution keeps the caller's policy as well.
+        assert inside == [caller]
+        assert _scheduling() == caller
+
+    @needs_policy_calls
+    def test_threads_run_batch(self):
+        caller = os.sched_getscheduler(0)
+        executor = real_threading.get_native_id()
+        policies = []
+
+        def entry():
+            import threading
+
+            def worker():
+                policies.append(os.sched_getscheduler(0))
+
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            policies.append(os.sched_getscheduler(executor))
+
+        Executor(py_program("py:test_batch", entry), RandomWalkPolicy(seed=0)).run()
+        assert policies == [_policy_inside(caller)] * 2
+
+    @needs_policy_calls
+    @_ENDINGS
+    def test_caller_policy_restored(self, entry, options, ending):
+        caller = os.sched_getscheduler(0)
+        executor = real_threading.get_native_id()
+        inside = []
+
+        def probe():
+            inside.append(os.sched_getscheduler(executor))
+            entry()
+
+        prog = py_program("py:test_restore", probe)
+        result = Executor(prog, RandomWalkPolicy(seed=0), **options).run()
+        assert (result.outcome, result.truncated) == ending
+        assert inside == [_policy_inside(caller)]
+        assert os.sched_getscheduler(0) == caller
+
+    @needs_policy_calls
+    def test_refused_policy_runs_on_the_callers_with_equal_results(self, monkeypatch):
+        batched = _fuzz_counter_race()
+        caller = os.sched_getscheduler(0)
+        executor = real_threading.get_native_id()
+
+        def refuse(pid, policy, param):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)
+        assert _fuzz_counter_race() == batched
+        inside = []
+        probe = py_program("py:test_unbatched", lambda: inside.append(os.sched_getscheduler(executor)))
         Executor(probe, RandomWalkPolicy(seed=0)).run()
         assert inside == [caller]
-        assert os.sched_getaffinity(0) == caller
+        assert os.sched_getscheduler(0) == caller
+
+    @needs_policy_calls
+    def test_batch_caller_keeps_batch(self):
+        caller = os.sched_getscheduler(0)
+        if caller not in (os.SCHED_OTHER, os.SCHED_BATCH):
+            pytest.skip("the caller runs a policy it may not be able to leave")
+        executor = real_threading.get_native_id()
+        inside = []
+        probe = py_program("py:test_batch_caller", lambda: inside.append(os.sched_getscheduler(executor)))
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        try:
+            Executor(probe, RandomWalkPolicy(seed=0)).run()
+            assert inside == [os.SCHED_BATCH]
+            assert os.sched_getscheduler(0) == os.SCHED_BATCH
+        finally:
+            os.sched_setscheduler(0, caller, os.sched_param(0))
+
+    @needs_policy_calls
+    def test_a_woken_thread_does_not_preempt_its_waker(self):
+        """Pinned ``SCHED_BATCH`` handoffs preempt the executor thread less
+        than once per four steps; under ``SCHED_OTHER`` the woken thread
+        preempts it about 1.7 times per step."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("no per-thread resource usage on this platform")
+        executor = real_threading.get_native_id()
+        seen = []
+        probe = py_program(
+            "py:test_probe",
+            lambda: seen.append((len(os.sched_getaffinity(0)), os.sched_getscheduler(executor))),
+        )
+        Executor(probe, RandomWalkPolicy(seed=0)).run()
+        if seen != [(1, os.SCHED_BATCH)]:
+            pytest.skip("executions here run unpinned or off SCHED_BATCH")
+        programs = [bench.get(n) for n in ("py:counter_locked", "py:fanin_futures", "py:queue_toctou")]
+        steps = seed = 0
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw
+        while steps < 2000:
+            for prog in programs:
+                steps += Executor(prog, RandomWalkPolicy(seed=seed)).run().steps
+            seed += 1
+        preempted = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw - before
+        assert preempted < 0.25 * steps, f"{preempted} involuntary switches in {steps} steps"
 
     def test_ctypes_is_imported_only_by_a_substrate_execution(self):
         code = (
