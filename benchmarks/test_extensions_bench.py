@@ -16,7 +16,8 @@ from collections import Counter
 from repro import bench
 from repro.analysis import confirm_races
 from repro.bench.extras import extras_programs
-from repro.core.fuzzer import RffConfig, RffFuzzer
+from repro.core.fuzzer import RffFuzzer
+from repro.core.reproduce import RunEnv
 from repro.harness.coverage import estimate_coverage
 from repro.runtime import run_program_tso
 from repro.schedulers import PosPolicy
@@ -49,7 +50,7 @@ def test_rff_fuzzes_under_tso(benchmark):
     prog = _extra("extras/peterson")
 
     def run():
-        fuzzer = RffFuzzer(prog, seed=3, config=RffConfig(memory_model="tso"))
+        fuzzer = RffFuzzer(prog, seed=3, env=RunEnv(memory_model="tso"))
         return fuzzer.run(300, stop_on_first_crash=True)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,11 +11,13 @@ classic store-buffer litmus test (Dekker's core) under both memory models:
   the other thread's read, and RFF — with flush points exposed to the
   scheduler as ordinary events — finds the reordering in a few schedules.
 
+The memory model is part of the runtime environment (``RunEnv``) the
+fuzzer runs in, not one of its own knobs (``RffConfig``).
+
 Run:  python examples/weak_memory.py
 """
 
-from repro import fuzz, program
-from repro.core.fuzzer import RffConfig
+from repro import RunEnv, fuzz, program
 from repro.runtime import run_program, run_program_tso
 from repro.schedulers import PosPolicy
 
@@ -61,7 +63,7 @@ def main() -> None:
         store_buffer,
         max_executions=300,
         seed=1,
-        config=RffConfig(memory_model="tso"),
+        env=RunEnv(memory_model="tso"),
         stop_on_first_crash=True,
     )
     print(f"bug found after {report.first_crash_at} schedules")

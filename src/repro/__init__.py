@@ -23,6 +23,7 @@ Quickstart::
 
 from repro import bench
 from repro.core.fuzzer import FuzzReport, RffConfig, RffFuzzer, fuzz
+from repro.core.reproduce import RunEnv
 from repro.runtime import Program, program, run_program
 
 __version__ = "1.0.0"
@@ -32,6 +33,7 @@ __all__ = [
     "Program",
     "RffConfig",
     "RffFuzzer",
+    "RunEnv",
     "bench",
     "fuzz",
     "program",

@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.reproduce import RunEnv
 from repro.core.trace import RfPair
-from repro.runtime.executor import DEFAULT_MAX_STEPS, ExecutionResult, Executor
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 
@@ -114,7 +114,8 @@ class StatelessExplorer:
     program: Program
     max_executions: int = 2000
     preemption_bound: int | None = None
-    max_steps: int = DEFAULT_MAX_STEPS
+    #: The runtime every run executes in (step bound, guard, sanitizers).
+    env: RunEnv = RunEnv()
     #: Memory guard: scripts beyond this frontier size are dropped.
     max_frontier: int = 100_000
     stop_on_first_bug: bool = True
@@ -133,11 +134,13 @@ class StatelessExplorer:
 
     def run(self) -> ExplorationReport:
         """Explore until the frontier drains, the budget ends or a bug hits."""
+        execute = self.env.runner(self.program)
         seen_classes: set[frozenset[RfPair]] = set()
         frontier: deque[tuple[int, ...]] = deque([()])
         while frontier and self.report.executions < self.max_executions:
             script = frontier.popleft()
-            result, log = self._execute(script)
+            policy = ScriptPolicy(script)
+            result = execute(policy)
             self.report.executions += 1
             signature = result.trace.rf_signature()
             novel_class = signature not in seen_classes
@@ -150,14 +153,9 @@ class StatelessExplorer:
                 if self.stop_on_first_bug:
                     return self.report
             if novel_class or not self.rf_subsume:
-                self._push_children(script, log, frontier)
+                self._push_children(script, policy.log, frontier)
         self.report.exhausted = not frontier
         return self.report
-
-    def _execute(self, script: tuple[int, ...]) -> tuple[ExecutionResult, list[StepLog]]:
-        policy = ScriptPolicy(script)
-        result = Executor(self.program, policy, max_steps=self.max_steps).run()
-        return result, policy.log
 
     def _push_children(
         self, script: tuple[int, ...], log: list[StepLog], frontier: deque

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algos.exploration import ExplorationReport, StatelessExplorer
-from repro.runtime.executor import DEFAULT_MAX_STEPS
+from repro.core.reproduce import RunEnv
 from repro.runtime.program import Program
 
 
@@ -50,11 +50,11 @@ class ModelChecker:
         self,
         program: Program,
         max_executions: int = 20_000,
-        max_steps: int = DEFAULT_MAX_STEPS,
+        env: RunEnv = RunEnv(),
     ):
         self.program = program
         self.max_executions = max_executions
-        self.max_steps = max_steps
+        self.env = env
 
     def check(self) -> ModelCheckReport:
         """Enumerate rf classes; raises UnsupportedProgram outside the gate."""
@@ -66,7 +66,7 @@ class ModelChecker:
             program=self.program,
             max_executions=self.max_executions,
             preemption_bound=None,
-            max_steps=self.max_steps,
+            env=self.env,
             rf_subsume=True,
         )
         inner: ExplorationReport = explorer.run()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algos.exploration import ExplorationReport, StatelessExplorer
-from repro.runtime.executor import DEFAULT_MAX_STEPS
+from repro.core.reproduce import RunEnv
 from repro.runtime.program import Program
 
 
@@ -47,12 +47,12 @@ class PeriodExplorer:
         program: Program,
         max_executions: int = 2000,
         max_bound: int = 4,
-        max_steps: int = DEFAULT_MAX_STEPS,
+        env: RunEnv = RunEnv(),
     ):
         self.program = program
         self.max_executions = max_executions
         self.max_bound = max_bound
-        self.max_steps = max_steps
+        self.env = env
 
     def run(self) -> PeriodReport:
         """Deepen the preemption bound until a bug, exhaustion or budget."""
@@ -66,7 +66,7 @@ class PeriodExplorer:
                 program=self.program,
                 max_executions=remaining,
                 preemption_bound=bound,
-                max_steps=self.max_steps,
+                env=self.env,
                 rf_subsume=True,
                 symmetry_reduction=True,
             ).run()

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.vector_clock import VectorClock
 from repro.core.events import Event
+from repro.core.reproduce import RunEnv
 from repro.core.trace import Trace
-from repro.runtime.executor import DEFAULT_MAX_STEPS, Executor
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 
@@ -70,12 +70,10 @@ def _conflict(a: Event, b: Event) -> bool:
 def dependency_clocks(trace: Trace) -> dict[int, VectorClock]:
     """Per-event vector clocks over the trace's dependency relation."""
     thread_clocks: dict[int, VectorClock] = {}
-    #: location -> (last write event+clock, reads since then)
-    last_write: dict[int, tuple[Event, VectorClock]] = {}
+    #: location -> (last write event, its clock) and the reads since then.
     by_location_write: dict[str, tuple[Event, VectorClock]] = {}
     by_location_reads: dict[str, list[tuple[Event, VectorClock]]] = {}
     clocks: dict[int, VectorClock] = {}
-    del last_write
 
     def clock_of(tid: int) -> VectorClock:
         if tid not in thread_clocks:
@@ -228,18 +226,20 @@ class RfDporExplorer:
 
     program: Program
     max_executions: int = 5000
-    max_steps: int = DEFAULT_MAX_STEPS
+    #: The runtime every run executes in (step bound, guard, sanitizers).
+    env: RunEnv = RunEnv()
     stop_on_first_bug: bool = True
     report: RfDporReport = field(default_factory=RfDporReport)
 
     def run(self) -> RfDporReport:
         """Drain the reversal frontier (or the budget), one class at a time."""
+        execute = self.env.runner(self.program)
         frontier: list[tuple[int, ...]] = [()]
         seen_seeds: set[tuple[int, ...]] = {()}
         seen_classes: set[frozenset] = set()
         while frontier and self.report.executions < self.max_executions:
             seed = frontier.pop()
-            result = Executor(self.program, _SeedPolicy(seed), max_steps=self.max_steps).run()
+            result = execute(_SeedPolicy(seed))
             self.report.executions += 1
             signature = concrete_rf_signature(result.trace)
             if signature in seen_classes:

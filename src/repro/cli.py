@@ -16,6 +16,7 @@ import sys
 
 from repro import bench
 from repro.core.fuzzer import RffConfig, fuzz
+from repro.core.reproduce import RunEnv
 from repro.harness.campaign import CampaignConfig
 from repro.harness.reporting import (
     appendix_b_table,
@@ -96,6 +97,15 @@ def _parse_guard(args: argparse.Namespace):
     )
 
 
+def _run_env(args: argparse.Namespace) -> RunEnv:
+    """The runtime a command's flags ask for (``rff run`` is SC only)."""
+    return RunEnv(
+        memory_model=getattr(args, "memory_model", "sc"),
+        sanitizers=_parse_sanitizers(args.sanitize),
+        guard=_parse_guard(args),
+    )
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     listed = bench.py_names() if args.substrate == "py" else bench.names()
     for name in listed:
@@ -113,26 +123,25 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         use_feedback=not args.no_feedback,
         use_power_schedule=not args.no_power,
         use_constraints=not args.no_constraints,
-        memory_model=args.memory_model,
-        sanitizers=_parse_sanitizers(args.sanitize),
-        guard=_parse_guard(args),
     )
+    env = _run_env(args)
     report = fuzz(
         prog,
         max_executions=args.budget,
         seed=args.seed,
         config=config,
         stop_on_first_crash=not args.keep_going,
+        env=env,
     )
     print(f"program:            {report.program_name}")
-    print(f"memory model:       {config.memory_model}")
+    print(f"memory model:       {env.memory_model}")
     print(f"schedules executed: {report.executions}")
     print(f"crashes:            {len(report.crashes)}")
     print(f"first crash at:     {report.first_crash_at}")
     print(f"corpus size:        {report.corpus_size}")
     print(f"rf-pair coverage:   {report.pair_coverage}")
     print(f"unique rf classes:  {report.unique_signatures}")
-    if config.sanitizers:
+    if env.sanitizers:
         print(f"sanitizer reports:  {len(report.sanitizer_records)}")
     for crash in report.crashes[:5]:
         print(f"  crash #{crash.execution_index}: {crash.outcome} — {crash.failure}")
@@ -142,7 +151,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.minimize and report.crashes:
         from repro.core.minimize import minimize_schedule
 
-        outcome = minimize_schedule(prog, report.crashes[0].abstract_schedule, config=config)
+        outcome = minimize_schedule(prog, report.crashes[0].abstract_schedule, env=env)
         print(f"minimized schedule ({outcome.removed} constraints removed, "
               f"reproduces {outcome.reproduction_rate:.0%}):")
         print(f"    {outcome.minimized}")
@@ -157,7 +166,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Dynamic analyses over sampled schedules: races, locksets, deadlocks."""
     from repro.analysis import check_lock_discipline, find_races, predict_deadlocks
-    from repro.core.reproduce import RunEnv
     from repro.schedulers.pos import PosPolicy
 
     prog = _resolve_program(args.program, args.substrate)
@@ -188,10 +196,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tool = tool_factory(args.tool)()
     except KeyError as exc:
         raise SystemExit(exc.args[0]) from None
-    tool.sanitizers = _parse_sanitizers(args.sanitize)
-    tool.guard = _parse_guard(args)
-    tool.verify_replays = args.verify_replays
-    result = tool.find_bug(prog, budget=args.budget, seed=args.seed)
+    result = tool.find_bug(
+        prog, args.budget, args.seed, env=_run_env(args), verify_replays=args.verify_replays
+    )
     if result.error:
         # Diagnostics go to stderr: stdout stays parseable for pipelines.
         print(f"{tool.name} on {prog.name}: Error ({result.error})", file=sys.stderr)
@@ -413,12 +420,7 @@ def _cmd_triage(args: argparse.Namespace) -> int:
 
     prog = _resolve_program(args.program, args.substrate)
     _check_memory_model(prog, args.memory_model)
-    config = RffConfig(
-        memory_model=args.memory_model,
-        sanitizers=_parse_sanitizers(args.sanitize),
-        guard=_parse_guard(args),
-    )
-    fuzzer = RffFuzzer(prog, seed=args.seed, config=config)
+    fuzzer = RffFuzzer(prog, seed=args.seed, env=_run_env(args))
     report = fuzzer.run(args.budget, stop_on_first_crash=False)
     result = triage_report(prog, report, replays=args.replays, minimize=args.minimize)
     print(f"schedules executed: {report.executions}")
@@ -433,7 +435,6 @@ def _cmd_triage(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Replay a bug file (a repro artifact or a saved crash); optionally verify."""
-    from repro.core.reproduce import RunEnv
     from repro.harness.persist import ChecksumError, load_json
     from repro.harness.triage import load_artifact, verify_artifact
     from repro.schedulers import ReplayPolicy

@@ -14,7 +14,9 @@ The fuzzing loop, faithful to Algorithm 1::
 
 Every design knob the paper ablates is a field of :class:`RffConfig`, so the
 RQ2/RQ3 experiments and the extra ablation benches run the same engine with
-components disabled.
+components disabled.  The runtime is not a knob: executions run in the
+:class:`~repro.core.reproduce.RunEnv` the caller passes in, whose sanitizer
+findings and watchdog kills count as bugs and feed isInteresting like crashes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.core.proactive import RffSchedulerPolicy
 from repro.core.reproduce import RunEnv, dedup_key, failure_frames
 from repro.core.trace import RfPair
 from repro.runtime.executor import ExecutionResult
-from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.pos import PosPolicy
@@ -60,27 +61,9 @@ class RffConfig:
     #: Power schedule hyperparameters (Section 4.2).
     beta: float = 2.0
     max_energy: int = 64
-    #: Per-execution step bound (None = program / executor default).
-    max_steps: int | None = None
-    #: Memory model the executions run under: "sc" (paper default) or
-    #: "tso" (the weak-memory extension; see repro.runtime.tso).
-    memory_model: str = "sc"
     #: Probability of a two-parent splice instead of a single-op mutation
     #: ("one (or more)" corpus members per Section 4; AFL's splice stage).
     splice_probability: float = 0.1
-    #: Online sanitizer stack attached to every execution (names from
-    #: ``repro.analysis.online.SANITIZERS``, e.g. ``("race", "lockset")``).
-    #: Sanitizer findings count as bugs and feed isInteresting like crashes.
-    sanitizers: tuple[str, ...] = ()
-    #: Runtime guardrails attached to every execution (step budget, wall
-    #: clock, livelock detector); None = unguarded.  Watchdog kills surface
-    #: as ``timeout``/``livelock`` crashes and are triaged like any bug.
-    guard: GuardConfig | None = None
-
-    @property
-    def env(self) -> RunEnv:
-        """The runtime environment every execution of this config runs in."""
-        return RunEnv(self.memory_model, self.max_steps, self.sanitizers, self.guard)
 
 
 @dataclass(frozen=True)
@@ -153,6 +136,7 @@ class RffFuzzer:
         seed: int = 0,
         config: RffConfig | None = None,
         seeds: list[AbstractSchedule] | None = None,
+        env: RunEnv = RunEnv(),
     ):
         self.program = program
         self.config = config or RffConfig()
@@ -172,7 +156,6 @@ class RffFuzzer:
         initial = seeds if seeds else [AbstractSchedule.empty()]
         for schedule in initial:
             self.corpus.add(CorpusEntry(schedule=schedule))
-        env = self.config.env
         self._run = env.runner(program)
         self.report = FuzzReport(program_name=program.name, env=env)
         #: dedup keys of every sanitizer finding recorded so far.
@@ -331,7 +314,8 @@ def fuzz(
     seed: int = 0,
     config: RffConfig | None = None,
     stop_on_first_crash: bool = False,
+    env: RunEnv = RunEnv(),
 ) -> FuzzReport:
-    """One-call convenience API: fuzz ``program`` and return the report."""
-    fuzzer = RffFuzzer(program, seed=seed, config=config)
+    """One-call convenience API: fuzz ``program`` in ``env`` and return the report."""
+    fuzzer = RffFuzzer(program, seed=seed, config=config, env=env)
     return fuzzer.run(max_executions, stop_on_first_crash=stop_on_first_crash)

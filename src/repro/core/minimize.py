@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.constraints import AbstractSchedule
-from repro.core.fuzzer import RffConfig
 from repro.core.proactive import RffSchedulerPolicy
 from repro.core.reproduce import RunEnv, dedup_key, same_bucket
 from repro.runtime.executor import ExecutionResult
@@ -102,7 +101,7 @@ def minimize_schedule(
     probes: int = 5,
     threshold: float = 0.6,
     base_seed: int = 0,
-    config: RffConfig | None = None,
+    env: RunEnv = RunEnv(),
     still_failing: FailurePredicate | None = None,
 ) -> MinimizationResult:
     """Greedy one-constraint-at-a-time reduction (ddmin's 1-minimal core).
@@ -116,11 +115,10 @@ def minimize_schedule(
     the original schedule is probed first and reductions must stay in the
     same triage bucket (:func:`repro.core.reproduce.dedup_key`) as the bug
     it triggers; if the original never reproduces, minimization degrades to
-    the permissive any-crash predicate.  Every probe runs in the runtime
-    environment of ``config`` (default: SC, unguarded): a ``timeout`` found
-    under a step watchdog is only the same bug under that watchdog.
+    the permissive any-crash predicate.  Every probe runs in ``env``
+    (default: SC, unguarded): a ``timeout`` found under a step watchdog is
+    only the same bug under that watchdog.
     """
-    env = (config or RffConfig()).env
     executions = 0
     target_key: tuple[str, str, str] | None = None
     if still_failing is None:

@@ -104,10 +104,11 @@ def same_bucket(expected_key: DedupKey) -> Callable[[ExecutionResult], bool]:
 class RunEnv:
     """The runtime an execution runs under, besides program and schedule.
 
-    Built once (``RffConfig.env``), carried with the findings
-    (``FuzzReport.env``, ``TriagedBug.env``) and written into every bug
-    file, so a replay runs the same memory model, step bound, sanitizer
-    stack and guard as the run that found the bug.
+    Built once by the caller (a campaign's ``WorkerProfile``, the CLI's
+    flags) and passed down to every fuzzer, tool and explorer, carried
+    with the findings (``FuzzReport.env``, ``TriagedBug.env``) and written
+    into every bug file, so a replay runs the same memory model, step
+    bound, sanitizer stack and guard as the run that found the bug.
     """
 
     #: "sc" (sequential consistency) or "tso" (see repro.runtime.tso).
@@ -119,25 +120,20 @@ class RunEnv:
     #: Runtime guardrails (None = unguarded).
     guard: GuardConfig | None = None
 
-    def step_bound(self, program: "Program") -> int:
-        """This env's step bound, else the program's, else the default."""
-        if self.max_steps is not None:
-            return self.max_steps
-        if program.max_steps is not None:
-            return program.max_steps
-        return DEFAULT_MAX_STEPS
-
     def runner(self, program: "Program") -> Callable[["SchedulerPolicy"], ExecutionResult]:
         """``run(policy)``: one execution of ``program`` in this environment.
 
-        The executor class (SC or TSO) and the step bound are resolved here,
-        once; every run gets a fresh sanitizer stack."""
+        The executor class (SC or TSO) and the step bound (this env's, else
+        the program's, else the default) are resolved here, once; every run
+        gets a fresh sanitizer stack."""
         cls: type[Executor] = Executor
         if self.memory_model == "tso":
             from repro.runtime.tso import TsoExecutor as cls
         elif self.memory_model != "sc":
             raise ValueError(f"unknown memory model {self.memory_model!r}")
-        steps = self.step_bound(program)
+        steps = self.max_steps
+        if steps is None:
+            steps = program.max_steps if program.max_steps is not None else DEFAULT_MAX_STEPS
         guard = self.guard
         names = self.sanitizers
         if not names:

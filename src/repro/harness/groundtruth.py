@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.fuzzer import RffConfig, RffFuzzer
+from repro.core.fuzzer import RffFuzzer
+from repro.core.reproduce import RunEnv
 from repro.gen.oracle import (
     SANITIZER_NAMES,
     aggregate_sanitizers,
@@ -122,11 +123,9 @@ class GroundTruthHarness:
     def run_sanitizer_sweep(self, programs: list[GeneratedProgram]) -> list:
         """Fuzz each program with the sanitizer stack; judge every verdict."""
         judgements = []
-        fuzz_config = RffConfig(sanitizers=self.config.sanitizers)
+        env = RunEnv(sanitizers=tuple(self.config.sanitizers))
         for generated in programs:
-            fuzzer = RffFuzzer(
-                generated.program, seed=self.config.base_seed, config=fuzz_config
-            )
+            fuzzer = RffFuzzer(generated.program, seed=self.config.base_seed, env=env)
             report = fuzzer.run(self.config.sanitizer_budget, stop_on_first_crash=False)
             reports = [record.report for record in report.sanitizer_records]
             judgements.extend(

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from repro.core.reproduce import RunEnv
 from repro.harness.campaign import CampaignConfig, CampaignResult, run_rounds
 from repro.harness.faults import ChaosPlan
 from repro.harness.telemetry import TelemetrySink
@@ -230,9 +231,8 @@ class ParallelCampaign:
             profile_dir = str(self.profile_dir)
             Path(profile_dir).mkdir(parents=True, exist_ok=True)
         return WorkerProfile(
-            sanitizers=tuple(self.config.sanitizers),
+            env=RunEnv(sanitizers=tuple(self.config.sanitizers), guard=self.config.guard),
             verify_replays=self.config.verify_replays,
-            guard=self.config.guard,
             chaos=ChaosPlan.from_env(),
             heartbeat_seconds=self.heartbeat_seconds,
             profile_dir=profile_dir,

@@ -9,11 +9,11 @@ cost across executions.  This module is the analogue of the fork server:
 * **Worker-side caches.**  Each worker caches constructed tools keyed by
   ``(tool_name, program_name)`` and resolved programs keyed by program
   name.  Caching is determinism-safe because every ``find_bug`` call
-  builds its own RNG/policy/fuzzer state from the slice seed; campaign
-  attributes (sanitizers, replay verification, guardrails) are applied
-  from the campaign-wide :class:`WorkerProfile`, which never changes over
-  a pool's lifetime.  Tools that keep cross-call state can opt out with
-  ``reusable = False`` (see :class:`repro.harness.tools.TestingTool`).
+  builds its own RNG/policy/fuzzer state from the slice seed and gets the
+  campaign's runtime (``WorkerProfile.env``: sanitizers, guardrails) and
+  replay count as arguments, so a cached tool holds no campaign setting.
+  Tools that keep cross-call state can opt out with ``reusable = False``
+  (see :class:`repro.harness.tools.TestingTool`).
 * **Compact replies.**  Results cross the pipe in persist-dict form
   (:func:`repro.harness.persist.result_to_dict`), not as pickled live
   objects; the dispatcher re-interns repeated strings and rf-pair buffers
@@ -70,6 +70,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
+from repro.core.reproduce import RunEnv
 from repro.core.trace import intern_schedule
 from repro.harness import faults
 from repro.harness.campaign import PendingSlice
@@ -77,7 +78,6 @@ from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
 from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
-from repro.runtime.guard import GuardConfig
 
 #: Maximum slices per dispatched batch.
 BATCH_SLICES = 8
@@ -95,15 +95,16 @@ BACKOFF_CAP = 5.0
 class WorkerProfile:
     """Campaign-wide configuration shipped to each worker exactly once.
 
-    Everything here is constant for the life of one campaign, which is what
-    makes the tool caches sound: a cached tool is assigned the same profile
-    attributes before every slice, so no slice can observe state left by a
-    differently-configured predecessor or an earlier campaign.
+    Everything here is constant for the life of one campaign.  ``env`` and
+    ``verify_replays`` are passed to every ``find_bug`` call, so a cached
+    tool carries no setting from a differently-configured predecessor or an
+    earlier campaign.
     """
 
-    sanitizers: tuple[str, ...] = ()
+    #: The runtime every execution of the campaign runs in.
+    env: RunEnv = RunEnv()
+    #: Replays per found bug for STABLE/FLAKY verification (0 = off).
     verify_replays: int = 0
-    guard: GuardConfig | None = None
     #: The armed chaos plan and its claim directory
     #: (:meth:`~repro.harness.faults.ChaosPlan.from_env`), read once
     #: dispatcher-side; None injects no worker faults.
@@ -135,11 +136,6 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
         tool = resolve_ref(ref)()
         if getattr(tool, "reusable", True):
             tools[cache_key] = tool
-    # The campaign's settings, every slice: a cached (or caller-seeded)
-    # tool keeps nothing from an earlier campaign.
-    tool.sanitizers = profile.sanitizers
-    tool.verify_replays = profile.verify_replays
-    tool.guard = profile.guard
     program = programs.get(program_name)
     if program is None:
         from repro import bench
@@ -147,7 +143,7 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
         program = programs[program_name] = bench.get(program_name)
     before = GLOBAL_COUNTERS.snapshot()
     start = time.perf_counter()
-    result = tool.find_bug(program, budget, seed)
+    result = tool.find_bug(program, budget, seed, profile.env, profile.verify_replays)
     wall_time = time.perf_counter() - start
     counters = GLOBAL_COUNTERS.delta(before).as_dict()
     # Stamp the trial index (the tool records the seed there by default).

@@ -4,7 +4,9 @@ A :class:`TestingTool` answers one question — *how many schedules until the
 first bug?* — which is the paper's primary metric (Section 5.1, "Bugs").
 Tool names match the Figure 4 legend: ``RFF``, ``POS``, ``PCT3``,
 ``PERIOD``, ``QLearning RF``, ``GenMC`` (plus ``Random`` as an extra naive
-baseline).
+baseline).  Every tool runs in the :class:`~repro.core.reproduce.RunEnv`
+its caller passes to ``find_bug``, so all of them see the runtime a
+campaign asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.core.reproduce import (
     sanitizer_key,
     verify_replay,
 )
-from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.muzz_like import MuzzLikePolicy
@@ -78,26 +79,23 @@ class TestingTool(ABC):
     #: Deterministic tools (model checkers, systematic explorers) need only
     #: one trial; the harness exploits this.
     deterministic: bool = False
-    #: Online sanitizer names attached per execution.  The campaign harness
-    #: sets this from ``CampaignConfig.sanitizers``; tools that do not
-    #: support sanitizers simply ignore it.
-    sanitizers: tuple[str, ...] = ()
-    #: Replays per found bug for STABLE/FLAKY verification (0 = off).  Set
-    #: by the campaign harness from ``CampaignConfig.verify_replays``.
-    verify_replays: int = 0
-    #: Runtime guardrails attached to every execution (None = unguarded).
-    guard: GuardConfig | None = None
     #: Whether one tool instance may serve many ``find_bug`` calls.  Every
     #: built-in tool derives all per-search state (RNGs, policies, fuzzers)
-    #: from the call's seed, so pooled workers cache instances across slices
-    #: and allocation rounds.  A custom tool that accumulates cross-call
-    #: state must set this to False; the worker pool then rebuilds it for
-    #: every slice instead of caching it by (tool, program).
+    #: from the call's arguments, so pooled workers cache instances across
+    #: slices and allocation rounds.  A custom tool that accumulates
+    #: cross-call state must set this to False; the worker pool then
+    #: rebuilds it for every slice instead of caching it by (tool, program).
     reusable: bool = True
 
     @abstractmethod
-    def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
-        """Run until the first bug or until ``budget`` schedules elapse."""
+    def find_bug(
+        self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
+    ) -> BugSearchResult:
+        """Run until the first bug or until ``budget`` schedules elapse.
+
+        Every execution runs in ``env``; a tool that cannot attach
+        sanitizers ignores ``env.sanitizers``.  ``verify_replays > 0``
+        replays the first bug that many times for a STABLE/FLAKY verdict."""
 
     def _result(
         self,
@@ -131,6 +129,7 @@ class TestingTool(ABC):
         self,
         program: Program,
         env: RunEnv,
+        verify_replays: int,
         schedule: tuple[int, ...],
         outcome: str | None = None,
         key: tuple[str, str, str] | None = None,
@@ -138,17 +137,17 @@ class TestingTool(ABC):
     ) -> dict[str, Any]:
         """The ``_result`` fields of a first bug found in ``env``: a crash
         (``outcome`` in bucket ``key``) or a sanitizer ``report``, with its
-        replay verdict when verification is on."""
+        replay verdict when ``verify_replays > 0``."""
         if report is not None:
             outcome, key = f"sanitizer:{report.sanitizer}", sanitizer_key(report)
         verdict = None
-        if self.verify_replays > 0:
+        if verify_replays > 0:
             verdict = verify_replay(
                 program,
                 schedule,
                 outcome,
                 key,
-                replays=self.verify_replays,
+                replays=verify_replays,
                 env=env,
                 expected_sanitizer_key=report.dedup_key if report is not None else None,
             ).verdict
@@ -166,13 +165,10 @@ class RffTool(TestingTool):
         self.config = config or RffConfig()
         self.name = name
 
-    def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
-        config = self.config
-        if self.sanitizers and not config.sanitizers:
-            config = replace(config, sanitizers=tuple(self.sanitizers))
-        if self.guard is not None and config.guard is None:
-            config = replace(config, guard=self.guard)
-        fuzzer = RffFuzzer(program, seed=seed, config=config)
+    def find_bug(
+        self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
+    ) -> BugSearchResult:
+        fuzzer = RffFuzzer(program, seed=seed, config=self.config, env=env)
         report = fuzzer.run(budget, stop_on_first_crash=True)
         crash = report.crashes[0] if report.crashes else None
         record = report.sanitizer_records[0] if report.sanitizer_records else None
@@ -182,11 +178,11 @@ class RffTool(TestingTool):
         ):
             # The sanitizer finding is the first bug.
             bug = self._first_bug(
-                program, report.env, record.concrete_schedule, report=record.report
+                program, env, verify_replays, record.concrete_schedule, report=record.report
             )
         elif crash is not None:
             bug = self._first_bug(
-                program, report.env, crash.concrete_schedule, crash.outcome, crash.dedup_key
+                program, env, verify_replays, crash.concrete_schedule, crash.outcome, crash.dedup_key
             )
         return self._result(
             program,
@@ -210,10 +206,11 @@ class PerExecutionPolicyTool(TestingTool):
         self._make_policy = make_policy
         self.persistent = persistent
 
-    def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
+    def find_bug(
+        self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
+    ) -> BugSearchResult:
         rng = random.Random(seed)
         policy: SchedulerPolicy | None = self._make_policy(rng.randrange(2**63)) if self.persistent else None
-        env = RunEnv(sanitizers=tuple(self.sanitizers), guard=self.guard)
         run = env.runner(program)
         seen_keys: set[tuple] = set()
         all_reports: list["SanitizerReport"] = []
@@ -231,9 +228,13 @@ class PerExecutionPolicyTool(TestingTool):
             if result.crashed or new_reports:
                 schedule = tuple(result.schedule)
                 if result.crashed:
-                    bug = self._first_bug(program, env, schedule, result.outcome, dedup_key(result))
+                    bug = self._first_bug(
+                        program, env, verify_replays, schedule, result.outcome, dedup_key(result)
+                    )
                 else:
-                    bug = self._first_bug(program, env, schedule, report=new_reports[0])
+                    bug = self._first_bug(
+                        program, env, verify_replays, schedule, report=new_reports[0]
+                    )
                 return self._result(
                     program, seed, index, index,
                     sanitizer_reports=tuple(all_reports),
@@ -276,7 +277,8 @@ def qlearning_tool() -> PerExecutionPolicyTool:
 
 
 class PeriodTool(TestingTool):
-    """The PERIOD stand-in: iterative preemption-bounded exploration."""
+    """The PERIOD stand-in: iterative preemption-bounded exploration.
+    It reports crashes only, so it runs ``env`` without its sanitizers."""
 
     name = "PERIOD"
     deterministic = True
@@ -284,22 +286,27 @@ class PeriodTool(TestingTool):
     def __init__(self, max_bound: int = 4):
         self.max_bound = max_bound
 
-    def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
+    def find_bug(
+        self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
+    ) -> BugSearchResult:
         explorer = PeriodExplorer(
-            program, max_executions=budget, max_bound=self.max_bound, max_steps=RunEnv().step_bound(program)
+            program, max_executions=budget, max_bound=self.max_bound, env=replace(env, sanitizers=())
         )
         report = explorer.run()
         return self._result(program, seed, report.first_bug_at, report.executions, report.bug_outcome)
 
 
 class GenMcTool(TestingTool):
-    """The GenMC stand-in: exhaustive rf-class enumeration where supported."""
+    """The GenMC stand-in: exhaustive rf-class enumeration where supported.
+    It reports crashes only, so it runs ``env`` without its sanitizers."""
 
     name = "GenMC"
     deterministic = True
 
-    def find_bug(self, program: Program, budget: int, seed: int) -> BugSearchResult:
-        checker = ModelChecker(program, max_executions=budget, max_steps=RunEnv().step_bound(program))
+    def find_bug(
+        self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
+    ) -> BugSearchResult:
+        checker = ModelChecker(program, max_executions=budget, env=replace(env, sanitizers=()))
         try:
             report = checker.check()
         except UnsupportedProgram as exc:

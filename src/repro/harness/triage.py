@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.core.fuzzer import CrashRecord, FuzzReport, RffConfig, SanitizerRecord
+from repro.core.fuzzer import CrashRecord, FuzzReport, SanitizerRecord
 from repro.core.reproduce import (
     ReplayVerdict,
     RunEnv,
@@ -194,10 +194,7 @@ def _shrink_reproducer(program: "Program", bug: TriagedBug) -> TriagedBug:
         return bug
     predicate = same_bucket(bug.key)
     outcome = minimize_schedule(
-        program,
-        bug.abstract_schedule,
-        config=RffConfig(**vars(bug.env)),
-        still_failing=predicate,
+        program, bug.abstract_schedule, env=bug.env, still_failing=predicate
     )
     best = bug
     run = bug.env.runner(program)

@@ -35,6 +35,7 @@ Faithfulness notes (also in docs/API.md):
 
 from __future__ import annotations
 
+import heapq
 import queue as _queue_module
 import threading as _threading_module
 import time as _time_module
@@ -471,7 +472,9 @@ class ShimQueue:
 
     Mirrors the stdlib algorithm (one mutex, ``not_empty``/``not_full``/
     ``all_tasks_done`` conditions) so producers and consumers interleave at
-    exactly the synchronization points real code exercises.
+    exactly the synchronization points real code exercises.  Like the
+    stdlib, subclasses change the order through the ``_init``/``_put``/
+    ``_get`` storage hooks.
     """
 
     def __init__(self, ctx: SubstrateContext, maxsize: int = 0):
@@ -482,8 +485,17 @@ class ShimQueue:
         self._not_empty = CondVar(f"py.queue{index}.not_empty")
         self._not_full = CondVar(f"py.queue{index}.not_full")
         self._all_done = CondVar(f"py.queue{index}.all_tasks_done")
-        self._items: deque[Any] = deque()
+        self._init()
         self._unfinished = 0
+
+    def _init(self) -> None:
+        self._items: Any = deque()
+
+    def _put(self, item: Any) -> None:
+        self._items.append(item)
+
+    def _get(self) -> Any:
+        return self._items.popleft()
 
     # -- internal: all ops share the user call site ----------------------
     def put(self, item: Any, block: bool = True, timeout: float | None = None) -> None:
@@ -491,7 +503,7 @@ class ShimQueue:
             # Late uncontrolled touch — e.g. ThreadPoolExecutor's weakref
             # finalizer waking workers after the execution ended.  The gate
             # is gone; mutate raw state instead of raising into a finalizer.
-            self._items.append(item)
+            self._put(item)
             self._unfinished += 1
             return
         if 0 < self.maxsize:
@@ -507,7 +519,7 @@ class ShimQueue:
             else:
                 while len(self._items) >= self.maxsize:
                     call(ops.WaitOp(cond=self._not_full, mutex=self._mutex, loc=loc))
-        self._items.append(item)
+        self._put(item)
         self._unfinished += 1
         call(ops.SignalOp(cond=self._not_empty, loc=loc))
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
@@ -524,7 +536,7 @@ class ShimQueue:
         else:
             while not self._items:
                 call(ops.WaitOp(cond=self._not_empty, mutex=self._mutex, loc=loc))
-        item = self._items.popleft()
+        item = self._get()
         call(ops.SignalOp(cond=self._not_full, loc=loc))
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
         return item
@@ -569,6 +581,29 @@ class ShimQueue:
         while self._unfinished:
             call(ops.WaitOp(cond=self._all_done, mutex=self._mutex, loc=loc))
         call(ops.UnlockOp(mutex=self._mutex, loc=loc))
+
+
+class ShimLifoQueue(ShimQueue):
+    """``queue.LifoQueue``: the shim queue over a stack."""
+
+    def _init(self) -> None:
+        self._items = []
+
+    def _get(self) -> Any:
+        return self._items.pop()
+
+
+class ShimPriorityQueue(ShimQueue):
+    """``queue.PriorityQueue``: the shim queue over a heap, lowest first."""
+
+    def _init(self) -> None:
+        self._items = []
+
+    def _put(self, item: Any) -> None:
+        heapq.heappush(self._items, item)
+
+    def _get(self) -> Any:
+        return heapq.heappop(self._items)
 
 
 class ShimSimpleQueue:
@@ -657,8 +692,13 @@ def install(ctx: SubstrateContext) -> None:
         ("Thread", ShimThread),
     ):
         patch(_threading_module, attr, _factory(ctx, shim_cls, getattr(_threading_module, attr)))
-    patch(_queue_module, "Queue", _factory(ctx, ShimQueue, _queue_module.Queue))
-    patch(_queue_module, "SimpleQueue", _factory(ctx, ShimSimpleQueue, _queue_module.SimpleQueue))
+    for attr, shim_cls in (
+        ("Queue", ShimQueue),
+        ("LifoQueue", ShimLifoQueue),
+        ("PriorityQueue", ShimPriorityQueue),
+        ("SimpleQueue", ShimSimpleQueue),
+    ):
+        patch(_queue_module, attr, _factory(ctx, shim_cls, getattr(_queue_module, attr)))
 
     real_sleep = _time_module.sleep
 

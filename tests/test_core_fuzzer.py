@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.constraints import AbstractSchedule
 from repro.core.fuzzer import RffConfig, RffFuzzer, fuzz
+from repro.core.reproduce import RunEnv
 
 from tests.conftest import make_reorder
 
@@ -100,8 +101,7 @@ class TestConfigKnobs:
         assert all(len(entry.schedule) <= 2 for entry in fuzzer.corpus)
 
     def test_max_steps_override(self, reorder3):
-        config = RffConfig(max_steps=5)
-        report = fuzz(reorder3, max_executions=10, seed=0, config=config)
+        report = fuzz(reorder3, max_executions=10, seed=0, env=RunEnv(max_steps=5))
         assert report.truncated_runs == 10
 
     def test_seed_corpus_used(self, reorder3):

@@ -93,7 +93,6 @@ class TestReachability:
                     generated.program,
                     max_executions=2000,
                     rf_subsume=True,
-                    max_steps=generated.spec.step_budget,
                 ).run()
                 if report.found_bug:
                     continue

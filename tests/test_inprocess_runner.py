@@ -5,8 +5,8 @@ in-process caches of ``ParallelCampaign(processes=0)`` and runs every
 slice through ``WorkerPool._drain_serial``.  These tests pin what that
 buys: unregistered tools and programs still run, a raising tool is the
 same structured error cell everywhere, ``progress`` is a ``cell_start``
-listener, and the campaign's guard config reaches every slice intact
-while an earlier campaign's settings never do.
+listener, and the campaign's guard config reaches every slice intact,
+and every tool honours it, while an earlier campaign's settings never do.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro import bench
 from repro.bench.extras import extras_programs
+from repro.core.reproduce import RunEnv
 from repro.harness import campaign as campaign_module
 from repro.harness.allocator import LaplaceAllocator, slice_seed
 from repro.harness.campaign import Campaign, CampaignConfig
@@ -38,7 +39,7 @@ CONFIG = CampaignConfig(trials=2, budget=40, base_seed=5)
 class RaisingTool(TestingTool):
     name = "Raising"
 
-    def find_bug(self, program, budget, seed):
+    def find_bug(self, program, budget, seed, env=RunEnv(), verify_replays=0):
         raise RuntimeError(f"cannot search {program.name}")
 
 
@@ -48,8 +49,8 @@ class GuardEcho(TestingTool):
 
     name = "GuardEcho"
 
-    def find_bug(self, program, budget, seed):
-        return self._result(program, seed, None, 1, outcome=repr(self.guard))
+    def find_bug(self, program, budget, seed, env=RunEnv(), verify_replays=0):
+        return self._result(program, seed, None, 1, outcome=repr(env.guard))
 
 
 @pytest.fixture
@@ -155,6 +156,16 @@ class TestGuardConfig:
             result = ParallelCampaign(config, processes=processes).run(["GuardEcho"], programs)
         outcomes = {r.outcome for trials in result.results.values() for r in trials}
         assert outcomes == {repr(self.GUARD)}
+
+    @pytest.mark.parametrize("tool", sorted(TOOL_FACTORIES))
+    def test_every_tool_honours_the_campaign_guard(self, tool):
+        """A 5-step watchdog kills CS/account's first schedule before its
+        assertion, whichever tool schedules it: systematic explorers and
+        model checkers included."""
+        config = CampaignConfig(trials=1, budget=50, base_seed=1, guard=GuardConfig(step_budget=5))
+        result = ParallelCampaign(config, processes=0).run([tool], ["CS/account"])
+        (cell,) = result.trials(tool, "CS/account")
+        assert (cell.outcome, cell.schedules_to_bug) == ("timeout", 1)
 
 
 class TestSettingsDoNotLeak:

@@ -159,9 +159,12 @@ class TestCliExtras:
         assert "var:balance" in out
 
     def test_analyze_runs_the_programs_step_bound(self, capsys, monkeypatch):
-        """A program's declared ``max_steps`` holds in ``rff analyze`` as
-        everywhere else (it used to run at the default bound)."""
+        """A program's declared ``max_steps`` holds in ``rff analyze``,
+        ``rff dpor`` and the explorers as everywhere else (they used to run
+        at the default bound)."""
         from repro import cli
+        from repro.algos.exploration import StatelessExplorer
+        from repro.algos.period import PeriodExplorer
 
         @program("t/crash_past_bound", max_steps=5)
         def prog(t):
@@ -173,6 +176,10 @@ class TestCliExtras:
         monkeypatch.setattr(cli.bench, "get", lambda name: prog)
         assert cli.main(["analyze", "t/crash_past_bound", "--executions", "2"]) == 0
         assert "(0 crashed)" in capsys.readouterr().out
+        assert cli.main(["dpor", "t/crash_past_bound"]) == 0
+        assert "first bug at class: None (None)" in capsys.readouterr().out
+        assert not StatelessExplorer(prog).run().found_bug
+        assert not PeriodExplorer(prog).run().found_bug
 
     def test_fuzz_minimize_flag(self, capsys):
         from repro.cli import main

@@ -24,6 +24,7 @@ from repro.analysis.online import (
     parse_sanitizers,
 )
 from repro.core.fuzzer import RffConfig, RffFuzzer
+from repro.core.reproduce import RunEnv
 from repro.runtime import program, run_program
 from repro.schedulers import PctPolicy, RandomWalkPolicy
 
@@ -275,8 +276,8 @@ def test_finish_is_deterministic():
 # ----------------------------------------------------------------------
 class TestFuzzerIntegration:
     def test_sanitizer_records_are_bugs(self, racy_counter):
-        config = RffConfig(sanitizers=("race",))
-        report = RffFuzzer(racy_counter, seed=3, config=config).run(60)
+        env = RunEnv(sanitizers=("race",))
+        report = RffFuzzer(racy_counter, seed=3, env=env).run(60)
         assert report.sanitizer_records
         assert report.found_bug
         record = report.sanitizer_records[0]
@@ -286,8 +287,8 @@ class TestFuzzerIntegration:
         assert report.first_bug_at <= report.executions
 
     def test_records_deduped_across_executions(self, racy_counter):
-        config = RffConfig(sanitizers=("race", "lockset"))
-        report = RffFuzzer(racy_counter, seed=3, config=config).run(80)
+        env = RunEnv(sanitizers=("race", "lockset"))
+        report = RffFuzzer(racy_counter, seed=3, env=env).run(80)
         keys = [r.report.dedup_key for r in report.sanitizer_records]
         assert len(keys) == len(set(keys))
 
@@ -297,15 +298,15 @@ class TestFuzzerIntegration:
 
     def test_sanitized_fuzzing_is_deterministic(self, reorder3):
         # Same seed, same sanitizer stack: identical exploration and records.
-        config = RffConfig(sanitizers=("race", "lockset"))
-        a = RffFuzzer(reorder3, seed=9, config=config).run(50)
-        b = RffFuzzer(reorder3, seed=9, config=config).run(50)
+        env = RunEnv(sanitizers=("race", "lockset"))
+        a = RffFuzzer(reorder3, seed=9, env=env).run(50)
+        b = RffFuzzer(reorder3, seed=9, env=env).run(50)
         assert a.signature_counts == b.signature_counts
         assert a.sanitizer_records == b.sanitizer_records
 
     def test_stop_on_first_bug_counts_sanitizer_findings(self, racy_counter):
-        config = RffConfig(sanitizers=("race",))
-        fuzzer = RffFuzzer(racy_counter, seed=3, config=config)
+        env = RunEnv(sanitizers=("race",))
+        fuzzer = RffFuzzer(racy_counter, seed=3, env=env)
         report = fuzzer.run(200, stop_on_first_crash=True)
         assert report.found_bug
         first = report.first_bug_at

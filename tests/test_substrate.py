@@ -163,8 +163,7 @@ class TestCampaignIntegration:
 
     def test_rff_tool_finds_and_verifies(self):
         tool = RffTool()
-        tool.verify_replays = 5
-        result = tool.find_bug(bench.get("py:counter_race"), budget=200, seed=0)
+        result = tool.find_bug(bench.get("py:counter_race"), budget=200, seed=0, verify_replays=5)
         assert result.found
         assert result.replay_verdict == "STABLE"
 
@@ -528,6 +527,46 @@ class TestShimSemantics:
         # The unbalanced task_done overshoots: stdlib contract is ValueError.
         assert outcome == "exception"
         assert "ValueError" in failure
+
+    def test_lifo_and_priority_queue_order(self):
+        def entry():
+            import queue
+
+            lifo = queue.LifoQueue(maxsize=3)
+            for item in (1, 2, 3):
+                lifo.put(item)
+            assert lifo.full()
+            assert [lifo.get() for _ in range(3)] == [3, 2, 1]
+            prio = queue.PriorityQueue()
+            for item in ((2, "b"), (3, "c"), (1, "a")):
+                prio.put_nowait(item)
+            assert prio.qsize() == 3
+            assert [prio.get_nowait()[1] for _ in range(3)] == ["a", "b", "c"]
+            assert prio.empty()
+
+        assert self._run(entry, seeds=5) == {(None, None)}
+
+    @pytest.mark.parametrize("kind", ["LifoQueue", "PriorityQueue"])
+    def test_positive_timeout_does_not_read_the_clock(self, kind, monkeypatch):
+        """A positive ``get`` timeout blocks like an untimed ``get``: a clock
+        that jumps 10 s per read cannot make a schedule raise ``Empty``."""
+        import itertools
+        import queue
+
+        clock = itertools.count(step=10)
+        monkeypatch.setattr(queue, "time", lambda: next(clock))
+
+        def entry():
+            import queue
+            import threading
+
+            q = getattr(queue, kind)()
+            producer = threading.Thread(target=q.put, args=(1,))
+            producer.start()
+            assert q.get(timeout=1) == 1
+            producer.join()
+
+        assert self._run(entry, seeds=20) == {(None, None)}
 
 
 class TestSubstrateGuards:

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import bench
-from repro.core.fuzzer import RffConfig, RffFuzzer
+from repro.core.fuzzer import RffFuzzer
 from repro.core.minimize import any_crash, crash_rate, minimize_schedule
 from repro.core.reproduce import (
     FLAKY,
@@ -294,11 +294,11 @@ class TestBucketPreservingMinimize:
     def test_minimize_runs_in_the_configs_environment(self):
         # A 5-step watchdog kills CS/account before its assertion: the bug
         # found is a timeout, and minimization must pin that bucket.
-        config = RffConfig(guard=GuardConfig(step_budget=5))
+        env = RunEnv(guard=GuardConfig(step_budget=5))
         prog = bench.get("CS/account")
-        crash = RffFuzzer(prog, config=config).run(5, stop_on_first_crash=True).crashes[0]
+        crash = RffFuzzer(prog, env=env).run(5, stop_on_first_crash=True).crashes[0]
         assert crash.outcome == "timeout"
-        outcome = minimize_schedule(prog, crash.abstract_schedule, config=config)
+        outcome = minimize_schedule(prog, crash.abstract_schedule, env=env)
         assert outcome.target_key == crash.dedup_key
 
     def test_any_crash_predicate_is_the_permissive_legacy(self):
@@ -415,12 +415,12 @@ class TestPersistHardening:
         assert loaded.dedup_key is None and loaded.frames == ()
 
     def test_crash_files_are_bug_files(self, tmp_path):
-        config = RffConfig(memory_model="tso", guard=GuardConfig(step_budget=5000))
-        fuzzer = RffFuzzer(twobugs_program, seed=9, config=config)
+        env = RunEnv(memory_model="tso", guard=GuardConfig(step_budget=5000))
+        fuzzer = RffFuzzer(twobugs_program, seed=9, env=env)
         report = fuzzer.run(200, stop_on_first_crash=True)
         [path] = save_crashes(report, tmp_path)
         payload = load_artifact(path)
-        assert RunEnv.from_artifact(payload) == report.env == config.env
+        assert RunEnv.from_artifact(payload) == report.env == env
         assert payload["verdict"] is None
         assert payload["execution_index"] == report.crashes[0].execution_index
         assert load_crash(path) == (twobugs_program.name, report.crashes[0])
@@ -435,8 +435,7 @@ class TestPersistHardening:
         from repro.harness.tools import random_tool
 
         tool = random_tool()
-        tool.verify_replays = 3
-        result = tool.find_bug(bench.get("CS/account"), budget=300, seed=1)
+        result = tool.find_bug(bench.get("CS/account"), budget=300, seed=1, verify_replays=3)
         assert result.found and result.bucket and result.replay_verdict
         assert result_from_dict(result_to_dict(result)) == result
 

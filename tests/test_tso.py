@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.fuzzer import RffConfig, fuzz
+from repro.core.fuzzer import fuzz
+from repro.core.reproduce import RunEnv
 from repro.runtime import program, run_program, run_program_tso
 from repro.runtime.tso import FLUSH_KIND, TsoExecutor
 from repro.schedulers import PosPolicy, RandomWalkPolicy
@@ -115,8 +116,8 @@ class TestStoreBufferLitmus:
         assert not any(run_program_tso(sb_fenced, PosPolicy(s)).crashed for s in range(300))
 
     def test_rff_finds_tso_bug(self):
-        config = RffConfig(memory_model="tso")
-        report = fuzz(sb_litmus, max_executions=300, seed=0, config=config,
+        env = RunEnv(memory_model="tso")
+        report = fuzz(sb_litmus, max_executions=300, seed=0, env=env,
                       stop_on_first_crash=True)
         assert report.found_bug
 
@@ -367,8 +368,8 @@ class TestJoinVisibility:
             assert not result.crashed, (seed, result.trace.failure)
 
     def test_rff_under_tso_reports_no_bug(self):
-        config = RffConfig(memory_model="tso")
-        report = fuzz(join_publishes, max_executions=300, seed=0, config=config,
+        env = RunEnv(memory_model="tso")
+        report = fuzz(join_publishes, max_executions=300, seed=0, env=env,
                       stop_on_first_crash=True)
         assert not report.found_bug
 

@@ -6,7 +6,7 @@ here; if a library change invalidates the walkthrough, this file fails.
 
 from __future__ import annotations
 
-from repro import RffConfig, fuzz, program, run_program
+from repro import RunEnv, fuzz, program, run_program
 from repro.analysis import check_lock_discipline, find_races
 from repro.harness import Campaign, CampaignConfig, appendix_b_table, paper_tools
 from repro.harness.persist import load_crash, save_crashes
@@ -68,7 +68,7 @@ class TestTutorialSection4:
             single_flight,
             max_executions=1000,
             seed=0,
-            config=RffConfig(memory_model="tso"),
+            env=RunEnv(memory_model="tso"),
             stop_on_first_crash=True,
         )
         assert report.found_bug
@@ -79,7 +79,7 @@ class TestTutorialSection4:
             single_flight_fenced,
             max_executions=600,
             seed=0,
-            config=RffConfig(memory_model="tso"),
+            env=RunEnv(memory_model="tso"),
             stop_on_first_crash=True,
         )
         assert not report.found_bug
@@ -89,7 +89,7 @@ class TestTutorialSection4:
             single_flight,
             max_executions=1000,
             seed=1,
-            config=RffConfig(memory_model="tso"),
+            env=RunEnv(memory_model="tso"),
             stop_on_first_crash=True,
         )
         from repro.runtime.tso import TsoExecutor
@@ -109,7 +109,7 @@ class TestTutorialSection5:
             single_flight,
             max_executions=1000,
             seed=2,
-            config=RffConfig(memory_model="tso"),
+            env=RunEnv(memory_model="tso"),
             stop_on_first_crash=True,
         )
         paths = save_crashes(report, tmp_path)
