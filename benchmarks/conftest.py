@@ -16,6 +16,7 @@ captures every artifact.
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,10 @@ import pytest
 from repro import bench
 from repro.harness.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.harness.tools import paper_tools
+
+# pytest loads this file as ``conftest`` and the benches import it as
+# ``benchmarks.conftest``: one module object keeps one set of claims.
+sys.modules.setdefault("benchmarks.conftest", sys.modules[__name__])
 
 TRIALS = int(os.environ.get("RFF_BENCH_TRIALS", "3"))
 BUDGET = int(os.environ.get("RFF_BENCH_BUDGET", "250"))
@@ -34,10 +39,18 @@ BUDGET_OVERRIDES = {
     "RADBench/bug5": min(BUDGET, 120),
 }
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+
+#: Starts the line naming the bench file whose claims follow in claims.txt.
+CLAIMS_HEADER = "# "
 
 #: Claim lines accumulated by benches, echoed in the terminal summary.
 _SUMMARY_LINES: list[str] = []
+#: Bench file (e.g. ``benchmarks/test_figure4.py``) -> the claim lines its
+#: tests recorded this session; a file is a key once one of its tests ran.
+_CLAIMS: dict[str, list[str]] = {}
+_running_file = ""
 
 
 def record_artifact(name: str, content: str) -> Path:
@@ -50,11 +63,10 @@ def record_artifact(name: str, content: str) -> Path:
 
 def record_claim(line: str) -> None:
     """Queue one paper-vs-measured claim line for the terminal summary and
-    append it to results/claims.txt (EXPERIMENTS.md source data)."""
+    for results/claims.txt (EXPERIMENTS.md source data), under the bench
+    file whose test is running."""
     _SUMMARY_LINES.append(line)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with (RESULTS_DIR / "claims.txt").open("a") as sink:
-        sink.write(line + "\n")
+    _CLAIMS[_running_file].append(line)
 
 
 @pytest.fixture(scope="session")
@@ -70,11 +82,36 @@ def campaign() -> CampaignResult:
     return Campaign(config).run(paper_tools(), programs)
 
 
-def pytest_sessionstart(session):
-    # claims.txt is appended to by record_claim; start each session fresh.
-    stale = RESULTS_DIR / "claims.txt"
-    if stale.exists():
-        stale.unlink()
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_call(item):
+    global _running_file
+    _running_file = item.path.relative_to(ROOT).as_posix()
+    _CLAIMS.setdefault(_running_file, [])
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Rewrite the claims.txt groups of the bench files that ran, keeping
+    every other file's group, so a partial bench run drops no claims."""
+    if not _CLAIMS:
+        return
+    path = RESULTS_DIR / "claims.txt"
+    groups: dict[str, list[str]] = {}
+    current = ""
+    for line in path.read_text().splitlines() if path.exists() else ():
+        if line.startswith(CLAIMS_HEADER):
+            current = line[len(CLAIMS_HEADER):]
+            groups[current] = []
+        else:
+            groups.setdefault(current, []).append(line)
+    groups.update(_CLAIMS)
+    lines = [
+        line
+        for bench_file in sorted(groups)
+        if groups[bench_file]
+        for line in (CLAIMS_HEADER + bench_file, *groups[bench_file])
+    ]
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path.write_text("".join(line + "\n" for line in lines))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

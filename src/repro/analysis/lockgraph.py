@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.trace import Trace
 
 
@@ -85,34 +83,51 @@ def lock_order_on_event(
 def cycle_predictions(edges: dict[tuple[str, str], set[int]]) -> list[DeadlockPrediction]:
     """Inter-thread cycles of the lock-order graph spanned by ``edges``.
 
-    Each cycle starts at its minimal lock and the predictions are sorted:
-    the rotation ``nx.simple_cycles`` picks follows hash order, so without
-    this a report's text would depend on ``PYTHONHASHSEED``.
+    Every elementary cycle is found once, starting at its minimal lock: a
+    depth-first walk from each lock visits only greater locks, and only
+    those that lead back to the start, so an acyclic graph costs one
+    reverse search per lock.  The predictions are sorted, so a report's
+    text depends on neither edge order nor ``PYTHONHASHSEED``.
     """
-    if not edges:
-        # No nested acquisitions anywhere in the trace: the graph has no
-        # edges, hence no cycles — skip building a DiGraph per execution.
-        return []
-    graph = nx.DiGraph()
-    for (outer, inner), threads in edges.items():
-        graph.add_edge(outer, inner, threads=threads)
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
+    for outer, inner in edges:
+        # A self-loop (nested reacquisition of one lock) is no ABBA cycle.
+        if outer != inner:
+            successors.setdefault(outer, []).append(inner)
+            predecessors.setdefault(inner, []).append(outer)
     predictions: list[DeadlockPrediction] = []
-    for cycle in nx.simple_cycles(graph):
-        if len(cycle) < 2:
-            continue
-        contributors: set[int] = set()
-        for index, outer in enumerate(cycle):
-            inner = cycle[(index + 1) % len(cycle)]
-            contributors |= edges.get((outer, inner), set())
-        # A cycle one thread creates alone (nested reacquisition in a
-        # consistent order) is not a deadlock between threads.
-        if len(contributors) >= 2:
-            pivot = cycle.index(min(cycle))
-            predictions.append(
-                DeadlockPrediction(
-                    cycle=tuple(cycle[pivot:] + cycle[:pivot]), threads=frozenset(contributors)
-                )
-            )
+    for start in sorted(successors):
+        # The locks above ``start`` that reach it through locks above it:
+        # only they can lie on a cycle whose minimal lock is ``start``.
+        returning: set[str] = set()
+        frontier = [start]
+        while frontier:
+            for outer in predecessors.get(frontier.pop(), ()):
+                if outer > start and outer not in returning:
+                    returning.add(outer)
+                    frontier.append(outer)
+        path = [start]
+        pending = [iter(successors[start])]
+        while pending:
+            for inner in pending[-1]:
+                if inner == start:
+                    contributors: set[int] = set()
+                    for index, outer in enumerate(path):
+                        contributors |= edges[(outer, path[(index + 1) % len(path)])]
+                    # A cycle one thread creates alone (nested reacquisition
+                    # in a consistent order) is not a deadlock between threads.
+                    if len(contributors) >= 2:
+                        predictions.append(
+                            DeadlockPrediction(cycle=tuple(path), threads=frozenset(contributors))
+                        )
+                elif inner in returning and inner not in path:
+                    path.append(inner)
+                    pending.append(iter(successors[inner]))
+                    break
+            else:
+                pending.pop()
+                path.pop()
     return sorted(predictions, key=lambda prediction: prediction.cycle)
 
 

@@ -21,9 +21,7 @@ Three sanitizers ship in the registry:
   sharing :func:`~repro.analysis.lockset.eraser_on_event` with the offline
   analyzer so the two agree by construction.
 * ``lockorder`` — :class:`OnlineLockOrderSanitizer`, lock-order-graph ABBA
-  deadlock prediction, sharing the offline edge/cycle helpers (the cycle
-  search imports :mod:`networkx` lazily, keeping the fuzzer import chain
-  light).
+  deadlock prediction, sharing the offline edge/cycle helpers.
 
 Every finding is normalised into a :class:`SanitizerReport` whose
 ``dedup_key`` (sanitizer, kind, abstract-event pair) identifies the bug
@@ -43,6 +41,7 @@ from repro.analysis.hb import (
     Race,
     RaceReport,
 )
+from repro.analysis.lockgraph import LockGraphReport, cycle_predictions, lock_order_on_event
 from repro.analysis.lockset import (
     LocksetReport,
     _Shadow,
@@ -318,30 +317,21 @@ class OnlineLockOrderSanitizer(Sanitizer):
 
     Accumulates graph edges per event via the shared
     :func:`~repro.analysis.lockgraph.lock_order_on_event`; the cycle search
-    (and its :mod:`networkx` dependency) only runs — and is only imported —
-    in :meth:`finish`.
+    only runs in :meth:`finish`.
     """
 
     name = "lockorder"
 
     def __init__(self) -> None:
-        # Deferred import (lockgraph pulls in networkx at module top); bound
-        # once per instance so on_event pays a plain attribute load, not an
-        # import-machinery round trip per event.
-        from repro.analysis.lockgraph import lock_order_on_event
-
         self._held: dict[int, list[str]] = {}
         self._edges: dict[tuple[str, str], set[int]] = {}
-        self._on_event = lock_order_on_event
         #: The offline-equivalent report, populated by :meth:`finish`.
         self.report = None
 
     def on_event(self, event: Event) -> None:
-        self._on_event(event, self._held, self._edges)
+        lock_order_on_event(event, self._held, self._edges)
 
     def finish(self) -> list[SanitizerReport]:
-        from repro.analysis.lockgraph import LockGraphReport, cycle_predictions
-
         report = LockGraphReport(edges=self._edges)
         report.predictions.extend(cycle_predictions(self._edges))
         self.report = report

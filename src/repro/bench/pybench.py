@@ -31,9 +31,6 @@ from functools import lru_cache
 from repro.runtime.program import Program
 from repro.substrate import py_program, track
 
-#: Name prefix of the real-Python namespace.
-PY_PREFIX = "py:"
-
 #: Module-level global for the settrace-observer target.
 _G_COUNT = 0
 

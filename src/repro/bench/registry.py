@@ -35,6 +35,9 @@ from repro.runtime.program import Program
 #: Number of benchmark programs in the paper's evaluation (Section 5.1).
 EXPECTED_PROGRAM_COUNT = 49
 
+#: Name prefix of the real-Python namespace.
+PY_PREFIX = "py:"
+
 
 @lru_cache(maxsize=1)
 def all_programs() -> dict[str, Program]:
@@ -67,9 +70,10 @@ def get(name: str) -> Program:
 
     if name.startswith(GEN_PREFIX):
         return from_name(name).program
-    from repro.bench.pybench import PY_PREFIX, get as py_get
-
     if name.startswith(PY_PREFIX):
+        # The suite (and the substrate under it) loads for py: names only.
+        from repro.bench.pybench import get as py_get
+
         return py_get(name)
     programs = all_programs()
     if name not in programs:

@@ -138,8 +138,7 @@ class RunEnv:
         names = self.sanitizers
         if not names:
             return lambda policy: cls(program, policy, max_steps=steps, guard=guard).run()
-        # Lazy import: keeps the analysis package (and its networkx
-        # dependency) off the import chain when sanitizers are off.
+        # Imported here: repro.analysis.directed imports this module.
         from repro.analysis.online import build_stack
 
         return lambda policy: cls(

@@ -44,7 +44,6 @@ workers do not inherit the parent's registrations.
 from __future__ import annotations
 
 import importlib
-import multiprocessing as mp
 import os
 import sys
 from dataclasses import dataclass, field
@@ -207,10 +206,17 @@ class ParallelCampaign:
         """
         from repro.harness.pool import WorkerPool
 
+        size = self._process_count()
+        context = None
+        if size:
+            # Imported here: in-process campaigns never start a process.
+            import multiprocessing
+
+            context = multiprocessing.get_context(self.start_method or _default_start_method())
         pool = WorkerPool(
             self,
-            mp.get_context(self.start_method or _default_start_method()),
-            self._process_count(),
+            context,
+            size,
             self._worker_profile(),
             refs,
             tools=tool_instances,
@@ -245,7 +251,9 @@ def _default_start_method() -> str:
     ``fork`` on older interpreters where it is still the fastest safe default.
     The chaos plan travels in the worker profile, not the environment, so
     fault injection behaves identically across start methods."""
-    methods = mp.get_all_start_methods()
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
     if sys.version_info >= (3, 12) and "forkserver" in methods:
         return "forkserver"
     return "fork" if "fork" in methods else "spawn"

@@ -6,7 +6,8 @@ Tool names match the Figure 4 legend: ``RFF``, ``POS``, ``PCT3``,
 ``PERIOD``, ``QLearning RF``, ``GenMC`` (plus ``Random`` as an extra naive
 baseline).  Every tool runs in the :class:`~repro.core.reproduce.RunEnv`
 its caller passes to ``find_bug``, so all of them see the runtime a
-campaign asked for.
+campaign asked for.  The explorers of :mod:`repro.algos` load when a tool
+that runs one is built or called, not with this module.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.algos.modelcheck import ModelChecker, UnsupportedProgram
-from repro.algos.period import PeriodExplorer
-from repro.algos.qlearning import QLearningRfPolicy
 from repro.core.fuzzer import RffConfig, RffFuzzer
 from repro.core.reproduce import (
     STABLE,
@@ -273,6 +271,8 @@ def pct_tool(depth: int = 3) -> PerExecutionPolicyTool:
 
 def qlearning_tool() -> PerExecutionPolicyTool:
     """Q-Learning RF (Section 5.5); the Q table persists across schedules."""
+    from repro.algos.qlearning import QLearningRfPolicy
+
     return PerExecutionPolicyTool("QLearning RF", lambda s: QLearningRfPolicy(seed=s), persistent=True)
 
 
@@ -289,6 +289,8 @@ class PeriodTool(TestingTool):
     def find_bug(
         self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
     ) -> BugSearchResult:
+        from repro.algos.period import PeriodExplorer
+
         explorer = PeriodExplorer(
             program, max_executions=budget, max_bound=self.max_bound, env=replace(env, sanitizers=())
         )
@@ -306,6 +308,8 @@ class GenMcTool(TestingTool):
     def find_bug(
         self, program: Program, budget: int, seed: int, env: RunEnv = RunEnv(), verify_replays: int = 0
     ) -> BugSearchResult:
+        from repro.algos.modelcheck import ModelChecker, UnsupportedProgram
+
         checker = ModelChecker(program, max_executions=budget, env=replace(env, sanitizers=()))
         try:
             report = checker.check()

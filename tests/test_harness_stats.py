@@ -94,17 +94,44 @@ class TestLogRank:
         assert logrank_direction([5, 5, 5], [5, None, None]) == -1
 
 
+#: Modules that importing the harness and the CLI must not load: each
+#: serves only a command, target family or engine that asks for it.
+LAZY_MODULES = (
+    "ctypes",
+    "concurrent.futures",
+    "multiprocessing",
+    "queue",
+    "repro.substrate",
+    "repro.bench.pybench",
+    "repro.algos",
+    "repro.gen",
+)
+
+
 class TestImportCost:
     def test_harness_imports_without_scipy(self):
-        """Only the two tests use scipy, so importing the harness (every
-        ``rff`` command, every campaign process) must not load it."""
+        """Only the two tests use scipy and nothing uses networkx, so
+        importing the harness (every ``rff`` command, every campaign
+        process) must load neither, nor any of :data:`LAZY_MODULES`; the
+        lock-order cycle search must work without networkx."""
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
+            "sys.modules['networkx'] = None\n"
             "import repro.harness, repro.cli\n"
+            f"loaded = [name for name in {LAZY_MODULES!r} if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
             "from repro.harness import summarize\n"
             "assert summarize([3, None]).found == 1\n"
+            "from repro import bench\n"
+            "from repro.analysis import predict_deadlocks\n"
+            "from repro.runtime import run_program\n"
+            "from repro.schedulers import RandomWalkPolicy\n"
+            "result = run_program(bench.get('CS/deadlock01'), RandomWalkPolicy(3))\n"
+            "assert not result.crashed\n"
+            "cycles = [p.cycle for p in predict_deadlocks(result.trace).predictions]\n"
+            "assert cycles == [('mutex:A', 'mutex:B')], cycles\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(

@@ -9,10 +9,15 @@ by shared construction.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import bench
 from repro.analysis import check_lock_discipline, find_races, predict_deadlocks
+from repro.analysis.lockgraph import DeadlockPrediction, cycle_predictions
 from repro.analysis.online import (
     SANITIZERS,
     OnlineLockOrderSanitizer,
@@ -51,6 +56,32 @@ def wronglock_program(t):
 @pytest.fixture
 def wronglock():
     return wronglock_program
+
+
+#: Lock-order graphs over up to six locks, self-loops included, with 0-3
+#: contributing thread ids per edge.
+LOCK_EDGES = st.dictionaries(
+    st.tuples(*[st.sampled_from([f"mutex:{name}" for name in "ABCDEF"])] * 2),
+    st.sets(st.integers(0, 3), max_size=3),
+    max_size=36,
+)
+
+
+def brute_force_cycles(edges):
+    """Reference cycle search: every ordering of every lock subset that
+    starts at its minimal lock and whose consecutive pairs, the closing pair
+    included, are all edges, kept when at least two threads contribute."""
+    locks = sorted({lock for edge in edges for lock in edge})
+    predictions = []
+    for size in range(2, len(locks) + 1):
+        for ordering in itertools.permutations(locks, size):
+            pairs = list(zip(ordering, ordering[1:] + ordering[:1]))
+            if ordering[0] != min(ordering) or not all(pair in edges for pair in pairs):
+                continue
+            threads = frozenset().union(*(edges[pair] for pair in pairs))
+            if len(threads) >= 2:
+                predictions.append(DeadlockPrediction(cycle=ordering, threads=threads))
+    return sorted(predictions, key=lambda prediction: prediction.cycle)
 
 
 def run_with(prog, policy, names=("race", "lockset", "lockorder")):
@@ -104,8 +135,6 @@ class TestRegistry:
     def test_canonical_cycle_rotation(self):
         """Cycles start at their minimal lock and come sorted, whatever
         order the lock-order graph was built in."""
-        from repro.analysis.lockgraph import cycle_predictions
-
         edges = {
             ("mutex:B", "mutex:A"): {2},
             ("mutex:A", "mutex:B"): {1},
@@ -117,6 +146,14 @@ class TestRegistry:
                 ("mutex:A", "mutex:B"),
                 ("mutex:C", "mutex:D"),
             ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=LOCK_EDGES)
+    def test_cycle_search_matches_brute_force(self, edges):
+        """The cycle search reports exactly the inter-thread elementary
+        cycles an exhaustive search over lock orderings finds."""
+        assert cycle_predictions(edges) == brute_force_cycles(edges)
+        assert cycle_predictions(dict(reversed(list(edges.items())))) == cycle_predictions(edges)
 
 
 # ----------------------------------------------------------------------
