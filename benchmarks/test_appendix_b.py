@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from repro.harness.reporting import appendix_b_table
 
-from benchmarks.conftest import record_artifact, record_claim
+from benchmarks.conftest import ROOT, record_artifact, record_claim
 
 
 def test_appendix_b_table(campaign, benchmark):
     table = benchmark.pedantic(appendix_b_table, args=(campaign,), rounds=1, iterations=1)
     path = record_artifact("appendix_b.txt", table)
-    record_claim(f"appendix B: full table written to {path}")
+    record_claim(f"appendix B: full table written to {path.relative_to(ROOT).as_posix()}")
     assert "CS/reorder_100" in table
     # 49 program rows + header/footer furniture.
     assert sum(1 for line in table.splitlines() if line.startswith(("CS/", "CB/", "Chess/"))) == 29

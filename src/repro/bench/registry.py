@@ -22,19 +22,13 @@ from __future__ import annotations
 import difflib
 from functools import lru_cache
 
-from repro.bench.cb import cb_programs
-from repro.bench.chess import chess_programs
-from repro.bench.convul import convul_programs
-from repro.bench.cs import cs_programs
-from repro.bench.inspect_suite import inspect_programs
-from repro.bench.radbench import radbench_programs
-from repro.bench.safestack import safestack_programs
-from repro.bench.splash2 import splash2_programs
 from repro.runtime.program import Program
 
 #: Number of benchmark programs in the paper's evaluation (Section 5.1).
 EXPECTED_PROGRAM_COUNT = 49
 
+#: Name prefix of the generated-scenario namespace.
+GEN_PREFIX = "gen:"
 #: Name prefix of the real-Python namespace.
 PY_PREFIX = "py:"
 
@@ -42,6 +36,16 @@ PY_PREFIX = "py:"
 @lru_cache(maxsize=1)
 def all_programs() -> dict[str, Program]:
     """Every benchmark program, keyed by its Appendix B name."""
+    # The eight suites load here, so gen: and py: lookups never build them.
+    from repro.bench.cb import cb_programs
+    from repro.bench.chess import chess_programs
+    from repro.bench.convul import convul_programs
+    from repro.bench.cs import cs_programs
+    from repro.bench.inspect_suite import inspect_programs
+    from repro.bench.radbench import radbench_programs
+    from repro.bench.safestack import safestack_programs
+    from repro.bench.splash2 import splash2_programs
+
     programs: dict[str, Program] = {}
     for group in (
         cb_programs(),
@@ -66,12 +70,13 @@ def get(name: str) -> Program:
     Unknown names raise a ``KeyError`` listing the closest matches, so a
     typo like ``CS/reorder_1000`` points straight at ``CS/reorder_100``.
     """
-    from repro.gen.synth import GEN_PREFIX, from_name
-
+    # Each namespace's code (the generator, the substrate) loads for its
+    # own names only.
     if name.startswith(GEN_PREFIX):
+        from repro.gen.synth import from_name
+
         return from_name(name).program
     if name.startswith(PY_PREFIX):
-        # The suite (and the substrate under it) loads for py: names only.
         from repro.bench.pybench import get as py_get
 
         return py_get(name)

@@ -18,13 +18,6 @@ from repro import bench
 from repro.core.fuzzer import RffConfig, fuzz
 from repro.core.reproduce import RunEnv
 from repro.harness.campaign import CampaignConfig
-from repro.harness.reporting import (
-    appendix_b_table,
-    figure4_ascii,
-    figure5_ascii,
-    rf_distribution_pos,
-    rf_distribution_rff,
-)
 from repro.harness.tools import paper_tools, tool_factory
 
 
@@ -289,7 +282,7 @@ def _validate_campaign_run(
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ParallelCampaign
     from repro.harness.persist import TornLineError
-    from repro.harness.reporting import throughput_summary
+    from repro.harness.reporting import appendix_b_table, figure4_ascii, throughput_summary
     from repro.harness.store import StoreError
     from repro.harness.telemetry import (
         JsonlSink,
@@ -577,7 +570,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_eval_gen(args: argparse.Namespace) -> int:
     """Differential ground-truth evaluation over a generated corpus."""
-    from repro.gen.synth import GEN_PREFIX  # noqa: F401 - ensures gen registers cleanly
     from repro.harness.groundtruth import (
         GroundTruthConfig,
         GroundTruthHarness,
@@ -656,6 +648,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
+    from repro.harness.reporting import figure5_ascii, rf_distribution_pos, rf_distribution_rff
+
     prog = bench.get(args.program)
     pos = rf_distribution_pos(prog, executions=args.executions, seed=args.seed)
     rff = rf_distribution_rff(prog, executions=args.executions, seed=args.seed)

@@ -42,13 +42,11 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.bench.registry import GEN_PREFIX
 from repro.runtime.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.gen.plant import GroundTruth
-
-#: Program-name namespace of generated scenarios.
-GEN_PREFIX = "gen:"
 
 #: Bug kinds the planting stage can inject ("none" = keep the base program).
 BUG_KINDS = ("race", "deadlock", "atomicity", "none")

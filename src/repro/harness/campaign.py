@@ -11,14 +11,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.harness.allocator import AllocationRun, CellId, CellInfo, UniformAllocator, slice_seed
-from repro.harness.stats import SummaryCell, summarize
 from repro.harness.telemetry import ProgressSink, TelemetrySink
 from repro.harness.tools import BugSearchResult, TestingTool
 from repro.runtime.guard import GuardConfig
 from repro.runtime.program import Program
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.harness.stats import SummaryCell
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ class CampaignResult:
         return [r.schedules_to_bug for r in self.trials(tool, program)]
 
     def cell(self, tool: str, program: str) -> SummaryCell:
+        from repro.harness.stats import summarize
+
         return summarize(self.schedules_to_bug(tool, program))
 
     def is_error(self, tool: str, program: str) -> bool:

@@ -28,26 +28,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.fuzzer import RffFuzzer
 from repro.core.reproduce import RunEnv
-from repro.gen.oracle import (
-    SANITIZER_NAMES,
-    aggregate_sanitizers,
-    judge_result,
-    judge_sanitizers,
-)
-from repro.gen.synth import GenConfig, GeneratedProgram, corpus
 from repro.harness.campaign import CampaignConfig, CampaignResult
 from repro.harness.parallel import ParallelCampaign
 from repro.harness.telemetry import TelemetrySink
 from repro.harness.tools import TOOL_FACTORIES, TestingTool
 
+# repro.gen loads where the harness synthesizes or judges, so importing this
+# module (perfbench's child does, for tool_factories) does not load it.
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.gen.synth import GenConfig, GeneratedProgram
+
 
 def tool_factories() -> dict[str, Callable[[], TestingTool]]:
     """Name -> constructor for every tool eval-gen can run."""
     return dict(TOOL_FACTORIES)
+
+
+def _default_gen_config() -> GenConfig:
+    from repro.gen.synth import GenConfig
+
+    return GenConfig()
+
+
+def _default_sanitizers() -> tuple[str, ...]:
+    from repro.gen.oracle import SANITIZER_NAMES
+
+    return SANITIZER_NAMES
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class GroundTruthConfig:
     #: First corpus seed; programs are ``gen:<seed> .. gen:<seed+count-1>``.
     seed: int = 0
     count: int = 50
-    gen_config: GenConfig = field(default_factory=GenConfig)
+    gen_config: GenConfig = field(default_factory=_default_gen_config)
     #: Crash-channel tools (keys of :func:`tool_factories`).
     tools: tuple[str, ...] = ("RFF", "Random", "PCT3", "POS")
     trials: int = 3
@@ -66,9 +76,12 @@ class GroundTruthConfig:
     base_seed: int = 1234
     #: Schedules of sanitizer-instrumented RFF fuzzing per program.
     sanitizer_budget: int = 80
-    sanitizers: tuple[str, ...] = SANITIZER_NAMES
+    #: Every sanitizer the oracle scores (``repro.gen.oracle.SANITIZER_NAMES``).
+    sanitizers: tuple[str, ...] = field(default_factory=_default_sanitizers)
 
     def corpus(self) -> list[GeneratedProgram]:
+        from repro.gen.synth import corpus
+
         return corpus(self.seed, self.count, self.gen_config)
 
 
@@ -122,6 +135,8 @@ class GroundTruthHarness:
     # -- sanitizer channel ----------------------------------------------
     def run_sanitizer_sweep(self, programs: list[GeneratedProgram]) -> list:
         """Fuzz each program with the sanitizer stack; judge every verdict."""
+        from repro.gen.oracle import judge_sanitizers
+
         judgements = []
         env = RunEnv(sanitizers=tuple(self.config.sanitizers))
         for generated in programs:
@@ -141,6 +156,8 @@ class GroundTruthHarness:
     # -- full evaluation ------------------------------------------------
     def evaluate(self, processes: int | None = 0) -> dict[str, Any]:
         """Both channels end to end; returns the BENCH_groundtruth payload."""
+        from repro.gen.oracle import aggregate_sanitizers, judge_result
+
         programs = self.corpus()
         kinds = self._emit_corpus(programs)
         truths = {generated.name: generated.ground_truth for generated in programs}

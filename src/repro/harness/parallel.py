@@ -156,6 +156,8 @@ class ParallelCampaign:
     A slice whose retries run out is a structured error cell.  A chaos plan
     armed in the environment (:class:`~repro.harness.faults.ChaosPlan`) is
     read once per run and fires its worker faults in the pool workers.
+    An unknown sanitizer name in ``config`` raises ``ValueError`` when the
+    campaign is built.
     """
 
     config: CampaignConfig
@@ -177,6 +179,14 @@ class ParallelCampaign:
     heartbeat_seconds: float = 0.5
     #: A worker silent this long loses its lease and is killed.
     lease_seconds: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.config.sanitizers:
+            # An unknown name raises here, before any slice runs.  Building
+            # the stack also loads it in this process, before workers fork.
+            from repro.analysis.online import build_stack
+
+            build_stack(self.config.sanitizers)
 
     def run(self, tool_names: list[str], program_names: list[str]) -> CampaignResult:
         """Run all campaign cells; the result is bit-identical to serial runs."""

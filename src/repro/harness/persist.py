@@ -14,7 +14,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.online import SanitizerReport
 from repro.core.constraints import AbstractSchedule, Constraint
 from repro.core.events import AbstractEvent, Event
 from repro.core.fuzzer import CrashRecord, FuzzReport
@@ -170,6 +169,12 @@ def result_to_dict(result: BugSearchResult) -> dict[str, Any]:
 def result_from_dict(data: dict[str, Any]) -> BugSearchResult:
     """Exact inverse of :func:`result_to_dict` — resumed campaign cells must
     compare equal to freshly computed ones."""
+    reports = data.get("sanitizer_reports", ())
+    if reports:
+        # Only a result with reports loads the sanitizer package.
+        from repro.analysis.online import SanitizerReport
+
+        reports = [SanitizerReport.from_dict(r) for r in reports]
     return BugSearchResult(
         tool=data["tool"],
         program=data["program"],
@@ -179,9 +184,7 @@ def result_from_dict(data: dict[str, Any]) -> BugSearchResult:
         executions=data["executions"],
         outcome=data.get("outcome"),
         error=data.get("error"),
-        sanitizer_reports=tuple(
-            SanitizerReport.from_dict(r) for r in data.get("sanitizer_reports", ())
-        ),
+        sanitizer_reports=tuple(reports),
         bucket=data.get("bucket"),
         replay_verdict=data.get("replay_verdict"),
         new_signatures=data.get("new_signatures", 0),

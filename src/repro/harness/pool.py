@@ -75,7 +75,6 @@ from repro.core.trace import intern_schedule
 from repro.harness import faults
 from repro.harness.campaign import PendingSlice
 from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
-from repro.harness.persist import result_from_dict, result_to_dict
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
 
@@ -161,6 +160,8 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
     work when this process dies mid-batch.
     """
     import threading
+
+    from repro.harness.persist import result_to_dict
 
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -281,6 +282,9 @@ def _intern_reply(data: dict) -> dict:
 
 def _decode_outcome(payload) -> CellOutcome:
     """Reply payload -> CellOutcome."""
+    # Imported here: an in-process campaign decodes no replies.
+    from repro.harness.persist import result_from_dict
+
     data, wall_time, counters = payload
     return CellOutcome(
         result=result_from_dict(_intern_reply(data)),

@@ -230,9 +230,9 @@ def _derive_loc(gen: Generator) -> str:
 def _op_location(op: ops.Op) -> str:
     """The memory location ``x`` an operation acts on.
 
-    Locations are precomputed at op construction (see
-    :meth:`repro.runtime.ops.Op.__post_init__`); this accessor remains as
-    the stable entry point for scheduler policies.
+    Locations are precomputed at op construction (each op's ``__init__``
+    sets ``location``); this accessor remains as the stable entry point
+    for scheduler policies.
     """
     return op.location
 

@@ -19,17 +19,26 @@ Each operation carries:
   playing the role of the source location ``l`` in abstract events
   ``op(x)@l``.
 * ``location`` — the memory location ``x`` the operation acts on, computed
-  once at construction (``__post_init__``) instead of once per executor
-  enabled-set scan.  Derived purely from immutable object names, so the
-  value is identical no matter when it is read.
+  once in ``__init__`` instead of once per executor enabled-set scan.
+  Derived purely from immutable object names, so the value is identical no
+  matter when it is read.
 * ``writes`` — whether executing the op performs a write for reads-from
   purposes: ``True``/``False`` when statically known, ``None`` when it
   depends on the runtime result (``cas``/``trylock`` succeed or fail).
+
+Ops are hand-written slotted classes rather than dataclasses, as for
+:class:`~repro.core.events.Event` and
+:class:`~repro.runtime.executor.Candidate`: every visible step builds one,
+the dataclass ``__init__`` and its ``__post_init__`` call made each
+construction a fifth to a third slower, and building the dataclasses took
+most of this module's import time.  Each ``__init__`` takes the fields
+positionally or by keyword, in the order the ``__slots__`` list them, plus
+a keyword-only ``loc``.  Ops compare by identity; nothing compares them by
+value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -37,11 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.runtime.thread import ThreadHandle
 
 
-@dataclass
 class Op:
     """Base class for all operations; never yielded directly."""
 
-    loc: str | None = field(default=None, kw_only=True)
+    __slots__ = ("loc", "location")
 
     #: Operation kind name used in events and abstract events.
     kind = "op"
@@ -53,44 +61,43 @@ class Op:
     #: on the runtime value (cas/trylock success).
     writes = False
 
-    def __post_init__(self) -> None:
-        # Computed once here; the executor's hot paths (enabled-set scans,
-        # event construction, POS race resets) read the attribute directly.
-        self.location = self._location()
-
-    def _location(self) -> str:
-        return "op:unknown"
+    def __repr__(self) -> str:
+        # ``loc`` first, then the concrete class's fields in __init__ order.
+        cls = type(self)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in ("loc", *cls.__slots__))
+        return f"{cls.__qualname__}({fields})"
 
 
-@dataclass
 class ReadOp(Op):
     """Read a shared variable; the yield expression evaluates to the value."""
 
-    var: "SharedVar" = None  # type: ignore[assignment]
+    __slots__ = ("var",)
 
     kind = "r"
     category = "read"
 
-    def _location(self) -> str:
-        return self.var.location
+    def __init__(self, var: SharedVar = None, *, loc: str | None = None) -> None:
+        self.var = var
+        self.loc = loc
+        self.location = var.location
 
 
-@dataclass
 class WriteOp(Op):
     """Write ``value`` to a shared variable."""
 
-    var: "SharedVar" = None  # type: ignore[assignment]
-    value: Any = None
+    __slots__ = ("var", "value")
 
     kind = "w"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.var.location
+    def __init__(self, var: SharedVar = None, value: Any = None, *, loc: str | None = None) -> None:
+        self.var = var
+        self.value = value
+        self.loc = loc
+        self.location = var.location
 
 
-@dataclass
 class RmwOp(Op):
     """Atomic read-modify-write: ``var.value = func(old)``; yields ``old``.
 
@@ -98,77 +105,86 @@ class RmwOp(Op):
     heavily by the SafeStack and work-stealing-queue benchmarks.
     """
 
-    var: "SharedVar" = None  # type: ignore[assignment]
-    func: Callable[[Any], Any] = None  # type: ignore[assignment]
+    __slots__ = ("var", "func")
 
     kind = "rmw"
     category = "rmw"
     writes = True
 
-    def _location(self) -> str:
-        return self.var.location
+    def __init__(
+        self, var: SharedVar = None, func: Callable[[Any], Any] = None, *, loc: str | None = None
+    ) -> None:
+        self.var = var
+        self.func = func
+        self.loc = loc
+        self.location = var.location
 
 
-@dataclass
 class CasOp(Op):
     """Compare-and-swap: if ``var == expected`` set ``new``; yields success bool."""
 
-    var: "SharedVar" = None  # type: ignore[assignment]
-    expected: Any = None
-    new: Any = None
+    __slots__ = ("var", "expected", "new")
 
     kind = "cas"
     category = "rmw"
     writes = None  # depends on whether the CAS succeeded
 
-    def _location(self) -> str:
-        return self.var.location
+    def __init__(
+        self, var: SharedVar = None, expected: Any = None, new: Any = None, *, loc: str | None = None
+    ) -> None:
+        self.var = var
+        self.expected = expected
+        self.new = new
+        self.loc = loc
+        self.location = var.location
 
 
-@dataclass
 class LockOp(Op):
     """Acquire a mutex; blocks while another thread holds it."""
 
-    mutex: "Mutex" = None  # type: ignore[assignment]
+    __slots__ = ("mutex",)
 
     kind = "lock"
     category = "rmw"
     may_block = True
     writes = True
 
-    def _location(self) -> str:
-        return self.mutex.location
+    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+        self.mutex = mutex
+        self.loc = loc
+        self.location = mutex.location
 
 
-@dataclass
 class TryLockOp(Op):
     """Attempt to acquire a mutex without blocking; yields success bool."""
 
-    mutex: "Mutex" = None  # type: ignore[assignment]
+    __slots__ = ("mutex",)
 
     kind = "trylock"
     category = "rmw"
     writes = None  # depends on whether the acquisition succeeded
 
-    def _location(self) -> str:
-        return self.mutex.location
+    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+        self.mutex = mutex
+        self.loc = loc
+        self.location = mutex.location
 
 
-@dataclass
 class UnlockOp(Op):
     """Release a mutex held by the calling thread."""
 
-    mutex: "Mutex" = None  # type: ignore[assignment]
+    __slots__ = ("mutex",)
 
     kind = "unlock"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.mutex.location
+    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+        self.mutex = mutex
+        self.loc = loc
+        self.location = mutex.location
 
 
-@dataclass
 class WaitOp(Op):
     """Condition-variable wait: atomically release ``mutex`` and block.
 
@@ -176,62 +192,66 @@ class WaitOp(Op):
     the yield returns, exactly like ``pthread_cond_wait``.
     """
 
-    cond: "CondVar" = None  # type: ignore[assignment]
-    mutex: "Mutex" = None  # type: ignore[assignment]
+    __slots__ = ("cond", "mutex")
 
     kind = "wait"
     category = "rmw"
     may_block = True
     writes = True
 
-    def _location(self) -> str:
-        return self.cond.location
+    def __init__(self, cond: CondVar = None, mutex: Mutex = None, *, loc: str | None = None) -> None:
+        self.cond = cond
+        self.mutex = mutex
+        self.loc = loc
+        self.location = cond.location
 
 
-@dataclass
 class SignalOp(Op):
     """Wake one waiter (FIFO) of a condition variable, if any."""
 
-    cond: "CondVar" = None  # type: ignore[assignment]
+    __slots__ = ("cond",)
 
     kind = "signal"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.cond.location
+    def __init__(self, cond: CondVar = None, *, loc: str | None = None) -> None:
+        self.cond = cond
+        self.loc = loc
+        self.location = cond.location
 
 
-@dataclass
 class BroadcastOp(Op):
     """Wake every waiter of a condition variable."""
 
-    cond: "CondVar" = None  # type: ignore[assignment]
+    __slots__ = ("cond",)
 
     kind = "broadcast"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.cond.location
+    def __init__(self, cond: CondVar = None, *, loc: str | None = None) -> None:
+        self.cond = cond
+        self.loc = loc
+        self.location = cond.location
 
 
-@dataclass
 class SemAcquireOp(Op):
     """Decrement a semaphore; blocks while the count is zero."""
 
-    sem: "Semaphore" = None  # type: ignore[assignment]
+    __slots__ = ("sem",)
 
     kind = "sem_acquire"
     category = "rmw"
     may_block = True
     writes = True
 
-    def _location(self) -> str:
-        return self.sem.location
+    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+        self.sem = sem
+        self.loc = loc
+        self.location = sem.location
 
 
-@dataclass
 class TrySemAcquireOp(Op):
     """Attempt to decrement a semaphore without blocking; yields success bool.
 
@@ -240,138 +260,168 @@ class TrySemAcquireOp(Op):
     substrate to model e.g. ``ThreadPoolExecutor``'s idle-worker probe).
     """
 
-    sem: "Semaphore" = None  # type: ignore[assignment]
+    __slots__ = ("sem",)
 
     kind = "trysem"
     category = "rmw"
     writes = None  # depends on whether the acquisition succeeded
 
-    def _location(self) -> str:
-        return self.sem.location
+    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+        self.sem = sem
+        self.loc = loc
+        self.location = sem.location
 
 
-@dataclass
 class SemReleaseOp(Op):
     """Increment a semaphore, enabling one blocked acquirer."""
 
-    sem: "Semaphore" = None  # type: ignore[assignment]
+    __slots__ = ("sem",)
 
     kind = "sem_release"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.sem.location
+    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+        self.sem = sem
+        self.loc = loc
+        self.location = sem.location
 
 
-@dataclass
 class BarrierOp(Op):
     """Arrive at a barrier; blocks until all parties arrive."""
 
-    barrier: "Barrier" = None  # type: ignore[assignment]
+    __slots__ = ("barrier",)
 
     kind = "barrier"
     category = "rmw"
     may_block = True
     writes = True
 
-    def _location(self) -> str:
-        return self.barrier.location
+    def __init__(self, barrier: Barrier = None, *, loc: str | None = None) -> None:
+        self.barrier = barrier
+        self.loc = loc
+        self.location = barrier.location
 
 
-@dataclass
 class SpawnOp(Op):
     """Create a new thread running ``fn(api, *args)``; yields a ThreadHandle."""
 
-    fn: Callable[..., Any] = None  # type: ignore[assignment]
-    args: tuple = ()
-    name: str | None = None
+    __slots__ = ("fn", "args", "name")
 
     kind = "spawn"
     category = "other"
 
-    def _location(self) -> str:
-        return "thread:spawn"
+    def __init__(
+        self,
+        fn: Callable[..., Any] = None,
+        args: tuple = (),
+        name: str | None = None,
+        *,
+        loc: str | None = None,
+    ) -> None:
+        self.fn = fn
+        self.args = args
+        self.name = name
+        self.loc = loc
+        self.location = "thread:spawn"
 
 
-@dataclass
 class JoinOp(Op):
     """Block until the target thread finishes."""
 
-    handle: "ThreadHandle" = None  # type: ignore[assignment]
+    __slots__ = ("handle",)
 
     kind = "join"
     category = "other"
     may_block = True
 
-    def _location(self) -> str:
-        return "thread:join"
+    def __init__(self, handle: ThreadHandle = None, *, loc: str | None = None) -> None:
+        self.handle = handle
+        self.loc = loc
+        self.location = "thread:join"
 
 
-@dataclass
 class YieldOp(Op):
     """A pure scheduling point with no memory effect."""
+
+    __slots__ = ()
 
     kind = "yield"
     category = "other"
 
-    def _location(self) -> str:
-        return "sched:yield"
+    def __init__(self, *, loc: str | None = None) -> None:
+        self.loc = loc
+        self.location = "sched:yield"
 
 
-@dataclass
 class MallocOp(Op):
     """Allocate a heap object at allocation site ``site``; yields the object."""
 
-    site: str = "obj"
-    fields: dict[str, Any] | None = None
+    __slots__ = ("site", "fields")
 
     kind = "malloc"
     category = "other"
 
-    def _location(self) -> str:
-        return f"heapsite:{self.site}"
+    def __init__(
+        self, site: str = "obj", fields: dict[str, Any] | None = None, *, loc: str | None = None
+    ) -> None:
+        self.site = site
+        self.fields = fields
+        self.loc = loc
+        self.location = f"heapsite:{site}"
 
 
-@dataclass
 class FreeOp(Op):
     """Free a heap object; double frees raise :class:`DoubleFree`."""
 
-    obj: "HeapObject | None" = None
+    __slots__ = ("obj",)
 
     kind = "free"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return f"heap:{self.obj.name}" if self.obj is not None else "heap:<null>"
+    def __init__(self, obj: HeapObject | None = None, *, loc: str | None = None) -> None:
+        self.obj = obj
+        self.loc = loc
+        self.location = f"heap:{obj.name}" if obj is not None else "heap:<null>"
 
 
-@dataclass
 class HeapReadOp(Op):
     """Read a field of a heap object; UAF / null-deref oracles apply."""
 
-    obj: "HeapObject | None" = None
-    field_name: str = "val"
+    __slots__ = ("obj", "field_name")
 
     kind = "hr"
     category = "read"
 
-    def _location(self) -> str:
-        return self.obj.location_of(self.field_name) if self.obj is not None else "heap:<null>"
+    def __init__(
+        self, obj: HeapObject | None = None, field_name: str = "val", *, loc: str | None = None
+    ) -> None:
+        self.obj = obj
+        self.field_name = field_name
+        self.loc = loc
+        self.location = obj.location_of(field_name) if obj is not None else "heap:<null>"
 
 
-@dataclass
 class HeapWriteOp(Op):
     """Write a field of a heap object; UAF / null-deref oracles apply."""
 
-    obj: "HeapObject | None" = None
-    field_name: str = "val"
-    value: Any = None
+    __slots__ = ("obj", "field_name", "value")
 
     kind = "hw"
     category = "write"
     writes = True
 
-    def _location(self) -> str:
-        return self.obj.location_of(self.field_name) if self.obj is not None else "heap:<null>"
+    def __init__(
+        self,
+        obj: HeapObject | None = None,
+        field_name: str = "val",
+        value: Any = None,
+        *,
+        loc: str | None = None,
+    ) -> None:
+        self.obj = obj
+        self.field_name = field_name
+        self.value = value
+        self.loc = loc
+        self.location = obj.location_of(field_name) if obj is not None else "heap:<null>"

@@ -89,6 +89,12 @@ class TestSanitizerDeterminism:
         ]
         assert found
 
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_unknown_sanitizer_rejected_when_built(self, processes):
+        config = CampaignConfig(trials=1, budget=3, base_seed=1, sanitizers=("racee",))
+        with pytest.raises(ValueError, match="unknown sanitizer 'racee'; known: race, lockset"):
+            ParallelCampaign(config, processes=processes)
+
     def test_telemetry_carries_sanitizer_reports(self):
         telemetry = TelemetryAggregator()
         ParallelCampaign(self.SANITIZED, processes=0, telemetry=telemetry).run(

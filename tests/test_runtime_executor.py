@@ -304,3 +304,97 @@ class TestCandidate:
         assert candidate.abstract is intern_abstract("lock", "mutex:m", "worker:12")
         assert candidate == Candidate(1, "lock", "mutex:m", "worker:12")
         assert {candidate: 1}[Candidate(1, "lock", "mutex:m", "worker:12")] == 1
+
+
+class TestOpVocabulary:
+    """The ops are slotted classes; construction, fields, derived attributes
+    and repr match the dataclasses they replaced."""
+
+    @staticmethod
+    def table():
+        """(class, fields in positional order, (location, kind, category,
+        may_block, writes)); the expected tuples were recorded from the
+        former dataclasses."""
+        from repro.runtime import ops
+        from repro.runtime.objects import Barrier, CondVar, HeapObject, Mutex, Semaphore, SharedVar
+
+        var, mutex, cond = SharedVar("x"), Mutex("m"), CondVar("c")
+        sem, barrier, heap = Semaphore("s", 1), Barrier("b", 2), HeapObject("node", {"val": 0})
+        handle = object()
+        return [
+            (ops.ReadOp, {"var": var}, ("var:x", "r", "read", False, False)),
+            (ops.WriteOp, {"var": var, "value": 7}, ("var:x", "w", "write", False, True)),
+            (ops.RmwOp, {"var": var, "func": abs}, ("var:x", "rmw", "rmw", False, True)),
+            (ops.CasOp, {"var": var, "expected": 0, "new": 1}, ("var:x", "cas", "rmw", False, None)),
+            (ops.LockOp, {"mutex": mutex}, ("mutex:m", "lock", "rmw", True, True)),
+            (ops.TryLockOp, {"mutex": mutex}, ("mutex:m", "trylock", "rmw", False, None)),
+            (ops.UnlockOp, {"mutex": mutex}, ("mutex:m", "unlock", "write", False, True)),
+            (ops.WaitOp, {"cond": cond, "mutex": mutex}, ("cond:c", "wait", "rmw", True, True)),
+            (ops.SignalOp, {"cond": cond}, ("cond:c", "signal", "write", False, True)),
+            (ops.BroadcastOp, {"cond": cond}, ("cond:c", "broadcast", "write", False, True)),
+            (ops.SemAcquireOp, {"sem": sem}, ("sem:s", "sem_acquire", "rmw", True, True)),
+            (ops.TrySemAcquireOp, {"sem": sem}, ("sem:s", "trysem", "rmw", False, None)),
+            (ops.SemReleaseOp, {"sem": sem}, ("sem:s", "sem_release", "write", False, True)),
+            (ops.BarrierOp, {"barrier": barrier}, ("barrier:b", "barrier", "rmw", True, True)),
+            (
+                ops.SpawnOp,
+                {"fn": run_seq, "args": (1, 2), "name": "worker"},
+                ("thread:spawn", "spawn", "other", False, False),
+            ),
+            (ops.JoinOp, {"handle": handle}, ("thread:join", "join", "other", True, False)),
+            (ops.YieldOp, {}, ("sched:yield", "yield", "other", False, False)),
+            (
+                ops.MallocOp,
+                {"site": "node", "fields": {"val": 0}},
+                ("heapsite:node", "malloc", "other", False, False),
+            ),
+            (ops.FreeOp, {"obj": heap}, ("heap:node", "free", "write", False, True)),
+            (ops.FreeOp, {"obj": None}, ("heap:<null>", "free", "write", False, True)),
+            (
+                ops.HeapReadOp,
+                {"obj": heap, "field_name": "next"},
+                ("heap:node.next", "hr", "read", False, False),
+            ),
+            (
+                ops.HeapReadOp,
+                {"obj": None, "field_name": "val"},
+                ("heap:<null>", "hr", "read", False, False),
+            ),
+            (
+                ops.HeapWriteOp,
+                {"obj": heap, "field_name": "val", "value": 3},
+                ("heap:node.val", "hw", "write", False, True),
+            ),
+            (
+                ops.HeapWriteOp,
+                {"obj": None, "field_name": "val", "value": 3},
+                ("heap:<null>", "hw", "write", False, True),
+            ),
+        ]
+
+    def test_every_op_class_matches_the_former_dataclass(self):
+        from repro.runtime import ops
+
+        table = self.table()
+        concrete = {
+            cls for cls in vars(ops).values()
+            if isinstance(cls, type) and issubclass(cls, ops.Op) and cls is not ops.Op
+        }
+        assert {cls for cls, _, _ in table} == concrete
+        for cls, fields, expected in table:
+            values = tuple(fields.values())
+            by_keyword = cls(**fields, loc="site:1")
+            positional = cls(*values, loc="site:1")
+            for op in (by_keyword, positional):
+                assert tuple(getattr(op, name) for name in fields) == values
+                assert op.loc == "site:1"
+                assert (op.location, op.kind, op.category, op.may_block, op.writes) == expected
+                assert not hasattr(op, "__dict__")
+            assert cls(**fields).loc is None
+            with pytest.raises(TypeError):  # loc is keyword-only
+                cls(*values, "site:1")
+            shown = "".join(f", {name}={value!r}" for name, value in fields.items())
+            assert repr(by_keyword) == f"{cls.__name__}(loc='site:1'{shown})"
+            # Ops compare by identity.
+            assert by_keyword == by_keyword and by_keyword != positional
+            assert len({by_keyword, positional}) == 2
