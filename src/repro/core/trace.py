@@ -73,27 +73,6 @@ def rf_pair_hash(pid: int) -> int:
     return _PAIR_HASHES[pid]
 
 
-#: Intern table for small immutable schedule tuples (dispatch slices, rf-id
-#: tuples): equal tuples collapse to one process-global singleton.  Like the
-#: pair tables above it lives for the process lifetime; its population is
-#: bounded by the number of distinct slices/schedules a campaign dispatches.
-_SCHEDULE_TABLE: dict[tuple, tuple] = {}
-
-
-def intern_schedule(items: tuple) -> tuple:
-    """The canonical singleton of a hashable schedule tuple.
-
-    The batched worker pool routes every dispatch slice through this table,
-    so a retried or re-batched slice reuses the exact tuple object of its
-    first dispatch (pickle memoization then ships the repeated strings
-    once), and parent-side bookkeeping compares by identity.
-    """
-    cached = _SCHEDULE_TABLE.get(items)
-    if cached is None:
-        cached = _SCHEDULE_TABLE[items] = items
-    return cached
-
-
 @dataclass
 class Trace:
     """An ordered event sequence plus the outcome of the execution."""

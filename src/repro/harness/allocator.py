@@ -324,47 +324,6 @@ def make_allocator(
 
 
 # ----------------------------------------------------------------------
-# Slice batching (pooled dispatch)
-# ----------------------------------------------------------------------
-def pack_batches(
-    slices: Sequence[Any],
-    max_slices: int,
-    budget_cap: int,
-    budget: Any = None,
-) -> list[list[Any]]:
-    """Greedily pack slices into dispatch batches, preserving order.
-
-    A batch closes when it holds ``max_slices`` slices *or* adding the next
-    slice would push its total schedule budget past ``budget_cap`` — the
-    budget bound is what keeps one over-packed batch from holding a round
-    barrier hostage while every other worker idles.  Packing is pure and
-    deterministic in the input order, so batch composition never influences
-    results (each slice still runs with its own seed and budget); it only
-    shapes dispatch granularity.  A slice whose own budget exceeds the cap
-    still gets a (singleton) batch.
-    """
-    if max_slices < 1:
-        raise ValueError(f"max_slices must be >= 1, got {max_slices}")
-    cost = budget or (lambda item: item.budget)
-    batches: list[list[Any]] = []
-    current: list[Any] = []
-    current_budget = 0
-    for item in slices:
-        item_cost = cost(item)
-        if current and (
-            len(current) >= max_slices or current_budget + item_cost > budget_cap
-        ):
-            batches.append(current)
-            current = []
-            current_budget = 0
-        current.append(item)
-        current_budget += item_cost
-    if current:
-        batches.append(current)
-    return batches
-
-
-# ----------------------------------------------------------------------
 # Slice merging
 # ----------------------------------------------------------------------
 def merge_slices(slices: Sequence[BugSearchResult]) -> BugSearchResult:

@@ -66,10 +66,10 @@ def campaign_header(
     its headers stay byte-identical to pre-allocator campaigns, keeping
     old stores resumable.
 
-    Execution choices never appear here: the engine, pool size and batch
-    packing affect only *how* slices are dispatched, never what they
-    compute (the bit-identity contract), so a store written by a serial
-    campaign resumes under a pooled one and vice versa.
+    Execution choices never appear here: the engine and pool size affect
+    only *how* slices are dispatched, never what they compute (the
+    bit-identity contract), so a store written by a serial campaign
+    resumes under a pooled one and vice versa.
     """
     header = {
         "checkpoint_version": 1,

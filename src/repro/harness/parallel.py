@@ -30,9 +30,9 @@ The engine survives its workers:
   slice) is recorded in a :class:`~repro.harness.store.CorpusStore`, and
   re-running the same campaign against it skips completed work and still
   produces a bit-identical :class:`~repro.harness.campaign.CampaignResult`;
-* **telemetry** — every lifecycle step (cell start/end/retry/error, batch
-  dispatch, heartbeats, worker exit/recycle, degradation) is emitted into
-  a :class:`~repro.harness.telemetry.TelemetrySink`.
+* **telemetry** — every lifecycle step (cell start/end/retry/error,
+  heartbeats, worker exit/recycle, degradation) is emitted into a
+  :class:`~repro.harness.telemetry.TelemetrySink`.
 
 Tool factories cross the process boundary *by importable reference*
 (``"module:qualname"`` strings carried in the cell spec), never through a

@@ -1,43 +1,41 @@
-"""Persistent batched worker pool: the engine every multi-process campaign runs on.
+"""Persistent worker pool: the engine every multi-process campaign runs on.
 
 The paper's C/C++ RFF rides on AFL's fork server to amortize target startup
 cost across executions.  This module is the analogue of the fork server:
 
 * **Long-lived workers.**  ``size`` processes are spawned once per
-  campaign and serve *batches* of slices over a request/reply pipe
-  protocol, surviving across batches and allocation rounds.
+  campaign and serve slices over a request/reply pipe protocol, surviving
+  across slices and allocation rounds.
+* **One slice ahead.**  A worker holds at most :data:`WORKER_DEPTH` (2)
+  slices: the one it runs and the next, which waits in its pipe, so the
+  worker never waits on the dispatcher.  Each reply tops the worker up
+  before the dispatcher decodes and records the finished slice.  A new
+  slice goes to the live worker that holds the fewest, and a worker is
+  spawned only while every live one is busy.
 * **Worker-side caches.**  Each worker caches constructed tools keyed by
   ``(tool_name, program_name)`` and resolved programs keyed by program
   name.  Caching is determinism-safe because every ``find_bug`` call
   builds its own RNG/policy/fuzzer state from the slice seed and gets the
   campaign's runtime (``WorkerProfile.env``: sanitizers, guardrails) and
   replay count as arguments, so a cached tool holds no campaign setting.
-  Tools that keep cross-call state can opt out with ``reusable = False``
-  (see :class:`repro.harness.tools.TestingTool`).
 * **Compact replies.**  Results cross the pipe in persist-dict form
   (:func:`repro.harness.persist.result_to_dict`), not as pickled live
-  objects; the dispatcher re-interns repeated strings and rf-pair buffers
-  on decode so ten thousand slices don't allocate ten thousand copies of
-  ``"CS/reorder_10"``.
-* **Budget-aware batching.**  The dispatcher packs slices into batches
-  bounded both by slice count and by total schedule budget
-  (:func:`repro.harness.allocator.pack_batches`), so one slow batch cannot
-  starve an allocation-round barrier.
+  objects.
 * **Supervision.**  Workers beat from a daemon thread every
   ``heartbeat_seconds``; a worker silent for ``lease_seconds`` loses its
   lease and is killed, as is one that goes ``cell_timeout`` seconds
   without finishing a slice.  Workers apply the profile's chaos plan
   (:mod:`repro.harness.faults`) before every slice.
-* **Crash replay of the running slice only.**  Workers stream one
-  ``slice_done`` message per slice, in batch order, so when a worker dies
-  the dispatcher knows which slice it was running.  That slice is retried
-  after a capped exponential backoff (:func:`backoff_delay`), up to
-  ``max_retries`` times, and then recorded as a structured error
+* **Crash replay of the running slice only.**  A worker answers its
+  slices in the order they were sent, so when it dies the dispatcher
+  knows which slice it was running: the first one it holds.  That slice
+  is retried after a capped exponential backoff (:func:`backoff_delay`),
+  up to ``max_retries`` times, and then recorded as a structured error
   classified as a *deterministic crasher* (every attempt failed the same
-  way) or a *flaky environment* (:func:`classify_failures`).
-  The batch's never-started slices go back to the ready queue at their
-  current attempt.  For a fixed (seed, allocator), serial == pool ==
-  SIGKILL'd-and-resumed, bit for bit.
+  way) or a *flaky environment* (:func:`classify_failures`).  The slice
+  queued behind it never started and goes back to the front of the ready
+  queue at its current attempt.  For a fixed (seed, allocator), serial ==
+  pool == SIGKILL'd-and-resumed, bit for bit.
 * **In-process execution.**  A pool of size 0 runs every slice in the
   dispatcher's own process, and a pool whose workers cannot be started
   at all degrades to that same in-process drain.  It is the only
@@ -48,42 +46,38 @@ cost across executions.  This module is the analogue of the fork server:
 Wire protocol (one duplex pipe per worker):
 
 ======================  =================================================
-parent -> worker        ``("batch", batch_id, [wire_slice, ...])`` then
+parent -> worker        ``("slice", wire_slice)`` per slice, then
                         eventually ``("shutdown",)``
-worker -> parent        ``("slice_done", batch_id, index, payload)`` or
-                        ``("slice_error", batch_id, index, message)`` per
-                        slice, ``("batch_end", batch_id)`` per batch, and
-                        ``("heartbeat", seq, identity)``
+worker -> parent        ``("slice_done", payload)`` or
+                        ``("slice_error", message)`` per slice, in send
+                        order, and ``("heartbeat", seq, identity)``
 ======================  =================================================
 
-A wire slice is the interned tuple ``(tool, program, trial, seed, budget,
+A wire slice is the tuple ``(tool, program, trial, seed, budget,
 factory_ref)``; a reply payload is ``(result_dict, wall_time,
-counters_dict)``.
+counters_dict)``.  Replies carry no index: a worker answers its slices in
+the order they were sent.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from repro.core.reproduce import RunEnv
-from repro.core.trace import intern_schedule
 from repro.harness import faults
 from repro.harness.campaign import PendingSlice
 from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
 
-#: Maximum slices per dispatched batch.
-BATCH_SLICES = 8
-#: Target number of batch "waves" per worker per execute() call; the budget
-#: cap is sized so a round splits into roughly this many batches per worker,
-#: keeping any single batch from holding the round barrier hostage.
-BATCH_WAVES = 4
+#: Slices a worker holds at once: the one it runs and the one queued
+#: behind it in its pipe.  With one, a worker would wait a dispatcher
+#: round trip after every slice.
+WORKER_DEPTH = 2
 #: Delay (seconds) before a slice's first retry; doubles per attempt.
 BACKOFF_BASE = 0.1
 #: Upper bound (seconds) on any single backoff delay.
@@ -115,10 +109,8 @@ class WorkerProfile:
 
 
 def wire_slice(spec) -> tuple:
-    """The compact, interned wire form of one :class:`CellSpec` slice."""
-    return intern_schedule(
-        (spec.tool, spec.program, spec.trial, spec.seed, spec.budget, spec.factory_ref)
-    )
+    """The wire form of one :class:`CellSpec` slice: a plain tuple."""
+    return (spec.tool, spec.program, spec.trial, spec.seed, spec.budget, spec.factory_ref)
 
 
 # ----------------------------------------------------------------------
@@ -132,9 +124,7 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
     cache_key = (tool_name, program_name)
     tool = tools.get(cache_key)
     if tool is None:
-        tool = resolve_ref(ref)()
-        if getattr(tool, "reusable", True):
-            tools[cache_key] = tool
+        tool = tools[cache_key] = resolve_ref(ref)()
     program = programs.get(program_name)
     if program is None:
         from repro import bench
@@ -152,12 +142,12 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
 
 
 def _pool_worker_main(conn, profile: WorkerProfile) -> None:
-    """Worker entrypoint: serve batches until told to shut down.
+    """Worker entrypoint: serve slices until told to shut down.
 
-    Tools and programs are cached across batches *and* allocation rounds —
+    Tools and programs are cached across slices *and* allocation rounds —
     this loop is the fork-server analogue the module docstring describes.
-    Replies stream per slice so the dispatcher can replay only unfinished
-    work when this process dies mid-batch.
+    One reply per slice, in the order the slices arrived, so the
+    dispatcher can replay only unfinished work when this process dies.
     """
     import threading
 
@@ -167,7 +157,7 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
     stop = threading.Event()
     #: Identity (tool, program, trial) of the slice currently running; the
     #: heartbeat thread reads it so parent-side telemetry can attribute
-    #: beats to cells (None while idle between batches).
+    #: beats to cells (None while idle between slices).
     current: list = [None]
 
     if profile.heartbeat_seconds:
@@ -221,23 +211,18 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
             if message[0] == "shutdown":
                 dump_profile()
                 return
-            _, batch_id, slices = message
-            for index, wire in enumerate(slices):
-                current[0] = (wire[0], wire[1], wire[2])
-                try:
-                    outcome = _run_slice(wire, profile, tools, programs)
-                    payload = ("slice_done", batch_id, index,
-                               (result_to_dict(outcome.result), outcome.wall_time,
-                                outcome.counters))
-                except BaseException as exc:  # noqa: BLE001 - must not leak workers
-                    payload = ("slice_error", batch_id, index,
-                               f"{type(exc).__name__}: {exc}")
-                current[0] = None
-                with send_lock:
-                    conn.send(payload)
+            wire = message[1]
+            current[0] = wire[:3]
+            try:
+                outcome = _run_slice(wire, profile, tools, programs)
+                reply = ("slice_done", (result_to_dict(outcome.result), outcome.wall_time,
+                                        outcome.counters))
+            except BaseException as exc:  # noqa: BLE001 - must not leak workers
+                reply = ("slice_error", f"{type(exc).__name__}: {exc}")
+            current[0] = None
             with send_lock:
-                conn.send(("batch_end", batch_id))
-            # Dump after every batch, not only at shutdown, so a worker that
+                conn.send(reply)
+            # Dump after every slice, not only at shutdown, so a worker that
             # is later killed still leaves profile data for completed work.
             dump_profile()
     finally:
@@ -260,37 +245,13 @@ def classify_failures(kinds: list[str]) -> str:
     return f"flaky environment: attempts failed with {sorted(set(kinds))}"
 
 
-def _intern_reply(data: dict) -> dict:
-    """Re-intern the repeated strings of one reply's result dict in place.
-
-    A campaign decodes thousands of replies whose tool/program/outcome and
-    sanitizer rf-pair strings repeat across slices; ``sys.intern`` collapses
-    them to shared singletons parent-side (the same discipline the abstract
-    event and rf-pair tables apply inside the executor).
-    """
-    data["tool"] = sys.intern(data["tool"])
-    data["program"] = sys.intern(data["program"])
-    outcome = data.get("outcome")
-    if isinstance(outcome, str):
-        data["outcome"] = sys.intern(outcome)
-    for report in data.get("sanitizer_reports", ()):
-        report["sanitizer"] = sys.intern(report["sanitizer"])
-        report["kind"] = sys.intern(report["kind"])
-        report["pair"] = [sys.intern(part) for part in report["pair"]]
-    return data
-
-
 def _decode_outcome(payload) -> CellOutcome:
     """Reply payload -> CellOutcome."""
     # Imported here: an in-process campaign decodes no replies.
     from repro.harness.persist import result_from_dict
 
     data, wall_time, counters = payload
-    return CellOutcome(
-        result=result_from_dict(_intern_reply(data)),
-        wall_time=wall_time,
-        counters=counters,
-    )
+    return CellOutcome(result=result_from_dict(data), wall_time=wall_time, counters=counters)
 
 
 def _emit_cell_end(spec, attempt: int, outcome, sink: TelemetrySink) -> None:
@@ -328,27 +289,8 @@ def _emit_cell_end(spec, attempt: int, outcome, sink: TelemetrySink) -> None:
 
 #: Records one slice's result with the round loop: ``record(key, result)``.
 Recorder = Callable[[tuple[str, str, int], BugSearchResult], None]
-
-
-@dataclass
-class _Batch:
-    """One dispatched unit of work: parallel arrays over its slices."""
-
-    batch_id: int
-    specs: list
-    attempts: list[int]
-    wires: list[tuple]
-    budget: int
-    done: list[bool] = field(default_factory=list)
-    #: Earliest dispatch time (a retried slice waits out its backoff).
-    not_before: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.done:
-            self.done = [False] * len(self.specs)
-
-    def unfinished(self) -> list[int]:
-        return [index for index, is_done in enumerate(self.done) if not is_done]
+#: One slice to run and the attempt (1-based) it is on.
+Slice = tuple[CellSpec, int]
 
 
 @dataclass
@@ -358,14 +300,17 @@ class _PoolWorker:
     proc: Any
     conn: Any
     last_beat: float
-    #: Time of the worker's last slice completion (or batch dispatch); the
-    #: per-slice ``cell_timeout`` is enforced as time-without-progress.
+    #: Time the worker's running slice started (its predecessor's reply, or
+    #: its send to the idle worker); the per-slice ``cell_timeout`` is
+    #: enforced as time-without-progress.
     last_progress: float
-    batch: _Batch | None = None
+    #: Slices sent and not yet answered, in send order: the first is
+    #: running, the next waits in the pipe (at most :data:`WORKER_DEPTH`).
+    held: deque = field(default_factory=deque)
 
 
 class WorkerPool:
-    """A pool of long-lived batch-serving workers for one campaign.
+    """A pool of long-lived slice-serving workers for one campaign.
 
     The pool outlives individual ``execute()`` calls — the round loop calls
     it once per round, and worker caches persist across rounds.  The retry
@@ -398,7 +343,6 @@ class WorkerPool:
         #: Cell key -> the failure kinds of its attempts so far.
         self._failure_kinds: dict[tuple[str, str, int], list[str]] = {}
         self._workers: dict[Any, _PoolWorker] = {}
-        self._batch_seq = 0
         self._degraded = False
         #: Tool and program caches of the in-process drain, seeded with the
         #: given instances (``Campaign.run`` passes its caller's).
@@ -406,30 +350,6 @@ class WorkerPool:
         self._tools: dict[tuple[str, str], Any] = {
             (tool.name, name): tool for tool in tools for name in self._programs
         }
-
-    # -- batching -------------------------------------------------------
-    def _make_batch(self, specs: list, attempts: list[int], not_before: float = 0.0) -> _Batch:
-        self._batch_seq += 1
-        return _Batch(
-            batch_id=self._batch_seq,
-            specs=list(specs),
-            attempts=list(attempts),
-            wires=[wire_slice(spec) for spec in specs],
-            budget=sum(spec.budget for spec in specs),
-            not_before=not_before,
-        )
-
-    def _pack(self, specs: list) -> list[_Batch]:
-        from repro.harness.allocator import pack_batches
-
-        total = sum(spec.budget for spec in specs)
-        largest = max(spec.budget for spec in specs)
-        waves = max(1, self.size) * BATCH_WAVES
-        cap = max(largest, -(-total // waves))
-        return [
-            self._make_batch(group, [1] * len(group))
-            for group in pack_batches(specs, BATCH_SLICES, cap)
-        ]
 
     # -- worker lifecycle -----------------------------------------------
     def _spawn(self) -> _PoolWorker | None:
@@ -449,12 +369,6 @@ class WorkerPool:
         self._workers[parent_conn] = worker
         return worker
 
-    def _idle_worker(self) -> _PoolWorker | None:
-        for worker in self._workers.values():
-            if worker.batch is None:
-                return worker
-        return None
-
     @staticmethod
     def _kill(worker: _PoolWorker) -> None:
         worker.proc.terminate()
@@ -467,8 +381,8 @@ class WorkerPool:
     def close(self) -> None:
         """Shut every worker down (clean message first, then force)."""
         for worker in self._workers.values():
-            if worker.batch is not None:
-                # Abort path: a batch is still in flight; don't wait for it.
+            if worker.held:
+                # Abort path: slices are still in flight; don't wait for them.
                 self._kill(worker)
                 continue
             try:
@@ -476,7 +390,7 @@ class WorkerPool:
             except OSError:
                 pass
         for worker in self._workers.values():
-            if worker.batch is not None:
+            if worker.held:
                 continue
             worker.proc.join(timeout=5)
             if worker.proc.is_alive():  # pragma: no cover - shutdown suffices
@@ -489,22 +403,21 @@ class WorkerPool:
         self._workers.clear()
 
     # -- slice bookkeeping ----------------------------------------------
-    def _start(self, batch: _Batch, index: int) -> None:
-        """Emit ``cell_start`` for slice ``index`` of ``batch``, if any.
+    def _start(self, pid: int, spec, attempt: int) -> None:
+        """Emit ``cell_start`` for a slice that process ``pid`` starts now.
 
-        A worker runs its batch in order, so slice ``index`` starts when
-        slice ``index - 1`` replies (or, for index 0, when the batch is
-        sent); emitting then keeps queued slices' waits out of their time.
+        A worker runs the slices it holds in order, so a queued slice
+        starts when its predecessor replies (or, sent to an idle worker,
+        when it is sent); emitting then keeps its wait out of its time.
         """
-        if index < len(batch.specs):
-            spec = batch.specs[index]
-            self.sink.emit(
-                "cell_start",
-                tool=spec.tool,
-                program=spec.program,
-                trial=spec.trial,
-                attempt=batch.attempts[index],
-            )
+        self.sink.emit(
+            "cell_start",
+            tool=spec.tool,
+            program=spec.program,
+            trial=spec.trial,
+            attempt=attempt,
+            pid=pid,
+        )
 
     def _fail(self, spec, attempts: int, kind: str, detail: str) -> BugSearchResult:
         """A cell that cannot complete: telemetry, then its structured error result."""
@@ -530,23 +443,21 @@ class WorkerPool:
         )
 
     # -- dispatch/replay ------------------------------------------------
-    def _dispatch(self, worker: _PoolWorker, batch: _Batch) -> bool:
+    def _send(self, worker: _PoolWorker, ready: deque) -> bool:
+        """Send ``worker`` the slice at the head of ``ready``.
+
+        Returns False, leaving ``ready`` as it was, when the worker's pipe
+        is broken (the worker died).
+        """
+        spec, attempt = ready[0]
         try:
-            worker.conn.send(("batch", batch.batch_id, batch.wires))
+            worker.conn.send(("slice", wire_slice(spec)))
         except OSError:
             return False
-        now = time.perf_counter()
-        worker.batch = batch
-        worker.last_progress = now
-        worker.last_beat = now
-        self.sink.emit(
-            "batch_dispatch",
-            pid=worker.proc.pid,
-            batch=batch.batch_id,
-            slices=len(batch.specs),
-            budget=batch.budget,
-        )
-        self._start(batch, 0)
+        ready.popleft()
+        if not worker.held:
+            worker.last_progress = worker.last_beat = time.perf_counter()
+        worker.held.append((spec, attempt))
         return True
 
     def _recycle(
@@ -554,14 +465,14 @@ class WorkerPool:
         worker: _PoolWorker,
         kind: str,
         ready: deque,
-        waiting: list[_Batch],
+        waiting: list,
         record: Recorder,
     ) -> None:
         """Retire a dead or killed worker.
 
-        Only the slice it was running (the first unfinished one) costs an
-        attempt; the batch's never-started slices go back to the ready
-        queue unchanged.
+        Only the slice it was running (the first it holds) costs an
+        attempt; the slice queued behind it never started and goes back to
+        the front of the ready queue unchanged.
         """
         engine = self.engine
         del self._workers[worker.conn]
@@ -571,27 +482,19 @@ class WorkerPool:
         else:
             self._kill(worker)
         exitcode = worker.proc.exitcode
-        batch = worker.batch
-        unfinished = [] if batch is None else batch.unfinished()
+        held = worker.held
         self.sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind=kind)
         self.sink.emit(
             "worker_recycle",
             pid=worker.proc.pid,
             exitcode=exitcode,
             kind=kind,
-            unfinished=len(unfinished),
+            unfinished=len(held),
         )
-        if not unfinished:
+        if not held:
             return
-        running, never_started = unfinished[0], unfinished[1:]
-        if never_started:
-            ready.appendleft(
-                self._make_batch(
-                    [batch.specs[i] for i in never_started],
-                    [batch.attempts[i] for i in never_started],
-                )
-            )
-        spec, attempt = batch.specs[running], batch.attempts[running]
+        spec, attempt = held.popleft()
+        ready.extendleft(reversed(held))
         kinds = self._failure_kinds.setdefault(spec.key, [])
         kinds.append(kind)
         if attempt > engine.max_retries:
@@ -612,13 +515,9 @@ class WorkerPool:
         identity = {"tool": spec.tool, "program": spec.program, "trial": spec.trial}
         self.sink.emit("cell_retry", **identity, attempt=attempt, kind=kind)
         self.sink.emit("lease_reassign", **identity, attempt=attempt, kind=kind, delay=delay)
-        waiting.append(
-            self._make_batch([spec], [attempt + 1], not_before=time.perf_counter() + delay)
-        )
+        waiting.append((time.perf_counter() + delay, (spec, attempt + 1)))
 
-    def _pump(
-        self, worker: _PoolWorker, ready: deque, waiting: list[_Batch], record: Recorder
-    ) -> None:
+    def _pump(self, worker: _PoolWorker, ready: deque, waiting: list, record: Recorder) -> None:
         """Drain every buffered message of one worker pipe."""
         conn = worker.conn
         while True:
@@ -643,46 +542,44 @@ class WorkerPool:
                         trial=identity[2],
                         seq=message[1],
                     )
-            elif tag in ("slice_done", "slice_error"):
-                _, _, index, payload = message
-                batch = worker.batch
-                batch.done[index] = True
+            else:  # "slice_done" or "slice_error", for the first held slice
+                spec, attempt = worker.held.popleft()
                 worker.last_progress = now
-                spec, attempt = batch.specs[index], batch.attempts[index]
+                # Top the worker up before decoding and recording, so it
+                # never waits on this process.  A broken pipe leaves the
+                # slice ready; the next poll reports the crash.
+                if ready:
+                    self._send(worker, ready)
                 if tag == "slice_done":
-                    outcome = _decode_outcome(payload)
+                    outcome = _decode_outcome(message[1])
                     _emit_cell_end(spec, attempt, outcome, self.sink)
                     result = outcome.result
                 else:
                     # Deterministic in-worker exception; retrying cannot help.
-                    result = self._fail(spec, attempt, "error", payload)
-                # The worker has already moved on to the next slice: mark
-                # its start before the (store-appending) record of this one.
-                self._start(batch, index + 1)
+                    result = self._fail(spec, attempt, "error", message[1])
+                if worker.held:
+                    # The worker has moved on to its next slice: mark its
+                    # start before the (store-appending) record of this one.
+                    self._start(worker.proc.pid, *worker.held[0])
                 record(spec.key, result)
-            elif tag == "batch_end":
-                worker.batch = None
 
-    def _drain_serial(self, ready: deque, waiting: list[_Batch], record: Recorder) -> None:
+    def _drain_serial(self, ready: deque, waiting: list, record: Recorder) -> None:
         """Run every remaining slice in this process (pool size 0, or no
         worker could be started)."""
         # Worker faults fire in workers only: a kill here would end the campaign.
         profile = replace(self.profile, chaos=None)
+        pid = os.getpid()
         while ready or waiting:
-            batch = ready.popleft() if ready else waiting.pop(0)
-            for index in batch.unfinished():
-                spec, attempt = batch.specs[index], batch.attempts[index]
-                self._start(batch, index)
-                try:
-                    outcome = _run_slice(
-                        batch.wires[index], profile, self._tools, self._programs
-                    )
-                except Exception as exc:  # deterministic failure: no retry in-process
-                    detail = f"{type(exc).__name__}: {exc}"
-                    record(spec.key, self._fail(spec, attempt, "error", detail))
-                    continue
-                _emit_cell_end(spec, attempt, outcome, self.sink)
-                record(spec.key, outcome.result)
+            spec, attempt = ready.popleft() if ready else waiting.pop(0)[1]
+            self._start(pid, spec, attempt)
+            try:
+                outcome = _run_slice(wire_slice(spec), profile, self._tools, self._programs)
+            except Exception as exc:  # deterministic failure: no retry in-process
+                detail = f"{type(exc).__name__}: {exc}"
+                record(spec.key, self._fail(spec, attempt, "error", detail))
+                continue
+            _emit_cell_end(spec, attempt, outcome, self.sink)
+            record(spec.key, outcome.result)
 
     # -- the dispatch loop ----------------------------------------------
     def execute(self, pending: list[PendingSlice], record: Recorder) -> None:
@@ -693,30 +590,35 @@ class WorkerPool:
         """
         if not pending:
             return
-        specs = [
-            CellSpec(tool, program, trial, seed, budget, self.refs.get(tool))
+        ready: deque[Slice] = deque(
+            (CellSpec(tool, program, trial, seed, budget, self.refs.get(tool)), 1)
             for (tool, program, trial), seed, budget in pending
-        ]
-        engine = self.engine
-        ready: deque[_Batch] = deque(self._pack(specs))
-        #: Retried slices waiting out their backoff delay.
-        waiting: list[_Batch] = []
+        )
+        #: Retried slices waiting out their backoff: (earliest send time, slice).
+        waiting: list[tuple[float, Slice]] = []
         if self.size == 0 or self._degraded:
             self._drain_serial(ready, waiting, record)
             return
         # Imported here: in-process campaigns never wait on a pipe.
         from multiprocessing import connection as mp_connection
 
-        while ready or waiting or any(w.batch is not None for w in self._workers.values()):
+        engine = self.engine
+        while ready or waiting or any(w.held for w in self._workers.values()):
             now = time.perf_counter()
-            for batch in [b for b in waiting if b.not_before <= now]:
-                waiting.remove(batch)
-                ready.append(batch)
+            if waiting:
+                ready.extend(item for not_before, item in waiting if not_before <= now)
+                waiting[:] = [entry for entry in waiting if entry[0] > now]
             while ready:
-                worker = self._idle_worker()
-                if worker is None and len(self._workers) < self.size:
-                    worker = self._spawn()
-                    if worker is None and not self._workers:
+                # The live worker holding the fewest slices; spawn another
+                # only while every live worker is busy.
+                worker = min(
+                    self._workers.values(), key=lambda w: len(w.held), default=None
+                )
+                if (worker is None or worker.held) and len(self._workers) < self.size:
+                    spawned = self._spawn()
+                    if spawned is not None:
+                        worker = spawned
+                    elif worker is None:
                         # No live workers and none can start: finish this
                         # and every later round in-process.
                         self._degraded = True
@@ -727,25 +629,24 @@ class WorkerPool:
                         )
                         self._drain_serial(ready, waiting, record)
                         return
-                if worker is None:
+                if len(worker.held) >= WORKER_DEPTH:
                     break
-                batch = ready.popleft()
-                if not self._dispatch(worker, batch):
-                    # The idle worker died between batches; replace it and
-                    # put the batch back — nothing of it ran yet.
+                if not self._send(worker, ready):
+                    # The worker died; the slice stays ready.
                     self._recycle(worker, "crash", ready, waiting, record)
-                    ready.appendleft(batch)
+                elif len(worker.held) == 1:
+                    self._start(worker.proc.pid, *worker.held[0])
             if not self._workers:
                 if waiting and not ready:
                     # Everything is backing off and no worker is alive yet;
                     # sleep to the nearest retry-ready time, don't spin.
                     time.sleep(
-                        max(0.0, min(b.not_before for b in waiting) - time.perf_counter())
+                        max(0.0, min(entry[0] for entry in waiting) - time.perf_counter())
                     )
                 continue
-            deadlines = [b.not_before for b in waiting]
+            deadlines = [entry[0] for entry in waiting]
             for worker in self._workers.values():
-                if worker.batch is not None and engine.cell_timeout is not None:
+                if worker.held and engine.cell_timeout is not None:
                     deadlines.append(worker.last_progress + engine.cell_timeout)
                 deadlines.append(worker.last_beat + engine.lease_seconds)
             timeout = max(0.0, min(deadlines) - now)
@@ -756,7 +657,7 @@ class WorkerPool:
             now = time.perf_counter()
             for worker in list(self._workers.values()):
                 if (
-                    worker.batch is not None
+                    worker.held
                     and engine.cell_timeout is not None
                     and now - worker.last_progress >= engine.cell_timeout
                 ):

@@ -174,11 +174,8 @@ def throughput_summary(aggregator, slowest: int = 3) -> str:
         f"  wall time:        {summary['wall_time']:.2f}s",
         f"  worker restarts:  {summary['worker_restarts']}",
     ]
-    if getattr(aggregator, "batches_dispatched", 0):
-        lines.append(
-            f"  pooled batches:   {aggregator.batches_dispatched} dispatched, "
-            f"{getattr(aggregator, 'worker_recycles', 0)} worker recycle(s)"
-        )
+    if getattr(aggregator, "worker_recycles", 0):
+        lines.append(f"  worker recycles:  {aggregator.worker_recycles}")
     if getattr(aggregator, "lease_reassignments", 0):
         lines.append(
             f"  lease reassigns:  {aggregator.lease_reassignments} "
@@ -448,7 +445,7 @@ def profile_summary(profile_dir, top: int = 15) -> str:
 
     ``rff campaign --parallel N --profile DIR`` leaves one
     ``worker-<pid>.pstats`` file per worker under ``DIR`` (re-dumped after
-    every batch, so even killed workers contribute their completed work);
+    every slice, so even killed workers contribute their completed work);
     this merges them and renders the ``top`` functions by cumulative time.
     """
     import io

@@ -171,8 +171,9 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     # Worker supervision (repro.harness.pool) and the store.
     "heartbeat": frozenset({"pid", "tool", "program", "trial", "seq"}),
     "lease_reassign": frozenset({"tool", "program", "trial", "attempt", "kind", "delay"}),
-    # Persistent batched worker pool (repro.harness.pool).
+    # No longer emitted; kept so telemetry files of older campaigns validate.
     "batch_dispatch": frozenset({"pid", "batch", "slices", "budget"}),
+    # Persistent worker pool (repro.harness.pool).
     "worker_recycle": frozenset({"pid", "exitcode", "kind", "unfinished"}),
     "store_compact": frozenset(
         {"path", "segments_before", "segments_after", "records_before", "records_after"}
@@ -313,11 +314,6 @@ class TelemetryAggregator(TelemetrySink):
     def lease_reassignments(self) -> int:
         """Cells reassigned after a worker crash, hang, or lost lease."""
         return len(self.of_type("lease_reassign"))
-
-    @property
-    def batches_dispatched(self) -> int:
-        """Batches handed to pool workers (pooled engine only)."""
-        return len(self.of_type("batch_dispatch"))
 
     @property
     def worker_recycles(self) -> int:

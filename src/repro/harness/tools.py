@@ -77,13 +77,6 @@ class TestingTool(ABC):
     #: Deterministic tools (model checkers, systematic explorers) need only
     #: one trial; the harness exploits this.
     deterministic: bool = False
-    #: Whether one tool instance may serve many ``find_bug`` calls.  Every
-    #: built-in tool derives all per-search state (RNGs, policies, fuzzers)
-    #: from the call's arguments, so pooled workers cache instances across
-    #: slices and allocation rounds.  A custom tool that accumulates
-    #: cross-call state must set this to False; the worker pool then
-    #: rebuilds it for every slice instead of caching it by (tool, program).
-    reusable: bool = True
 
     @abstractmethod
     def find_bug(

@@ -9,19 +9,19 @@ which is what makes schedules replayable and the reads-from relation a
 stable feedback signal.
 
 Hot-path structure (PR 5): per-op-*type* dispatch tables replace the former
-``isinstance`` chains — ``_apply`` is a table of bound per-op handlers built
-once at init (subclasses override the ``_apply_*`` methods, see
-:class:`~repro.runtime.tso.TsoExecutor`), enabledness checks live in a
-module-level per-type table (``lock``, the most frequent, is tested inline),
-each op's memory ``location`` is precomputed at op construction,
-``_derive_loc`` labels are memoized per ``(code object, lineno)``, and
-abstract reads-from pairs are collected incrementally as interned pair ids
-while events are recorded, so :meth:`Trace.rf_pairs` is a memoized O(1)
-lookup after the run.  A step allocates no candidate for a thread whose
-pending op is unchanged (:class:`Candidate` is cached per thread), and the
-run loop accepts the policy's choice by identity before equality.  All of
-it is differentially pinned to the pre-optimization engine by
-``tests/test_engine_differential.py``.
+``isinstance`` chains — ``_apply_table`` maps each op type to its
+``_apply_*`` handler, resolved once per executor class (subclasses override
+the handlers, see :class:`~repro.runtime.tso.TsoExecutor`), enabledness
+checks live in a module-level per-type table (``lock``, the most frequent,
+is tested inline), each op's memory ``location`` is precomputed at op
+construction, ``_derive_loc`` labels are memoized per ``(code object,
+lineno)``, and abstract reads-from pairs are collected incrementally as
+interned pair ids while events are recorded, so :meth:`Trace.rf_pairs` is
+a memoized O(1) lookup after the run.  A step allocates no candidate for a
+thread whose pending op is unchanged (:class:`Candidate` is cached per
+thread), and the run loop accepts the policy's choice by identity before
+equality.  All of it is differentially pinned to the pre-optimization
+engine by ``tests/test_engine_differential.py``.
 """
 
 from __future__ import annotations
@@ -225,16 +225,6 @@ def _derive_loc(gen: Generator) -> str:
     if code is not None:  # pragma: no cover - suspended generators have frames
         return f"{code.co_name}:?"
     return "?:?"
-
-
-def _op_location(op: ops.Op) -> str:
-    """The memory location ``x`` an operation acts on.
-
-    Locations are precomputed at op construction (each op's ``__init__``
-    sets ``location``); this accessor remains as the stable entry point
-    for scheduler policies.
-    """
-    return op.location
 
 
 #: Per-op-type enabledness checks of the blocking ops other than ``lock``,
@@ -608,23 +598,13 @@ class Executor:
             return bool(value)
         return writes
 
-    def _apply(
-        self, thread: ThreadState, op: ops.Op, eid: int, location: str
-    ) -> tuple[int | None, Any, Any, bool, Any]:
-        """Perform the operation's effect (table-dispatched).
-
-        Returns ``(rf, recorded value, value to resume the generator with,
-        advance_now, aux)``.  ``advance_now`` is False when the thread
-        blocks as part of executing the op (condvar wait, non-final barrier
-        arrival); ``aux`` is the cross-thread metadata recorded on the event
-        (spawned/joined tid, woken waiters).
-        """
-        handler = self._apply_table.get(op.__class__)
-        if handler is None:
-            raise ProgramError(f"unhandled operation {op!r}")
-        return handler(self, thread, op, eid, location)
-
     # -- per-op-type apply handlers --------------------------------------
+    # Each performs its op's effect and returns ``(rf, recorded value,
+    # value to resume the generator with, advance_now, aux)``.
+    # ``advance_now`` is False when the thread blocks as part of executing
+    # the op (condvar wait, non-final barrier arrival); ``aux`` is the
+    # cross-thread metadata recorded on the event (spawned/joined tid,
+    # woken waiters).
     def _apply_read(self, thread: ThreadState, op: ops.ReadOp, eid: int, location: str):
         value = op.var.value
         return self._last_write.get(location, 0), value, value, True, None
@@ -862,8 +842,3 @@ def run_program(
     return Executor(
         program, policy, max_steps=max_steps, sanitizers=sanitizers, guard=guard
     ).run()
-
-
-#: Public alias: scheduler policies use this to inspect blocked threads'
-#: pending operations (e.g. POS resets scores of racing pending events).
-op_location = _op_location

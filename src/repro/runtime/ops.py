@@ -33,8 +33,9 @@ the dataclass ``__init__`` and its ``__post_init__`` call made each
 construction a fifth to a third slower, and building the dataclasses took
 most of this module's import time.  Each ``__init__`` takes the fields
 positionally or by keyword, in the order the ``__slots__`` list them, plus
-a keyword-only ``loc``.  Ops compare by identity; nothing compares them by
-value.
+a keyword-only ``loc``.  The object an op's location comes from (``var``,
+``mutex``, ``cond``, ``sem`` or ``barrier``) is required.  Ops compare by
+identity; nothing compares them by value.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class ReadOp(Op):
     kind = "r"
     category = "read"
 
-    def __init__(self, var: SharedVar = None, *, loc: str | None = None) -> None:
+    def __init__(self, var: SharedVar, *, loc: str | None = None) -> None:
         self.var = var
         self.loc = loc
         self.location = var.location
@@ -91,7 +92,7 @@ class WriteOp(Op):
     category = "write"
     writes = True
 
-    def __init__(self, var: SharedVar = None, value: Any = None, *, loc: str | None = None) -> None:
+    def __init__(self, var: SharedVar, value: Any = None, *, loc: str | None = None) -> None:
         self.var = var
         self.value = value
         self.loc = loc
@@ -112,7 +113,7 @@ class RmwOp(Op):
     writes = True
 
     def __init__(
-        self, var: SharedVar = None, func: Callable[[Any], Any] = None, *, loc: str | None = None
+        self, var: SharedVar, func: Callable[[Any], Any] = None, *, loc: str | None = None
     ) -> None:
         self.var = var
         self.func = func
@@ -130,7 +131,7 @@ class CasOp(Op):
     writes = None  # depends on whether the CAS succeeded
 
     def __init__(
-        self, var: SharedVar = None, expected: Any = None, new: Any = None, *, loc: str | None = None
+        self, var: SharedVar, expected: Any = None, new: Any = None, *, loc: str | None = None
     ) -> None:
         self.var = var
         self.expected = expected
@@ -149,7 +150,7 @@ class LockOp(Op):
     may_block = True
     writes = True
 
-    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+    def __init__(self, mutex: Mutex, *, loc: str | None = None) -> None:
         self.mutex = mutex
         self.loc = loc
         self.location = mutex.location
@@ -164,7 +165,7 @@ class TryLockOp(Op):
     category = "rmw"
     writes = None  # depends on whether the acquisition succeeded
 
-    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+    def __init__(self, mutex: Mutex, *, loc: str | None = None) -> None:
         self.mutex = mutex
         self.loc = loc
         self.location = mutex.location
@@ -179,7 +180,7 @@ class UnlockOp(Op):
     category = "write"
     writes = True
 
-    def __init__(self, mutex: Mutex = None, *, loc: str | None = None) -> None:
+    def __init__(self, mutex: Mutex, *, loc: str | None = None) -> None:
         self.mutex = mutex
         self.loc = loc
         self.location = mutex.location
@@ -199,7 +200,7 @@ class WaitOp(Op):
     may_block = True
     writes = True
 
-    def __init__(self, cond: CondVar = None, mutex: Mutex = None, *, loc: str | None = None) -> None:
+    def __init__(self, cond: CondVar, mutex: Mutex, *, loc: str | None = None) -> None:
         self.cond = cond
         self.mutex = mutex
         self.loc = loc
@@ -215,7 +216,7 @@ class SignalOp(Op):
     category = "write"
     writes = True
 
-    def __init__(self, cond: CondVar = None, *, loc: str | None = None) -> None:
+    def __init__(self, cond: CondVar, *, loc: str | None = None) -> None:
         self.cond = cond
         self.loc = loc
         self.location = cond.location
@@ -230,7 +231,7 @@ class BroadcastOp(Op):
     category = "write"
     writes = True
 
-    def __init__(self, cond: CondVar = None, *, loc: str | None = None) -> None:
+    def __init__(self, cond: CondVar, *, loc: str | None = None) -> None:
         self.cond = cond
         self.loc = loc
         self.location = cond.location
@@ -246,7 +247,7 @@ class SemAcquireOp(Op):
     may_block = True
     writes = True
 
-    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+    def __init__(self, sem: Semaphore, *, loc: str | None = None) -> None:
         self.sem = sem
         self.loc = loc
         self.location = sem.location
@@ -266,7 +267,7 @@ class TrySemAcquireOp(Op):
     category = "rmw"
     writes = None  # depends on whether the acquisition succeeded
 
-    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+    def __init__(self, sem: Semaphore, *, loc: str | None = None) -> None:
         self.sem = sem
         self.loc = loc
         self.location = sem.location
@@ -281,7 +282,7 @@ class SemReleaseOp(Op):
     category = "write"
     writes = True
 
-    def __init__(self, sem: Semaphore = None, *, loc: str | None = None) -> None:
+    def __init__(self, sem: Semaphore, *, loc: str | None = None) -> None:
         self.sem = sem
         self.loc = loc
         self.location = sem.location
@@ -297,7 +298,7 @@ class BarrierOp(Op):
     may_block = True
     writes = True
 
-    def __init__(self, barrier: Barrier = None, *, loc: str | None = None) -> None:
+    def __init__(self, barrier: Barrier, *, loc: str | None = None) -> None:
         self.barrier = barrier
         self.loc = loc
         self.location = barrier.location

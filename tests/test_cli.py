@@ -167,7 +167,7 @@ class TestOneRunner:
         records = validate_jsonl(telemetry)
         start = next(r for r in records if r["event"] == "campaign_start")
         assert start["processes"] == 0
-        assert not [r for r in records if r["event"] == "batch_dispatch"]
+        assert not [r for r in records if r["event"] == "worker_exit"]
         table = lambda text: text.split("\n\n")[0]  # the Appendix-B table
         assert "mean bugs found" in table(in_process)
         assert table(in_process) == table(pooled)

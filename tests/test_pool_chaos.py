@@ -1,9 +1,9 @@
-"""Chaos suite for the pool: kill mid-batch, replay, converge.
+"""Chaos suite for the pool: kill a worker mid-campaign, replay, converge.
 
-The crash-replay contract of ``repro.harness.pool``: a worker killed
-mid-batch costs the slice it was running one attempt and nothing else —
-completed slices are never re-run (no duplication), never-started ones go
-back to the queue at their current attempt, nothing is dropped (no loss) —
+The crash-replay contract of ``repro.harness.pool``: a killed worker
+costs the slice it was running one attempt and nothing else — completed
+slices are never re-run (no duplication), the one queued behind it goes
+back to the queue at its current attempt, nothing is dropped (no loss) —
 and a pooled campaign driven through the durable store, killed and
 resumed as the faults demand, converges bit-identically to the
 fault-free serial result.  Same plans, same claim-once state, same
@@ -62,7 +62,7 @@ def arm(monkeypatch, tmp_path, plan: ChaosPlan) -> None:
 @pytest.mark.usefixtures("fast_retries")
 class TestKillMidBatchReplay:
     def test_replays_only_unfinished_slices(self, serial, tmp_path, monkeypatch):
-        """A chaos-killed pool worker loses its batch remainder, nothing else."""
+        """A chaos-killed pool worker loses the slices it held, nothing else."""
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed_with_kill(), kill=0.3))
         aggregator = TelemetryAggregator()
         result = ParallelCampaign(
@@ -71,7 +71,7 @@ class TestKillMidBatchReplay:
             telemetry=aggregator,
             heartbeat_seconds=0.05,
         ).run(TOOLS, PROGRAMS)
-        # The worker really died mid-batch and was recycled...
+        # The worker really died mid-campaign and was recycled...
         recycles = aggregator.of_type("worker_recycle")
         assert recycles and any(r["kind"] == "crash" for r in recycles)
         crash_exits = [
@@ -90,11 +90,11 @@ class TestKillMidBatchReplay:
         # And the survivors are bit-identical to the fault-free serial run.
         assert result == serial
 
-    def test_crasher_at_batch_head_costs_only_its_own_cell(self, tmp_path, monkeypatch):
-        """A deterministic crasher at the head of a multi-slice batch
-        exhausts its own retries; the slices queued behind it never ran,
-        so they are re-queued unchanged instead of inheriting its
-        attempts, and they all complete."""
+    def test_crasher_spares_the_slice_behind_it(self, tmp_path, monkeypatch):
+        """A deterministic crasher exhausts its own retries; the slice
+        queued behind it in the worker's pipe never ran, so it is re-queued
+        unchanged instead of inheriting the crasher's attempts, and every
+        other slice completes."""
         config = CampaignConfig(trials=10, budget=40, base_seed=7)
         programs = ["CS/account", "Splash2/lu"]
         serial = Campaign(config).run([random_tool()], [bench.get(p) for p in programs])
@@ -104,8 +104,17 @@ class TestKillMidBatchReplay:
         result = ParallelCampaign(config, processes=1, telemetry=aggregator).run(
             ["Random"], programs
         )
-        first = aggregator.of_type("batch_dispatch")[0]
-        assert first["slices"] > 1  # the crasher heads a multi-slice batch
+        # The crasher first died holding the slice queued behind it; its
+        # retries ran with nothing behind them.
+        recycles = [(r["kind"], r["unfinished"]) for r in aggregator.of_type("worker_recycle")]
+        assert recycles == [("crash", 2), ("crash", 1), ("crash", 1)]
+        # The queued slice started once, at attempt 1.
+        behind = [
+            r["attempt"]
+            for r in aggregator.of_type("cell_start")
+            if (r["tool"], r["program"], r["trial"]) == ("Random", "CS/account", 1)
+        ]
+        assert behind == [1]
         errors = [r for trials in result.results.values() for r in trials if r.error]
         assert len(errors) == 1
         (failed,) = errors

@@ -1,31 +1,25 @@
-"""Differential + unit suite for the persistent batched worker pool.
+"""Differential + unit suite for the persistent worker pool.
 
 The pool's contract: for a fixed (seed, allocator) it is a pure
 wall-clock optimisation — serial == pool, bit for bit, under every start
 method the platform offers (fork, and forkserver which is the 3.12+
-default).  These tests pin that, plus the batching/packing algebra, the
-wire-format interning, the telemetry of dispatch and slice starts, and
-per-worker profiling.
+default).  These tests pin that, plus the telemetry of slice starts and
+of the workers that ran them, and per-worker profiling.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 
 import pytest
 
 from repro import bench
-from repro.core.trace import intern_schedule
-from repro.harness.allocator import LaplaceAllocator, pack_batches
+from repro.harness.allocator import LaplaceAllocator
 from repro.harness.campaign import Campaign, CampaignConfig
-from repro.harness.parallel import (
-    CellSpec,
-    ParallelCampaign,
-    _default_start_method,
-)
-from repro.harness.pool import wire_slice
-from repro.harness.telemetry import TelemetryAggregator
+from repro.harness.parallel import ParallelCampaign, _default_start_method
+from repro.harness.telemetry import TelemetryAggregator, validate_record
 from repro.harness.tools import pct_tool, random_tool
 
 TOOLS = ["Random", "PCT3"]
@@ -48,61 +42,6 @@ def serial_allocated():
     return Campaign(ALLOC_CONFIG).run(
         [random_tool(), pct_tool()], [bench.get(p) for p in PROGRAMS]
     )
-
-
-# ----------------------------------------------------------------------
-# Batch packing
-# ----------------------------------------------------------------------
-def spec(budget: int, trial: int = 0) -> CellSpec:
-    return CellSpec(
-        tool="Random",
-        program="CS/account",
-        trial=trial,
-        seed=trial,
-        budget=budget,
-        factory_ref="repro.harness.tools:random_tool",
-    )
-
-
-class TestPackBatches:
-    def test_count_cap(self):
-        batches = pack_batches([spec(1, t) for t in range(7)], 3, 1000)
-        assert [len(b) for b in batches] == [3, 3, 1]
-
-    def test_budget_cap_closes_batches(self):
-        items = [spec(10, t) for t in range(4)]
-        batches = pack_batches(items, 100, 25)
-        assert [[s.budget for s in b] for b in batches] == [[10, 10], [10, 10]]
-
-    def test_oversized_slice_gets_singleton_batch(self):
-        items = [spec(5, 0), spec(500, 1), spec(5, 2), spec(5, 3)]
-        batches = pack_batches(items, 100, 20)
-        assert [[s.budget for s in b] for b in batches] == [[5], [500], [5, 5]]
-
-    def test_order_preserved(self):
-        items = [spec(1, t) for t in range(10)]
-        batches = pack_batches(items, 4, 1000)
-        flat = [s.trial for batch in batches for s in batch]
-        assert flat == list(range(10))
-
-    def test_deterministic(self):
-        items = [spec(7, t) for t in range(9)]
-        assert pack_batches(items, 2, 10) == pack_batches(items, 2, 10)
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            pack_batches([spec(1)], 0, 10)
-
-
-class TestWireFormat:
-    def test_wire_slice_is_interned(self):
-        first, second = wire_slice(spec(10)), wire_slice(spec(10))
-        assert first is second  # identical slices share one tuple object
-
-    def test_intern_schedule_roundtrip(self):
-        items = ("Random", "CS/account", 0, 11, 30, "m:f")
-        assert intern_schedule(items) == items
-        assert intern_schedule(("x",)) is intern_schedule(("x",))
 
 
 # ----------------------------------------------------------------------
@@ -146,31 +85,58 @@ class TestStartMethodDefault:
 # ----------------------------------------------------------------------
 class TestPoolTelemetry:
     def test_batch_dispatch_events_are_schema_valid(self):
+        # The pool no longer emits batch_dispatch; the schema keeps its row
+        # so telemetry files of older campaigns still validate.
+        validate_record(
+            {"event": "batch_dispatch", "ts": 1.0, "schema": 1,
+             "pid": 7, "batch": 1, "slices": 8, "budget": 240}
+        )
         # The aggregator validates every record against EVENT_SCHEMA on
-        # emit, so a completed run proves the new events carry their
-        # required fields.
+        # emit, so a completed run proves the events carry their required
+        # fields.
         aggregator = TelemetryAggregator()
         ParallelCampaign(CONFIG, processes=2, telemetry=aggregator).run(TOOLS, PROGRAMS)
-        assert aggregator.batches_dispatched > 1
-        for record in aggregator.of_type("batch_dispatch"):
-            assert record["slices"] >= 1
-            assert record["budget"] >= 1
+        assert not aggregator.of_type("batch_dispatch")
         # Every cell completed exactly once: no loss, no duplication.
         keys = [
             (r["tool"], r["program"], r["trial"]) for r in aggregator.of_type("cell_end")
         ]
         assert len(keys) == len(set(keys)) == len(TOOLS) * len(PROGRAMS) * CONFIG.trials
 
+    def test_cell_starts_name_their_worker(self):
+        aggregator = TelemetryAggregator()
+        ParallelCampaign(CONFIG, processes=2, telemetry=aggregator).run(TOOLS, PROGRAMS)
+        # Every slice started on a pool worker that later exited.
+        records = aggregator.records
+        starts = 0
+        for index, record in enumerate(records):
+            if record["event"] != "cell_start":
+                continue
+            starts += 1
+            assert record["pid"] != os.getpid()
+            assert any(
+                later["event"] == "worker_exit" and later["pid"] == record["pid"]
+                for later in records[index + 1:]
+            )
+        assert starts == len(TOOLS) * len(PROGRAMS) * CONFIG.trials
+
+    def test_in_process_cell_starts_carry_the_campaign_pid(self):
+        aggregator = TelemetryAggregator()
+        ParallelCampaign(CONFIG, processes=0, telemetry=aggregator).run(TOOLS, PROGRAMS)
+        starts = aggregator.of_type("cell_start")
+        assert len(starts) == len(TOOLS) * len(PROGRAMS) * CONFIG.trials
+        assert {r["pid"] for r in starts} == {os.getpid()}
+        assert not aggregator.of_type("worker_exit")
+
     def test_cell_start_marks_the_real_slice_start(self):
         """A worker runs one slice at a time, so at no point in the
         telemetry may more cells be started-but-unended than there are
-        workers — a batch's queued slices start when their predecessor
-        replies, not when the batch is dispatched."""
+        workers — the slice queued behind a running one starts when its
+        predecessor replies, not when it is sent."""
         aggregator = TelemetryAggregator()
         ParallelCampaign(ALLOC_CONFIG, processes=2, telemetry=aggregator).run(
             TOOLS, PROGRAMS
         )
-        assert any(r["slices"] > 1 for r in aggregator.of_type("batch_dispatch"))
         running: set[tuple[str, str, int]] = set()
         peak = 0
         for record in aggregator.records:
@@ -209,12 +175,6 @@ class TestPoolTelemetry:
         assert aggregator.heartbeats >= 1
         for record in aggregator.of_type("heartbeat"):
             assert (record["tool"], record["program"], record["trial"])[0] in TOOLS
-
-
-class TestReusableOptOut:
-    def test_testing_tool_defaults_reusable(self):
-        assert random_tool().reusable is True
-        assert pct_tool().reusable is True
 
 
 # ----------------------------------------------------------------------
@@ -261,5 +221,23 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "pooled batches:" in out
+        assert "worker recycles:" not in out  # no worker died
         assert "Worker profile" in out
+
+    def test_pool_campaign_reports_recycles(self, capsys, fault_env):
+        from repro.cli import main
+
+        fault_env("Random", "CS/account", 0, kind="kill")
+        code = main(
+            [
+                "campaign",
+                "--parallel", "2",
+                "--tools", "Random",
+                "--programs", "CS/reorder_3", "CS/account",
+                "--trials", "2",
+                "--budget", "25",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "worker recycles:  1" in out

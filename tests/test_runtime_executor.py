@@ -398,3 +398,19 @@ class TestOpVocabulary:
             # Ops compare by identity.
             assert by_keyword == by_keyword and by_keyword != positional
             assert len({by_keyword, positional}) == 2
+
+    def test_object_field_is_required(self):
+        """The 14 ops whose location comes from the object they act on
+        refuse to be built without it: a TypeError at construction, not an
+        AttributeError on None."""
+        from repro.runtime import ops
+        from repro.runtime.objects import CondVar
+
+        objects = {"var", "mutex", "cond", "sem", "barrier"}
+        required = [cls for cls, fields, _ in self.table() if objects & fields.keys()]
+        assert len(required) == 14
+        for cls in required:
+            with pytest.raises(TypeError):
+                cls()
+        with pytest.raises(TypeError):  # WaitOp needs its mutex as well
+            ops.WaitOp(CondVar("c"))

@@ -67,11 +67,11 @@ class TestGoldenSchema:
             assert record["steps"] > 0
 
     def test_worker_lifecycle_events(self, smoke_records):
-        """Every pool worker that served a batch exits exactly once, cleanly."""
-        dispatched = {r["pid"] for r in smoke_records if r["event"] == "batch_dispatch"}
+        """Every pool worker that started a slice exits exactly once, cleanly."""
+        workers = {r["pid"] for r in smoke_records if r["event"] == "cell_start"}
         exits = [r for r in smoke_records if r["event"] == "worker_exit"]
-        assert dispatched and all(isinstance(pid, int) for pid in dispatched)
-        assert sorted(r["pid"] for r in exits) == sorted(dispatched)
+        assert workers and all(isinstance(pid, int) for pid in workers)
+        assert sorted(r["pid"] for r in exits) == sorted(workers)
         assert all(r["kind"] == "ok" and r["exitcode"] == 0 for r in exits)
 
     def test_records_are_plain_json(self, smoke_records):
