@@ -206,16 +206,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> str | None:
+def _validate_campaign_persistence(args: argparse.Namespace) -> str | None:
     """Catch misconfigured --resume/--store combinations early, with
-    diagnostics instead of tracebacks deep inside the engine."""
+    diagnostics instead of tracebacks deep inside the engine.  The store
+    itself refuses a resume under a different campaign header."""
     import pathlib
 
     if args.resume and not args.store:
         return "--resume requires --store DIR to resume from"
     if not args.store:
         return None
-    manifest = pathlib.Path(args.store) / "MANIFEST.json"
+    from repro.harness.store import MANIFEST_NAME
+
+    manifest = pathlib.Path(args.store) / MANIFEST_NAME
     if args.resume:
         if not pathlib.Path(args.store).exists():
             return (
@@ -226,20 +229,6 @@ def _validate_campaign_persistence(args: argparse.Namespace, allocator=None) -> 
             return (
                 f"cannot --resume from {args.store}: store is empty "
                 "(drop --resume to start a fresh campaign)"
-            )
-        import json
-
-        header = json.loads(manifest.read_text(encoding="utf-8")).get("header") or {}
-        stored = header.get("allocator")
-        requested = allocator.identity() if allocator is not None else None
-        if stored != requested:
-            stored_name = stored.get("name") if stored else "uniform"
-            requested_name = requested.get("name") if requested else "uniform"
-            return (
-                f"store {args.store} was written under allocator "
-                f"{stored_name!r} ({stored or 'no header stamp'}); refusing "
-                f"to resume it under {requested_name!r} — pass matching "
-                "--allocator options or point --store at a fresh directory"
             )
     elif manifest.exists():
         return (
@@ -281,7 +270,6 @@ def _validate_campaign_run(
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ParallelCampaign
-    from repro.harness.persist import TornLineError
     from repro.harness.reporting import appendix_b_table, figure4_ascii, throughput_summary
     from repro.harness.store import StoreError
     from repro.harness.telemetry import (
@@ -320,7 +308,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         allocator=allocator,
     )
     problem = _validate_campaign_run(args, tool_names, program_names)
-    problem = problem or _validate_campaign_persistence(args, allocator)
+    problem = problem or _validate_campaign_persistence(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
@@ -354,7 +342,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     try:
         result = campaign.run(tool_names, program_names)
-    except (StoreError, TornLineError) as exc:
+    except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -614,7 +602,6 @@ def _cmd_eval_gen(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """Inspect, compact, or verify a durable corpus store."""
-    from repro.harness.persist import TornLineError
     from repro.harness.reporting import store_summary
     from repro.harness.store import CorpusStore, StoreError
 
@@ -642,7 +629,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             with JsonlSink(args.telemetry) as sink:
                 sink.emit("store_compact", path=str(args.path), **stats)
         return 0
-    except (StoreError, TornLineError) as exc:
+    except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,13 +34,10 @@ from repro.harness.tools import (
 #: ``import repro.harness`` loads none of these four modules.
 _LAZY_SUBMODULES = {
     "persist": (
-        "append_jsonl",
         "crash_from_dict",
         "crash_to_dict",
         "load_crash",
         "load_json",
-        "read_jsonl",
-        "recover_jsonl",
         "result_from_dict",
         "result_to_dict",
         "save_crashes",
@@ -129,7 +126,6 @@ __all__ = [
     "figure4_ascii",
     "figure4_series",
     "figure5_ascii",
-    "append_jsonl",
     "load_crash",
     "load_json",
     "logrank",
@@ -137,8 +133,6 @@ __all__ = [
     "mann_whitney_u",
     "muzz_tool",
     "paper_tools",
-    "read_jsonl",
-    "recover_jsonl",
     "register_tool",
     "result_from_dict",
     "result_to_dict",

@@ -4,7 +4,10 @@ The paper's artifact ships raw experiment data alongside the tool; this
 module provides the same affordance — everything the harness produces can
 be serialised to JSON, reloaded, and (for crashes) *re-executed*: a crash
 file is a checksummed bug file (:mod:`repro.harness.triage`) that carries
-its runtime environment and replays like any repro artifact.
+its runtime environment and replays like any repro artifact.  Campaign
+results travel as :func:`result_to_dict` payloads with an attached
+checksum; the JSONL segments that hold them belong to
+:mod:`repro.harness.store`, which alone frames and repairs their lines.
 """
 
 from __future__ import annotations
@@ -227,96 +230,6 @@ def load_crash(path: str | Path) -> tuple[str, CrashRecord]:
 
     payload = load_artifact(path)
     return payload["program"], crash_from_dict({**payload, "dedup_key": payload["signature"]})
-
-
-# ----------------------------------------------------------------------
-# Append-only JSONL (campaign checkpoints, telemetry-adjacent records)
-# ----------------------------------------------------------------------
-def append_jsonl(record: dict[str, Any], path: str | Path) -> Path:
-    """Append one JSON object as a line to ``path`` (created on demand).
-
-    Append-and-flush per record makes the file crash-safe in the sense a
-    checkpoint needs: a campaign killed mid-run leaves every *completed*
-    record intact, and at worst one torn trailing line, which readers skip.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-    return target
-
-
-class TornLineError(ValueError):
-    """A JSONL file contains an unparseable line the caller must not skip:
-    either a torn *tail* with ``tolerate_torn_tail=False``, or a torn line
-    in the *middle* of the file — which append-and-flush writers never
-    produce, so it signals real corruption, not an interrupted write."""
-
-
-def read_jsonl(path: str | Path, tolerate_torn_tail: bool = True) -> list[dict[str, Any]]:
-    """Read a JSONL file written by :func:`append_jsonl`.
-
-    A killed writer can leave at most one torn line, and only at the end of
-    the file.  With ``tolerate_torn_tail=True`` (the default, matching what
-    checkpoint resume needs) that single trailing tear is skipped and
-    counted in the ``torn_lines`` telemetry counter; an unparseable line
-    anywhere *before* the last one always raises :class:`TornLineError`,
-    because it cannot be explained by an interrupted append."""
-    target = Path(path)
-    if not target.exists():
-        return []
-    lines = [
-        (number, line)
-        for number, line in enumerate(target.read_text(encoding="utf-8").splitlines(), start=1)
-        if line.strip()
-    ]
-    records = []
-    for position, (number, line) in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            is_tail = position == len(lines) - 1
-            if is_tail and tolerate_torn_tail:
-                # Lazy import: repro.harness.telemetry imports nothing from
-                # here, but keeping persist import-light avoids surprises.
-                from repro.harness.telemetry import GLOBAL_COUNTERS
-
-                GLOBAL_COUNTERS.torn_lines += 1
-                break
-            where = "torn trailing line" if is_tail else "torn line mid-file"
-            raise TornLineError(f"{target}:{number}: {where}: {exc}") from exc
-    return records
-
-
-def recover_jsonl(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Read a JSONL file and *repair* its torn tail in place.
-
-    :func:`read_jsonl` merely tolerates the single torn trailing line a
-    killed writer can leave; a writer that wants to *keep appending* to the
-    file must also remove it, or the next append would glue new records onto
-    the partial line and manufacture a mid-file tear.  This reads the valid
-    prefix (via :func:`read_jsonl`, so a torn line anywhere before the tail
-    still raises :class:`TornLineError`) and truncates the file back to that
-    prefix.  Returns ``(records, truncated_bytes)``."""
-    target = Path(path)
-    if not target.exists():
-        return [], 0
-    records = read_jsonl(target, tolerate_torn_tail=True)
-    raw = target.read_bytes()
-    offset = 0
-    parsed = 0
-    for line in raw.splitlines(keepends=True):
-        if line.strip():
-            if parsed == len(records):
-                break
-            parsed += 1
-        offset += len(line)
-    truncated = len(raw) - offset
-    if truncated:
-        with target.open("rb+") as handle:
-            handle.truncate(offset)
-    return records, truncated
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,16 @@ design is a miniature write-ahead log:
 
 * **Append-only JSONL segments** (``segment-000000.jsonl`` …).  Each
   record is one checksummed JSON line
-  (:func:`repro.harness.persist.attach_checksum`), appended and flushed;
-  a killed writer leaves at most one torn trailing line, which reopening
-  the store truncates away (:func:`repro.harness.persist.recover_jsonl`)
-  so later appends can never manufacture a mid-file tear.
+  (:func:`repro.harness.persist.attach_checksum`), appended and flushed
+  to the last segment the manifest names.  A record is committed once
+  its newline is on disk, so a killed writer leaves at most one torn
+  tail: a last line that lacks its newline or does not parse.  A
+  writable open truncates it, so later appends can never glue onto it
+  and manufacture a mid-file tear.
+* **One read per open.**  Opening the store reads each segment once,
+  checks every record and indexes the valid ones; :meth:`completed`,
+  :meth:`completed_slices` and :meth:`inspect` answer from that index,
+  and every append keeps it current.
 * **An atomically replaced manifest** (``MANIFEST.json``) naming the live
   segments, the campaign header, and the compaction count.  Every
   manifest update goes through write-temp → fsync → ``os.replace`` →
@@ -48,14 +54,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.harness import faults
 from repro.harness.persist import (
     attach_checksum,
     payload_checksum,
-    read_jsonl,
-    recover_jsonl,
     result_from_dict,
     result_to_dict,
 )
@@ -71,8 +75,6 @@ STORE_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "store.lock"
 SEGMENT_FORMAT = "segment-{index:06d}.jsonl"
-#: Default records-per-segment before the writer rolls to a fresh segment.
-SEGMENT_MAX_RECORDS = 4096
 
 #: A campaign cell's identity inside the store.
 CellKey = tuple[str, str, int]
@@ -109,20 +111,6 @@ class StoreInspection:
     #: Allocation-round slice records (adaptive campaigns only).
     slices: int = 0
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "segments": self.segments,
-            "records": self.records,
-            "cells": self.cells,
-            "bugs": self.bugs,
-            "corrupt_records": self.corrupt_records,
-            "recovered_bytes": self.recovered_bytes,
-            "compactions": self.compactions,
-            "header": self.header,
-            "slices": self.slices,
-        }
-
 
 def _fsync_dir(directory: Path) -> None:
     fd = os.open(directory, os.O_RDONLY)
@@ -144,29 +132,58 @@ def _atomic_write_json(payload: dict[str, Any], target: Path) -> None:
     _fsync_dir(target.parent)
 
 
+def _read_segment(path: Path, repair: bool) -> tuple[list[dict[str, Any]], int]:
+    """Read one segment: its committed records and the size of its torn tail.
+
+    A record is committed once its newline is on disk, so the last
+    non-blank line is a torn tail when it lacks its newline or does not
+    parse.  ``repair`` truncates that tail, so the next append starts a
+    fresh line; otherwise it is skipped in place.  An unparseable line
+    before the last cannot come from an interrupted append: it raises
+    :class:`StoreError`."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    # Every piece but the last ended in a newline on disk.
+    pieces = data.split(b"\n")
+    lines = [(number, piece) for number, piece in enumerate(pieces, start=1) if piece.strip()]
+    records = []
+    for number, piece in lines[:-1]:
+        try:
+            records.append(json.loads(piece))
+        except ValueError as exc:
+            raise StoreError(f"{path}:{number}: torn line mid-file: {exc}") from exc
+    if not lines:
+        return records, 0
+    number, piece = lines[-1]
+    if number < len(pieces):
+        try:
+            records.append(json.loads(piece))
+            return records, 0
+        except ValueError:
+            pass
+    start = sum(len(earlier) + 1 for earlier in pieces[: number - 1])
+    if repair:
+        with path.open("rb+") as handle:
+            handle.truncate(start)
+    return records, len(data) - start
+
+
 class CorpusStore:
     """The durable ledger one campaign's results live in.
 
     Open writable (the default) to record results, or ``readonly=True``
-    to inspect a store another process may still be writing is *not*
-    allowed — readers take a shared lock, so inspection waits until the
-    writer is gone (or fails fast, which is the point).
+    to inspect.  Readers take a shared lock, so a store another process
+    is still writing cannot be inspected: the open fails fast instead.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        readonly: bool = False,
-        segment_max_records: int = SEGMENT_MAX_RECORDS,
-    ) -> None:
+    def __init__(self, path: str | Path, *, readonly: bool = False) -> None:
         self.path = Path(path)
         self.readonly = readonly
-        self.segment_max_records = segment_max_records
         self.recovered_bytes = 0
         self._handle = None
         self._lock_handle = None
-        self._chaos_seq = 0
         if readonly:
             if not (self.path / MANIFEST_NAME).exists():
                 raise StoreError(f"{self.path}: not a corpus store (no {MANIFEST_NAME})")
@@ -177,9 +194,7 @@ class CorpusStore:
             self._manifest = self._load_or_init_manifest()
             if not readonly:
                 self._sweep_orphans()
-                self._repair_active_segment()
-                self._open_active_segment()
-            self._chaos_seq = sum(1 for _ in self._iter_raw())
+            self._load()
         except BaseException:
             self._release_lock()
             raise
@@ -249,24 +264,52 @@ class CorpusStore:
             if entry.name.startswith("segment-") or entry.suffix == ".tmp":
                 entry.unlink()
 
-    def _repair_active_segment(self) -> None:
+    def _load(self) -> None:
+        """Read every live segment once, in manifest order, and index it.
+
+        Only a writable store repairs, and only its active (last) segment,
+        the one it then appends to."""
+        #: Every committed record, corrupt ones included: the next
+        #: append's chaos index.
+        self._records = 0
+        self._corrupt = 0
+        #: Valid slice records, duplicates included.
+        self._slice_records = 0
+        self._cells: dict[CellKey, BugSearchResult] = {}
+        self._slices: dict[SliceKey, BugSearchResult] = {}
         active = self.segments[-1]
-        _, truncated = recover_jsonl(active)
-        self.recovered_bytes += truncated
+        for segment in self.segments:
+            repair = not self.readonly and segment == active
+            records, torn = _read_segment(segment, repair)
+            if repair:
+                self.recovered_bytes += torn
+            for record in records:
+                self._index(record)
+        if not self.readonly:
+            self._handle = active.open("a", encoding="utf-8")
 
-    def _open_active_segment(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-        self._handle = self.segments[-1].open("a", encoding="utf-8")
-        self._active_records = len(read_jsonl(self.segments[-1]))
+    def _index(self, record: dict[str, Any]) -> None:
+        """Count one committed record and index it first-wins if valid."""
+        self._records += 1
+        if record.get("checksum") != payload_checksum(record):
+            self._corrupt += 1
+            return
+        kind = record.get("type")
+        if kind == "cell":
+            data = record["result"]
+            key = (data["tool"], data["program"], data["trial"])
+            if key not in self._cells:
+                self._cells[key] = result_from_dict(data)
+        elif kind == "slice":
+            self._slice_records += 1
+            data = record["result"]
+            key = (data["tool"], data["program"], data["trial"], record["round"])
+            if key not in self._slices:
+                self._slices[key] = result_from_dict(data)
 
-    def _roll_segment(self) -> None:
-        index = int(self.segments[-1].stem.split("-")[1]) + 1
-        name = SEGMENT_FORMAT.format(index=index)
-        (self.path / name).touch()
-        self._manifest["segments"].append(name)
-        self._write_manifest()
-        self._open_active_segment()
+    def _require_writable(self) -> None:
+        if self.readonly:
+            raise StoreError(f"{self.path}: store opened readonly")
 
     # -- campaign header -----------------------------------------------
     def begin_campaign(self, header: dict[str, Any]) -> None:
@@ -275,17 +318,22 @@ class CorpusStore:
         The first campaign to open the store stamps its header; any later
         open (a resume) must present the identical header, or it would
         silently mix results computed under different configurations."""
-        if self.readonly:
-            raise StoreError(f"{self.path}: store opened readonly")
+        self._require_writable()
         current = self._manifest.get("header")
         if current is None:
             self._manifest["header"] = header
             self._write_manifest()
         elif current != header:
+            missing = object()
+            differing = "; ".join(
+                f"{key}: stored {current.get(key)!r}, requested {header.get(key)!r}"
+                for key in sorted(current.keys() | header.keys())
+                if current.get(key, missing) != header.get(key, missing)
+            )
             raise StoreMismatchError(
                 f"{self.path}: store belongs to a different campaign "
-                f"(stored header {current!r} != {header!r}) — use a fresh "
-                f"--store directory or matching campaign options"
+                f"({differing}) — use a fresh --store directory or matching "
+                f"campaign options"
             )
 
     @property
@@ -293,28 +341,12 @@ class CorpusStore:
         return self._manifest.get("header")
 
     # -- reading -------------------------------------------------------
-    def _iter_raw(self) -> Iterator[dict[str, Any]]:
-        for segment in self.segments:
-            yield from read_jsonl(segment, tolerate_torn_tail=True)
-
-    def _iter_valid(self) -> Iterator[tuple[dict[str, Any], bool]]:
-        for record in self._iter_raw():
-            ok = record.get("checksum") == payload_checksum(record)
-            yield record, ok
-
     def completed(self) -> dict[CellKey, BugSearchResult]:
         """Every cell with a valid record, first occurrence winning.
 
         First-wins dedup makes a duplicated record (a cell re-recorded
         after a resume) harmless: the earlier record is the one read."""
-        results: dict[CellKey, BugSearchResult] = {}
-        for record, ok in self._iter_valid():
-            if not ok or record.get("type") != "cell":
-                continue
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial)
-            results.setdefault(key, result)
-        return results
+        return dict(self._cells)
 
     def completed_slices(self) -> dict[SliceKey, BugSearchResult]:
         """Every allocation-round slice with a valid record, first-wins.
@@ -322,38 +354,30 @@ class CorpusStore:
         Adaptive campaigns resume at slice granularity: a campaign killed
         mid-round replays its completed slices from here and re-runs only
         the missing ones, converging bit-identically."""
-        results: dict[SliceKey, BugSearchResult] = {}
-        for record, ok in self._iter_valid():
-            if not ok or record.get("type") != "slice":
-                continue
-            result = result_from_dict(record["result"])
-            key = (result.tool, result.program, result.trial, record["round"])
-            results.setdefault(key, result)
-        return results
+        return dict(self._slices)
 
     # -- writing -------------------------------------------------------
     def record_result(self, result: BugSearchResult) -> None:
         """Append one cell result; fsyncs when the record admits a bug."""
-        if self.readonly:
-            raise StoreError(f"{self.path}: store opened readonly")
-        record = attach_checksum({"type": "cell", "result": result_to_dict(result)})
-        self._append(record, durable=result.found)
+        if self._append({"type": "cell", "result": result_to_dict(result)}, result.found):
+            self._cells.setdefault((result.tool, result.program, result.trial), result)
 
     def record_slice(self, round_index: int, result: BugSearchResult) -> None:
         """Append one allocation-round slice result (adaptive campaigns)."""
-        if self.readonly:
-            raise StoreError(f"{self.path}: store opened readonly")
-        record = attach_checksum(
-            {"type": "slice", "round": round_index, "result": result_to_dict(result)}
-        )
-        self._append(record, durable=result.found)
+        record = {"type": "slice", "round": round_index, "result": result_to_dict(result)}
+        if self._append(record, result.found):
+            self._slice_records += 1
+            key = (result.tool, result.program, result.trial, round_index)
+            self._slices.setdefault(key, result)
 
-    def _append(self, record: dict[str, Any], *, durable: bool) -> None:
-        seq = self._chaos_seq
-        self._chaos_seq += 1
+    def _append(self, record: dict[str, Any], durable: bool) -> bool:
+        """Commit ``record`` as one checksummed line; False when a
+        ``corrupt`` chaos fault poisoned its checksum."""
+        self._require_writable()
+        record = attach_checksum(record)
+        seq = self._records
         fault = faults.store_chaos(seq)
         if fault == "corrupt":
-            record = dict(record)
             record["checksum"] = "0" * 64
         line = json.dumps(record, sort_keys=True) + "\n"
         if fault == "torn_write":
@@ -368,9 +392,11 @@ class CorpusStore:
         self._handle.flush()
         if durable:
             os.fsync(self._handle.fileno())
-        self._active_records += 1
-        if self._active_records >= self.segment_max_records:
-            self._roll_segment()
+        self._records += 1
+        if fault == "corrupt":
+            self._corrupt += 1
+            return False
+        return True
 
     # -- compaction ----------------------------------------------------
     def compact(self) -> dict[str, int]:
@@ -380,26 +406,23 @@ class CorpusStore:
         switches over; a crash at any instant leaves either the old
         manifest (old segments intact) or the new one (orphaned old
         segments, swept at next open) in force."""
-        if self.readonly:
-            raise StoreError(f"{self.path}: store opened readonly")
-        before_segments = len(self.segments)
-        before_records = sum(1 for _ in self._iter_raw())
+        self._require_writable()
+        stats = {
+            "segments_before": len(self.segments),
+            "segments_after": 1,
+            "records_before": self._records,
+        }
         live: dict[tuple, dict[str, Any]] = {}
-        for record, ok in self._iter_valid():
-            if not ok:
-                continue
-            record_type = record.get("type")
-            if record_type == "cell":
-                data = record["result"]
-                live.setdefault(("cell", data["tool"], data["program"], data["trial"]), record)
-            elif record_type == "slice":
+        for segment in self.segments:
+            for record in _read_segment(segment, repair=False)[0]:
+                kind = record.get("type")
+                valid = record.get("checksum") == payload_checksum(record)
                 # Slice records survive compaction: a resumed adaptive
                 # campaign replays them to rebuild allocator history.
-                data = record["result"]
-                live.setdefault(
-                    ("slice", data["tool"], data["program"], data["trial"], record["round"]),
-                    record,
-                )
+                if valid and kind in ("cell", "slice"):
+                    data = record["result"]
+                    key = (kind, data["tool"], data["program"], data["trial"], record.get("round"))
+                    live.setdefault(key, record)
         self._handle.close()
         self._handle = None
         index = int(self.segments[-1].stem.split("-")[1]) + 1
@@ -418,42 +441,22 @@ class CorpusStore:
         self._write_manifest()
         for segment in old:
             segment.unlink(missing_ok=True)
-        self._open_active_segment()
-        return {
-            "segments_before": before_segments,
-            "segments_after": 1,
-            "records_before": before_records,
-            "records_after": len(live),
-        }
+        self._load()
+        return {**stats, "records_after": len(live)}
 
     # -- inspection ----------------------------------------------------
     def inspect(self) -> StoreInspection:
-        records = 0
-        corrupt = 0
-        slices = 0
-        cells: dict[CellKey, bool] = {}
-        for record, ok in self._iter_valid():
-            records += 1
-            if not ok:
-                corrupt += 1
-                continue
-            if record.get("type") == "cell":
-                data = record["result"]
-                key = (data["tool"], data["program"], data["trial"])
-                cells.setdefault(key, bool(data["found"]))
-            elif record.get("type") == "slice":
-                slices += 1
         return StoreInspection(
             path=str(self.path),
             segments=len(self.segments),
-            records=records,
-            cells=len(cells),
-            bugs=sum(1 for found in cells.values() if found),
-            corrupt_records=corrupt,
+            records=self._records,
+            cells=len(self._cells),
+            bugs=sum(1 for result in self._cells.values() if result.found),
+            corrupt_records=self._corrupt,
             recovered_bytes=self.recovered_bytes,
             compactions=self._manifest["compactions"],
             header=self.header,
-            slices=slices,
+            slices=self._slice_records,
         )
 
     def verify(self) -> StoreInspection:

@@ -90,8 +90,6 @@ class Counters:
     replays: int = 0
     #: Bug buckets quarantined as FLAKY by replay verification.
     flaky_quarantined: int = 0
-    #: Torn trailing JSONL lines skipped by tolerant readers.
-    torn_lines: int = 0
 
     # The pool snapshots and diffs these around every slice, so the methods
     # go through ``__dict__``: ``dataclasses.replace``/``fields``/``asdict``

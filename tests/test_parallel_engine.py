@@ -10,13 +10,14 @@ The corpus store is the campaign's checkpoint: the only resume format.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import bench
 from repro.harness import faults
 from repro.harness.campaign import Campaign, CampaignConfig
 from repro.harness.parallel import ParallelCampaign, register_tool
-from repro.harness.persist import read_jsonl
 from repro.harness.pool import WorkerPool
 from repro.harness.store import CorpusStore, StoreMismatchError
 from repro.harness.telemetry import TelemetryAggregator
@@ -248,7 +249,8 @@ class TestCheckpointResume:
         with CorpusStore(store_dir, readonly=True) as store:
             assert store.header["checkpoint_version"] == 1
             assert store.header["base_seed"] == CONFIG.base_seed
-        records = read_jsonl(store_dir / "segment-000000.jsonl")
+        lines = (store_dir / "segment-000000.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
         cells = [r["result"] for r in records]
         assert all({"tool", "program", "trial", "found"} <= r.keys() for r in cells)
 

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.harness.persist import recover_jsonl
+from repro.harness import store as store_module
 from repro.harness.store import (
     MANIFEST_NAME,
     CorpusStore,
@@ -22,6 +22,23 @@ from repro.harness.store import (
     StoreMismatchError,
 )
 from repro.harness.tools import BugSearchResult
+
+
+def split_segments(store_dir, sizes):
+    """Lay a one-segment store out as consecutive segments of ``sizes``
+    records, named in order by the manifest, as segment rolling left them."""
+    manifest_path = store_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    [name] = manifest["segments"]
+    lines = (store_dir / name).read_text().splitlines(keepends=True)
+    assert sum(sizes) == len(lines)
+    (store_dir / name).unlink()
+    manifest["segments"] = [f"segment-{index:06d}.jsonl" for index in range(len(sizes))]
+    for segment, size in zip(manifest["segments"], sizes):
+        (store_dir / segment).write_text("".join(lines[:size]))
+        lines = lines[size:]
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return [store_dir / segment for segment in manifest["segments"]]
 
 
 def result(tool="RFF", program="CS/account", trial=0, found=True, **kw):
@@ -93,19 +110,45 @@ class TestTornTailRecovery:
             store.record_result(result(trial=1))
             assert len(store.completed()) == 2
 
-    def test_recover_jsonl_reports_truncation(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text('{"a": 1}\n{"b": 2}\n{"torn')
-        records, truncated = recover_jsonl(path)
-        assert records == [{"a": 1}, {"b": 2}]
-        assert truncated == len('{"torn')
-        assert path.read_text() == '{"a": 1}\n{"b": 2}\n'
+    def test_record_without_its_newline_is_torn(self, tmp_path):
+        with CorpusStore(tmp_path / "store") as store:
+            store.record_result(result(trial=0))
+            store.record_result(result(trial=1))
+            segment = store.segments[-1]
+        unterminated = segment.read_bytes()[:-1]  # the newline never reached the disk
+        segment.write_bytes(unterminated)
+        with CorpusStore(tmp_path / "store") as store:
+            assert store.recovered_bytes == len(unterminated) - unterminated.index(b"\n") - 1
+            assert set(store.completed()) == {("RFF", "CS/account", 0)}
+            store.record_result(result(trial=2))  # fsynced: it admits a bug
+            store.record_result(result(trial=3))
+        with CorpusStore(tmp_path / "store") as store:
+            assert store.recovered_bytes == 0
+            assert sorted(trial for _, _, trial in store.completed()) == [0, 2, 3]
 
-    def test_recover_jsonl_missing_and_clean_files(self, tmp_path):
-        assert recover_jsonl(tmp_path / "absent.jsonl") == ([], 0)
-        path = tmp_path / "clean.jsonl"
-        path.write_text('{"a": 1}\n')
-        assert recover_jsonl(path) == ([{"a": 1}], 0)
+    def test_readonly_open_skips_torn_tail_in_place(self, tmp_path):
+        with CorpusStore(tmp_path / "store") as store:
+            store.record_result(result(trial=0))
+            segment = store.segments[-1]
+        with segment.open("a") as handle:
+            handle.write('{"type": "cell", "resu')
+        torn_size = segment.stat().st_size
+        with CorpusStore(tmp_path / "store", readonly=True) as store:
+            assert set(store.completed()) == {("RFF", "CS/account", 0)}
+            assert store.inspect().records == 1
+            assert store.recovered_bytes == 0
+        assert segment.stat().st_size == torn_size
+
+    def test_unparseable_line_before_a_record_raises(self, tmp_path):
+        with CorpusStore(tmp_path / "store") as store:
+            store.record_result(result(trial=0))
+            store.record_result(result(trial=1))
+            segment = store.segments[-1]
+        first, second = segment.read_text().splitlines(keepends=True)
+        segment.write_text(first + '{"type": "cell", "resu\n' + second)
+        for readonly in (True, False):
+            with pytest.raises(StoreError, match=r"segment-000000.jsonl:2: torn line mid-file"):
+                CorpusStore(tmp_path / "store", readonly=readonly)
 
 
 class TestChecksums:
@@ -138,20 +181,33 @@ class TestChecksums:
 
 
 class TestSegmentsAndCompaction:
-    def test_segment_roll(self, tmp_path):
-        with CorpusStore(tmp_path / "store", segment_max_records=2) as store:
-            for trial in range(5):
-                store.record_result(result(trial=trial))
-            assert len(store.segments) == 3
-            assert len(store.completed()) == 5
-        with CorpusStore(tmp_path / "store", segment_max_records=2) as store:
-            assert len(store.completed()) == 5
-
-    def test_compaction_dedups_and_drops_segments(self, tmp_path):
-        with CorpusStore(tmp_path / "store", segment_max_records=2) as store:
+    def test_segments_read_in_order_and_append_to_the_last(self, tmp_path):
+        with CorpusStore(tmp_path / "store") as store:
             for trial in range(4):
                 store.record_result(result(trial=trial))
             store.record_result(result(trial=0, found=False))  # late duplicate
+        segments = split_segments(tmp_path / "store", [2, 2, 1])
+        with CorpusStore(tmp_path / "store") as store:
+            completed = store.completed()
+            assert list(completed) == [("RFF", "CS/account", trial) for trial in range(4)]
+            assert completed[("RFF", "CS/account", 0)].found  # the earlier segment won
+            sizes = [segment.stat().st_size for segment in segments]
+            store.record_result(result(trial=4))
+            assert [segment.stat().st_size for segment in segments[:2]] == sizes[:2]
+            assert segments[2].stat().st_size > sizes[2]
+        with CorpusStore(tmp_path / "store") as store:
+            assert len(store.completed()) == 5
+            assert store.compact()["segments_before"] == 3
+            assert len(store.segments) == 1
+            assert len(store.completed()) == 5
+
+    def test_compaction_dedups_and_drops_segments(self, tmp_path):
+        with CorpusStore(tmp_path / "store") as store:
+            for trial in range(4):
+                store.record_result(result(trial=trial))
+            store.record_result(result(trial=0, found=False))  # late duplicate
+        split_segments(tmp_path / "store", [2, 2, 1])
+        with CorpusStore(tmp_path / "store") as store:
             stats = store.compact()
             assert stats == {
                 "segments_before": 3,
@@ -165,6 +221,27 @@ class TestSegmentsAndCompaction:
         with CorpusStore(tmp_path / "store") as store:
             assert len(store.completed()) == 5
             assert store.inspect().compactions == 1
+
+    def test_each_segment_read_once_per_open(self, tmp_path, monkeypatch):
+        with CorpusStore(tmp_path / "store") as store:
+            for trial in range(3):
+                store.record_result(result(trial=trial))
+                store.record_slice(0, result(trial=trial))
+        segments = split_segments(tmp_path / "store", [2, 2, 2])
+        reads = []
+        real_read = store_module._read_segment
+        monkeypatch.setattr(
+            store_module,
+            "_read_segment",
+            lambda path, repair: (reads.append(path), real_read(path, repair))[1],
+        )
+        with CorpusStore(tmp_path / "store") as store:
+            assert len(store.completed()) == 3
+            assert len(store.completed_slices()) == 3
+            store.record_result(result(trial=3))
+            inspection = store.inspect()
+        assert (inspection.records, inspection.cells, inspection.slices) == (7, 4, 3)
+        assert reads == segments
 
     def test_orphan_segments_swept(self, tmp_path):
         with CorpusStore(tmp_path / "store") as store:

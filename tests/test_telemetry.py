@@ -188,7 +188,6 @@ class TestCounters:
             "livelocks": 0,
             "replays": 0,
             "flaky_quarantined": 0,
-            "torn_lines": 0,
         }
         counters.reset()
         assert counters == Counters()

@@ -27,14 +27,11 @@ from repro.core.reproduce import (
 )
 from repro.harness.persist import (
     ChecksumError,
-    TornLineError,
-    append_jsonl,
     attach_checksum,
     crash_from_dict,
     crash_to_dict,
     load_crash,
     payload_checksum,
-    read_jsonl,
     result_from_dict,
     result_to_dict,
     save_crashes,
@@ -438,33 +435,6 @@ class TestPersistHardening:
         result = tool.find_bug(bench.get("CS/account"), budget=300, seed=1, verify_replays=3)
         assert result.found and result.bucket and result.replay_verdict
         assert result_from_dict(result_to_dict(result)) == result
-
-    def test_torn_tail_tolerated_and_counted(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
-        append_jsonl({"b": 2}, path)
-        with path.open("a") as handle:
-            handle.write('{"torn": tr')
-        before = GLOBAL_COUNTERS.snapshot()
-        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
-        assert GLOBAL_COUNTERS.delta(before).torn_lines == 1
-
-    def test_torn_tail_rejected_when_intolerant(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
-        with path.open("a") as handle:
-            handle.write('{"torn": tr')
-        with pytest.raises(TornLineError, match="torn trailing line"):
-            read_jsonl(path, tolerate_torn_tail=False)
-
-    def test_torn_middle_always_rejected(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        append_jsonl({"a": 1}, path)
-        with path.open("a") as handle:
-            handle.write('{"torn": tr\n')
-        append_jsonl({"b": 2}, path)
-        with pytest.raises(TornLineError, match="mid-file"):
-            read_jsonl(path)
 
     def test_checksum_primitives(self):
         payload = attach_checksum({"x": 1, "y": [1, 2]})
