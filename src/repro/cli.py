@@ -17,7 +17,7 @@ import sys
 from repro import bench
 from repro.core.fuzzer import RffConfig, fuzz
 from repro.core.reproduce import RunEnv
-from repro.harness.campaign import CampaignConfig
+from repro.harness.campaign import CampaignConfig, campaign_header
 from repro.harness.tools import paper_tools, tool_factory
 
 
@@ -271,7 +271,7 @@ def _validate_campaign_run(
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ParallelCampaign
     from repro.harness.reporting import appendix_b_table, figure4_ascii, throughput_summary
-    from repro.harness.store import StoreError
+    from repro.harness.store import CorpusStore, StoreError
     from repro.harness.telemetry import (
         JsonlSink,
         MultiSink,
@@ -322,31 +322,37 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 )
             )
         )
-    if args.telemetry:
-        try:
-            sinks.append(JsonlSink(args.telemetry))
-        except SinkLockedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     sink = MultiSink(sinks)
-    campaign = ParallelCampaign(
-        config,
-        processes=args.parallel or 0,
-        cell_timeout=args.timeout,
-        max_retries=args.retries,
-        telemetry=sink,
-        store=args.store,
-        heartbeat_seconds=args.heartbeat_seconds,
-        lease_seconds=args.lease_seconds,
-        profile_dir=args.profile,
-    )
+    store = args.store
     try:
+        if args.resume:
+            # Refuse a mismatched resume before any sink opens, so it leaves
+            # no telemetry file behind; the campaign reads the open store
+            # once.  A fresh store opens after the sinks, so a locked
+            # telemetry path leaves no store behind.
+            store = CorpusStore(args.store)
+            store.begin_campaign(campaign_header(config, tool_names, program_names))
+        if args.telemetry:
+            sink.sinks.append(JsonlSink(args.telemetry))
+        campaign = ParallelCampaign(
+            config,
+            processes=args.parallel or 0,
+            cell_timeout=args.timeout,
+            max_retries=args.retries,
+            telemetry=sink,
+            store=store,
+            heartbeat_seconds=args.heartbeat_seconds,
+            lease_seconds=args.lease_seconds,
+            profile_dir=args.profile,
+        )
         result = campaign.run(tool_names, program_names)
-    except StoreError as exc:
+    except (SinkLockedError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         sink.close()
+        if store is not args.store:
+            store.close()
     print(appendix_b_table(result))
     print()
     print(figure4_ascii(result))

@@ -33,6 +33,7 @@ from repro.core.power import FlatSchedule, PowerSchedule
 from repro.core.proactive import RffSchedulerPolicy
 from repro.core.reproduce import RunEnv, dedup_key, failure_frames
 from repro.core.trace import RfPair
+from repro.runtime.counters import GLOBAL_COUNTERS
 from repro.runtime.executor import ExecutionResult
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
@@ -162,9 +163,6 @@ class RffFuzzer:
         self._sanitizer_keys: set[tuple] = set()
         #: rf signature of the most recent execution (stage cut-off input).
         self._last_signature: frozenset | None = None
-        # Lazy import: repro.harness imports this module at package init.
-        from repro.harness.telemetry import GLOBAL_COUNTERS
-
         self._counters = GLOBAL_COUNTERS
 
     # ------------------------------------------------------------------

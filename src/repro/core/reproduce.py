@@ -29,6 +29,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from repro.runtime.counters import GLOBAL_COUNTERS
 from repro.runtime.executor import DEFAULT_MAX_STEPS, ExecutionResult, Executor
 from repro.runtime.guard import GuardConfig
 from repro.schedulers.replay import ReplayPolicy
@@ -259,8 +260,6 @@ def verify_replay(
             )
         )
     matches = sum(1 for run in runs if run.matched)
-    from repro.harness.telemetry import GLOBAL_COUNTERS
-
     GLOBAL_COUNTERS.replays += len(runs)
     return ReplayVerdict(
         verdict=STABLE if matches == len(runs) else FLAKY,

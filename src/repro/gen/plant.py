@@ -100,19 +100,6 @@ class GroundTruth:
             "window": self.window,
         }
 
-    @staticmethod
-    def from_dict(payload: dict[str, Any]) -> "GroundTruth":
-        return GroundTruth(
-            kind=payload["kind"],
-            crash_outcome=payload["crash_outcome"],
-            sanitizers=tuple(payload["sanitizers"]),
-            threads=tuple(payload["threads"]),
-            objects=tuple(payload["objects"]),
-            ops=tuple(payload["ops"]),
-            min_depth=payload["min_depth"],
-            window=payload["window"],
-        )
-
 
 def plant_bug(
     spec: ProgramSpec, kind: str, rng: random.Random, window: int = 0

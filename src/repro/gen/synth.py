@@ -203,15 +203,6 @@ class OpSpec:
             payload["aux"] = self.aux
         return payload
 
-    @staticmethod
-    def from_dict(payload: dict[str, Any]) -> "OpSpec":
-        return OpSpec(
-            kind=payload["kind"],
-            target=payload.get("target", ""),
-            value=payload.get("value", 0),
-            aux=payload.get("aux", 0),
-        )
-
 
 @dataclass(frozen=True)
 class VarSpec:
@@ -328,51 +319,6 @@ class ProgramSpec:
     def to_json(self) -> str:
         """Canonical (byte-stable) JSON form of the spec."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_dict(payload: dict[str, Any]) -> "ProgramSpec":
-        return ProgramSpec(
-            seed=payload["seed"],
-            config_token=payload["config_token"],
-            vars=tuple(
-                VarSpec(
-                    name=v["name"],
-                    init=v["init"],
-                    mode=v["mode"],
-                    guard=v["guard"],
-                    owner=v["owner"],
-                )
-                for v in payload["vars"]
-            ),
-            mutexes=tuple(payload["mutexes"]),
-            sems=tuple(SemSpec(name=s["name"], init=s["init"]) for s in payload["sems"]),
-            barriers=tuple(
-                BarrierSpec(
-                    name=b["name"], members=tuple(b["members"]), rounds=b["rounds"]
-                )
-                for b in payload["barriers"]
-            ),
-            condvars=tuple(
-                CondVarSpec(
-                    name=c["name"],
-                    mutex=c["mutex"],
-                    flag=c["flag"],
-                    producer=c["producer"],
-                    consumers=tuple(c["consumers"]),
-                )
-                for c in payload["condvars"]
-            ),
-            counters=tuple(
-                CounterSpec(var=c["var"], mutex=c["mutex"], expected=c["expected"])
-                for c in payload["counters"]
-            ),
-            threads=tuple(
-                ThreadSpec(ops=tuple(OpSpec.from_dict(op) for op in ops))
-                for ops in payload["threads"]
-            ),
-            step_budget=payload["step_budget"],
-            mc_supported=payload["mc_supported"],
-        )
 
 
 def spec_name(seed: int, config_token: str = "") -> str:

@@ -14,7 +14,7 @@ from repro.harness.telemetry import (
     validate_jsonl,
     validate_record,
 )
-from repro.harness.parallel import CellSpec, ParallelCampaign, register_tool
+from repro.harness.parallel import ParallelCampaign, register_tool
 from repro.harness.tools import (
     BugSearchResult,
     GenMcTool,
@@ -97,7 +97,6 @@ __all__ = [
     "Campaign",
     "CampaignConfig",
     "CampaignResult",
-    "CellSpec",
     "CorpusStore",
     "Counters",
     "GLOBAL_COUNTERS",

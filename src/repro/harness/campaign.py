@@ -210,8 +210,10 @@ class Campaign:
         )
 
 
-#: One pending slice: (cell key, seed, budget).
-PendingSlice = tuple[tuple[str, str, int], int, int]
+#: One slice to run: ``(tool, program, trial, seed, budget, factory_ref)``.
+#: The factory reference is None for a tool instance seeded into the
+#: in-process cache (``Campaign.run``), which is never rebuilt.
+Slice = tuple[str, str, int, int, int, str | None]
 
 
 def run_rounds(
@@ -228,8 +230,9 @@ def run_rounds(
     allocator (``config.allocator``, or a one-round
     :class:`~repro.harness.allocator.UniformAllocator` when None) plans one
     slice budget per live cell; slices the store already holds are
-    replayed, and the rest go to ``pool.execute(pending, record)`` (a
-    :class:`~repro.harness.pool.WorkerPool`), which calls
+    replayed, and the rest go as :data:`Slice` tuples, with their tool's
+    factory reference from ``pool.refs``, to ``pool.execute(pending,
+    record)`` (a :class:`~repro.harness.pool.WorkerPool`), which calls
     ``record(key, result)`` once per pending slice.  Slice results feed the
     allocator's estimates and merge into one result per cell.
 
@@ -300,7 +303,7 @@ def run_rounds(
                 )
                 estimates = run_state.estimates()
             round_results: dict[CellId, BugSearchResult] = {}
-            pending: list[PendingSlice] = []
+            pending: list[Slice] = []
             for key in sorted(plan):
                 if config.allocator is not None:
                     sink.emit(
@@ -321,7 +324,7 @@ def run_rounds(
                     round_results[key] = done_cells[key]
                 else:
                     seed = slice_seed(config.base_seed, key[2], round_index)
-                    pending.append((key, seed, plan[key]))
+                    pending.append((*key, seed, plan[key], pool.refs.get(key[0])))
 
             def record(key: CellId, result: BugSearchResult) -> None:
                 nonlocal executions

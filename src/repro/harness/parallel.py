@@ -30,12 +30,13 @@ The engine survives its workers:
   slice) is recorded in a :class:`~repro.harness.store.CorpusStore`, and
   re-running the same campaign against it skips completed work and still
   produces a bit-identical :class:`~repro.harness.campaign.CampaignResult`;
-* **telemetry** — every lifecycle step (cell start/end/retry/error,
-  heartbeats, worker exit/recycle, degradation) is emitted into a
-  :class:`~repro.harness.telemetry.TelemetrySink`.
+* **telemetry** — every lifecycle step is emitted once into a
+  :class:`~repro.harness.telemetry.TelemetrySink`: cell start, end, retry
+  (with its backoff ``delay``) and error, each worker's exit (with the
+  ``unfinished`` slices it held) and degradation.
 
 Tool factories cross the process boundary *by importable reference*
-(``"module:qualname"`` strings carried in the cell spec), never through a
+(``"module:qualname"`` strings carried in every slice), never through a
 module-global registry alone — so custom tools registered with
 :func:`register_tool` work under the ``spawn`` start method too, where
 workers do not inherit the parent's registrations.
@@ -54,39 +55,7 @@ from repro.core.reproduce import RunEnv
 from repro.harness.campaign import CampaignConfig, CampaignResult, run_rounds
 from repro.harness.faults import ChaosPlan
 from repro.harness.telemetry import TelemetrySink
-from repro.harness.tools import TOOL_FACTORIES, BugSearchResult, TestingTool, tool_factory
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One (tool, program, trial) campaign slice, fully self-describing.
-
-    ``factory_ref`` is an importable ``"module:qualname"`` reference to the
-    tool factory, resolved *inside* the worker — the spec is all a freshly
-    spawned process needs, with no reliance on inherited module globals.
-    """
-
-    tool: str
-    program: str
-    trial: int
-    seed: int
-    budget: int
-    #: None for a tool instance seeded into the in-process cache by
-    #: :class:`~repro.harness.campaign.Campaign`, which is never rebuilt.
-    factory_ref: str | None
-
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.tool, self.program, self.trial)
-
-
-@dataclass(frozen=True)
-class CellOutcome:
-    """What a worker ships back: the result plus its measured cost."""
-
-    result: BugSearchResult
-    wall_time: float
-    counters: dict[str, int]
+from repro.harness.tools import TOOL_FACTORIES, TestingTool, tool_factory
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +105,7 @@ def register_tool(name: str, factory: Callable[[], TestingTool]) -> None:
 
     The factory must be a module-level callable (validated eagerly) so that
     worker processes under any start method — including ``spawn``, which
-    inherits nothing — can re-import it from its cell spec reference.
+    inherits nothing — can re-import it from the reference in each slice.
     """
     factory_ref(factory)  # validate now, not inside a worker
     TOOL_FACTORIES[name] = factory

@@ -22,15 +22,18 @@ cost across executions.  This module is the analogue of the fork server:
   (:func:`repro.harness.persist.result_to_dict`), not as pickled live
   objects.
 * **Supervision.**  Workers beat from a daemon thread every
-  ``heartbeat_seconds``; a worker silent for ``lease_seconds`` loses its
-  lease and is killed, as is one that goes ``cell_timeout`` seconds
-  without finishing a slice.  Workers apply the profile's chaos plan
+  ``heartbeat_seconds``; a beat carries nothing and only renews the
+  worker's lease.  A worker silent for ``lease_seconds`` loses its lease
+  and is killed, as is one that goes ``cell_timeout`` seconds without
+  finishing a slice.  Workers apply the profile's chaos plan
   (:mod:`repro.harness.faults`) before every slice.
 * **Crash replay of the running slice only.**  A worker answers its
   slices in the order they were sent, so when it dies the dispatcher
-  knows which slice it was running: the first one it holds.  That slice
-  is retried after a capped exponential backoff (:func:`backoff_delay`),
-  up to ``max_retries`` times, and then recorded as a structured error
+  knows which slice it was running: the first one it holds.  Its end is
+  one ``worker_exit`` whose ``unfinished`` counts the slices it held.
+  The running slice is retried after a capped exponential backoff
+  (:func:`backoff_delay`, one ``cell_retry`` carrying ``delay``), up to
+  ``max_retries`` times, and then recorded as a structured error
   classified as a *deterministic crasher* (every attempt failed the same
   way) or a *flaky environment* (:func:`classify_failures`).  The slice
   queued behind it never started and goes back to the front of the ready
@@ -46,17 +49,18 @@ cost across executions.  This module is the analogue of the fork server:
 Wire protocol (one duplex pipe per worker):
 
 ======================  =================================================
-parent -> worker        ``("slice", wire_slice)`` per slice, then
-                        eventually ``("shutdown",)``
+parent -> worker        ``("slice", slice)`` per slice, then eventually
+                        ``("shutdown",)``
 worker -> parent        ``("slice_done", payload)`` or
                         ``("slice_error", message)`` per slice, in send
-                        order, and ``("heartbeat", seq, identity)``
+                        order, and ``("heartbeat",)``
 ======================  =================================================
 
-A wire slice is the tuple ``(tool, program, trial, seed, budget,
-factory_ref)``; a reply payload is ``(result_dict, wall_time,
-counters_dict)``.  Replies carry no index: a worker answers its slices in
-the order they were sent.
+A slice is the tuple ``(tool, program, trial, seed, budget, factory_ref)``
+(:data:`~repro.harness.campaign.Slice`), the one shape it has from the
+round loop through the dispatcher's queues to the worker; a reply payload
+is ``(result_dict, wall_time, counters_dict)``.  Replies carry no index: a
+worker answers its slices in the order they were sent.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ from typing import Any, Callable, Iterable
 
 from repro.core.reproduce import RunEnv
 from repro.harness import faults
-from repro.harness.campaign import PendingSlice
-from repro.harness.parallel import CellOutcome, CellSpec, resolve_ref
+from repro.harness.campaign import Slice
+from repro.harness.parallel import resolve_ref
 from repro.harness.telemetry import GLOBAL_COUNTERS, TelemetrySink
 from repro.harness.tools import BugSearchResult
 
@@ -108,17 +112,17 @@ class WorkerProfile:
     profile_dir: str | None = None
 
 
-def wire_slice(spec) -> tuple:
-    """The wire form of one :class:`CellSpec` slice: a plain tuple."""
-    return (spec.tool, spec.program, spec.trial, spec.seed, spec.budget, spec.factory_ref)
+def _cell(spec: Slice) -> dict[str, Any]:
+    """The ``tool``, ``program`` and ``trial`` fields of a slice's records."""
+    return {"tool": spec[0], "program": spec[1], "trial": spec[2]}
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict):
-    """Run one slice against the given caches; returns its CellOutcome."""
-    tool_name, program_name, trial, seed, budget, ref = wire
+def _run_slice(spec: Slice, profile: WorkerProfile, tools: dict, programs: dict):
+    """Run one slice against the given caches: ``(result, wall_time, counters)``."""
+    tool_name, program_name, trial, seed, budget, ref = spec
     if profile.chaos is not None:
         faults.worker_chaos(*profile.chaos, faults.cell_key(tool_name, program_name, trial))
     cache_key = (tool_name, program_name)
@@ -136,9 +140,7 @@ def _run_slice(wire: tuple, profile: WorkerProfile, tools: dict, programs: dict)
     wall_time = time.perf_counter() - start
     counters = GLOBAL_COUNTERS.delta(before).as_dict()
     # Stamp the trial index (the tool records the seed there by default).
-    return CellOutcome(
-        result=replace(result, trial=trial), wall_time=wall_time, counters=counters
-    )
+    return replace(result, trial=trial), wall_time, counters
 
 
 def _pool_worker_main(conn, profile: WorkerProfile) -> None:
@@ -155,10 +157,6 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
 
     send_lock = threading.Lock()
     stop = threading.Event()
-    #: Identity (tool, program, trial) of the slice currently running; the
-    #: heartbeat thread reads it so parent-side telemetry can attribute
-    #: beats to cells (None while idle between slices).
-    current: list = [None]
 
     if profile.heartbeat_seconds:
         parent = os.getppid()
@@ -166,7 +164,6 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
         def beat() -> None:
             # A wedged worker (hang fault, stuck runtime) stops beating but
             # stays alive: exactly the failure the parent's lease catches.
-            seq = 0
             while not stop.wait(profile.heartbeat_seconds):
                 if os.getppid() != parent:
                     # Reparented: the campaign was killed without shutting
@@ -174,12 +171,11 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
                     os._exit(0)
                 if faults.is_wedged():
                     continue
-                seq += 1
                 with send_lock:
                     if stop.is_set():
                         return
                     try:
-                        conn.send(("heartbeat", seq, current[0]))
+                        conn.send(("heartbeat",))
                     except OSError:  # parent gone; nothing left to report to
                         return
 
@@ -211,15 +207,11 @@ def _pool_worker_main(conn, profile: WorkerProfile) -> None:
             if message[0] == "shutdown":
                 dump_profile()
                 return
-            wire = message[1]
-            current[0] = wire[:3]
             try:
-                outcome = _run_slice(wire, profile, tools, programs)
-                reply = ("slice_done", (result_to_dict(outcome.result), outcome.wall_time,
-                                        outcome.counters))
+                result, wall_time, counters = _run_slice(message[1], profile, tools, programs)
+                reply = ("slice_done", (result_to_dict(result), wall_time, counters))
             except BaseException as exc:  # noqa: BLE001 - must not leak workers
                 reply = ("slice_error", f"{type(exc).__name__}: {exc}")
-            current[0] = None
             with send_lock:
                 conn.send(reply)
             # Dump after every slice, not only at shutdown, so a worker that
@@ -245,41 +237,28 @@ def classify_failures(kinds: list[str]) -> str:
     return f"flaky environment: attempts failed with {sorted(set(kinds))}"
 
 
-def _decode_outcome(payload) -> CellOutcome:
-    """Reply payload -> CellOutcome."""
-    # Imported here: an in-process campaign decodes no replies.
-    from repro.harness.persist import result_from_dict
-
-    data, wall_time, counters = payload
-    return CellOutcome(result=result_from_dict(data), wall_time=wall_time, counters=counters)
-
-
-def _emit_cell_end(spec, attempt: int, outcome, sink: TelemetrySink) -> None:
-    """The telemetry of one completed slice: ``cell_end`` plus its findings."""
-    result = outcome.result
+def _emit_cell_end(spec: Slice, attempt: int, outcome: tuple, sink: TelemetrySink) -> None:
+    """The telemetry of one completed slice, given its ``(result,
+    wall_time, counters)``: ``cell_end`` plus its findings."""
+    result, wall_time, counters = outcome
+    cell = _cell(spec)
     # The executor-level counter delta also counts executions; the result's
     # own count is the authoritative cell figure.
-    counters = {k: v for k, v in outcome.counters.items() if k != "executions"}
+    counters = {k: v for k, v in counters.items() if k != "executions"}
     sink.emit(
         "cell_end",
-        tool=spec.tool,
-        program=spec.program,
-        trial=spec.trial,
+        **cell,
         attempt=attempt,
-        wall_time=outcome.wall_time,
+        wall_time=wall_time,
         executions=result.executions,
-        schedules_per_sec=(
-            result.executions / outcome.wall_time if outcome.wall_time > 0 else 0.0
-        ),
+        schedules_per_sec=result.executions / wall_time if wall_time > 0 else 0.0,
         found=result.found,
         **counters,
     )
     for report in result.sanitizer_reports:
         sink.emit(
             "sanitizer_report",
-            tool=spec.tool,
-            program=spec.program,
-            trial=spec.trial,
+            **cell,
             sanitizer=report.sanitizer,
             kind=report.kind,
             location=report.location,
@@ -290,7 +269,7 @@ def _emit_cell_end(spec, attempt: int, outcome, sink: TelemetrySink) -> None:
 #: Records one slice's result with the round loop: ``record(key, result)``.
 Recorder = Callable[[tuple[str, str, int], BugSearchResult], None]
 #: One slice to run and the attempt (1-based) it is on.
-Slice = tuple[CellSpec, int]
+Queued = tuple[Slice, int]
 
 
 @dataclass
@@ -299,6 +278,7 @@ class _PoolWorker:
 
     proc: Any
     conn: Any
+    #: Time of the worker's last message: any message renews its lease.
     last_beat: float
     #: Time the worker's running slice started (its predecessor's reply, or
     #: its send to the idle worker); the per-slice ``cell_timeout`` is
@@ -337,7 +317,8 @@ class WorkerPool:
         #: Worker processes; 0 runs every slice in-process.
         self.size = size
         self.profile = profile
-        #: Tool name -> importable factory reference, carried in every slice.
+        #: Tool name -> importable factory reference, which the round loop
+        #: puts in every slice.
         self.refs = refs
         self.stats = {"retries": 0, "failed": 0}
         #: Cell key -> the failure kinds of its attempts so far.
@@ -398,43 +379,31 @@ class WorkerPool:
                 worker.proc.join()
             worker.conn.close()
             self.sink.emit(
-                "worker_exit", pid=worker.proc.pid, exitcode=worker.proc.exitcode, kind="ok"
+                "worker_exit",
+                pid=worker.proc.pid,
+                exitcode=worker.proc.exitcode,
+                kind="ok",
+                unfinished=0,
             )
         self._workers.clear()
 
     # -- slice bookkeeping ----------------------------------------------
-    def _start(self, pid: int, spec, attempt: int) -> None:
+    def _start(self, pid: int, spec: Slice, attempt: int) -> None:
         """Emit ``cell_start`` for a slice that process ``pid`` starts now.
 
         A worker runs the slices it holds in order, so a queued slice
         starts when its predecessor replies (or, sent to an idle worker,
         when it is sent); emitting then keeps its wait out of its time.
         """
-        self.sink.emit(
-            "cell_start",
-            tool=spec.tool,
-            program=spec.program,
-            trial=spec.trial,
-            attempt=attempt,
-            pid=pid,
-        )
+        self.sink.emit("cell_start", **_cell(spec), attempt=attempt, pid=pid)
 
-    def _fail(self, spec, attempts: int, kind: str, detail: str) -> BugSearchResult:
+    def _fail(self, spec: Slice, attempts: int, kind: str, detail: str) -> BugSearchResult:
         """A cell that cannot complete: telemetry, then its structured error result."""
         self.stats["failed"] += 1
-        self.sink.emit(
-            "cell_error",
-            tool=spec.tool,
-            program=spec.program,
-            trial=spec.trial,
-            attempts=attempts,
-            kind=kind,
-            detail=detail,
-        )
+        cell = _cell(spec)
+        self.sink.emit("cell_error", **cell, attempts=attempts, kind=kind, detail=detail)
         return BugSearchResult(
-            tool=spec.tool,
-            program=spec.program,
-            trial=spec.trial,
+            **cell,
             found=False,
             schedules_to_bug=None,
             executions=0,
@@ -449,15 +418,13 @@ class WorkerPool:
         Returns False, leaving ``ready`` as it was, when the worker's pipe
         is broken (the worker died).
         """
-        spec, attempt = ready[0]
         try:
-            worker.conn.send(("slice", wire_slice(spec)))
+            worker.conn.send(("slice", ready[0][0]))
         except OSError:
             return False
-        ready.popleft()
         if not worker.held:
             worker.last_progress = worker.last_beat = time.perf_counter()
-        worker.held.append((spec, attempt))
+        worker.held.append(ready.popleft())
         return True
 
     def _recycle(
@@ -468,11 +435,12 @@ class WorkerPool:
         waiting: list,
         record: Recorder,
     ) -> None:
-        """Retire a dead or killed worker.
+        """Retire a dead or killed worker: one ``worker_exit``.
 
         Only the slice it was running (the first it holds) costs an
-        attempt; the slice queued behind it never started and goes back to
-        the front of the ready queue unchanged.
+        attempt, and a retry is one ``cell_retry``; the slice queued behind
+        it never started and goes back to the front of the ready queue
+        unchanged.
         """
         engine = self.engine
         del self._workers[worker.conn]
@@ -483,19 +451,15 @@ class WorkerPool:
             self._kill(worker)
         exitcode = worker.proc.exitcode
         held = worker.held
-        self.sink.emit("worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind=kind)
         self.sink.emit(
-            "worker_recycle",
-            pid=worker.proc.pid,
-            exitcode=exitcode,
-            kind=kind,
-            unfinished=len(held),
+            "worker_exit", pid=worker.proc.pid, exitcode=exitcode, kind=kind, unfinished=len(held)
         )
         if not held:
             return
         spec, attempt = held.popleft()
         ready.extendleft(reversed(held))
-        kinds = self._failure_kinds.setdefault(spec.key, [])
+        key = spec[:3]
+        kinds = self._failure_kinds.setdefault(key, [])
         kinds.append(kind)
         if attempt > engine.max_retries:
             if kind == "crash":
@@ -508,17 +472,19 @@ class WorkerPool:
                     f"({engine.lease_seconds:g}s lease expired)"
                 )
             detail = f"{detail} [{classify_failures(kinds)}]"
-            record(spec.key, self._fail(spec, attempt, kind, detail))
+            record(key, self._fail(spec, attempt, kind, detail))
             return
         self.stats["retries"] += 1
         delay = backoff_delay(attempt)
-        identity = {"tool": spec.tool, "program": spec.program, "trial": spec.trial}
-        self.sink.emit("cell_retry", **identity, attempt=attempt, kind=kind)
-        self.sink.emit("lease_reassign", **identity, attempt=attempt, kind=kind, delay=delay)
+        self.sink.emit("cell_retry", **_cell(spec), attempt=attempt, kind=kind, delay=delay)
         waiting.append((time.perf_counter() + delay, (spec, attempt + 1)))
 
     def _pump(self, worker: _PoolWorker, ready: deque, waiting: list, record: Recorder) -> None:
-        """Drain every buffered message of one worker pipe."""
+        """Drain every buffered message of one worker pipe.  Any message
+        renews the worker's lease; a heartbeat does nothing else."""
+        # Imported here: an in-process campaign decodes no replies.
+        from repro.harness.persist import result_from_dict
+
         conn = worker.conn
         while True:
             try:
@@ -532,36 +498,27 @@ class WorkerPool:
             now = time.perf_counter()
             worker.last_beat = now
             if tag == "heartbeat":
-                identity = message[2]
-                if identity is not None:
-                    self.sink.emit(
-                        "heartbeat",
-                        pid=worker.proc.pid,
-                        tool=identity[0],
-                        program=identity[1],
-                        trial=identity[2],
-                        seq=message[1],
-                    )
-            else:  # "slice_done" or "slice_error", for the first held slice
-                spec, attempt = worker.held.popleft()
-                worker.last_progress = now
-                # Top the worker up before decoding and recording, so it
-                # never waits on this process.  A broken pipe leaves the
-                # slice ready; the next poll reports the crash.
-                if ready:
-                    self._send(worker, ready)
-                if tag == "slice_done":
-                    outcome = _decode_outcome(message[1])
-                    _emit_cell_end(spec, attempt, outcome, self.sink)
-                    result = outcome.result
-                else:
-                    # Deterministic in-worker exception; retrying cannot help.
-                    result = self._fail(spec, attempt, "error", message[1])
-                if worker.held:
-                    # The worker has moved on to its next slice: mark its
-                    # start before the (store-appending) record of this one.
-                    self._start(worker.proc.pid, *worker.held[0])
-                record(spec.key, result)
+                continue
+            # "slice_done" or "slice_error", for the first held slice.
+            spec, attempt = worker.held.popleft()
+            worker.last_progress = now
+            # Top the worker up before decoding and recording, so it never
+            # waits on this process.  A broken pipe leaves the slice ready;
+            # the next poll reports the crash.
+            if ready:
+                self._send(worker, ready)
+            if tag == "slice_done":
+                data, wall_time, counters = message[1]
+                result = result_from_dict(data)
+                _emit_cell_end(spec, attempt, (result, wall_time, counters), self.sink)
+            else:
+                # Deterministic in-worker exception; retrying cannot help.
+                result = self._fail(spec, attempt, "error", message[1])
+            if worker.held:
+                # The worker has moved on to its next slice: mark its start
+                # before the (store-appending) record of this one.
+                self._start(worker.proc.pid, *worker.held[0])
+            record(spec[:3], result)
 
     def _drain_serial(self, ready: deque, waiting: list, record: Recorder) -> None:
         """Run every remaining slice in this process (pool size 0, or no
@@ -573,16 +530,16 @@ class WorkerPool:
             spec, attempt = ready.popleft() if ready else waiting.pop(0)[1]
             self._start(pid, spec, attempt)
             try:
-                outcome = _run_slice(wire_slice(spec), profile, self._tools, self._programs)
+                outcome = _run_slice(spec, profile, self._tools, self._programs)
             except Exception as exc:  # deterministic failure: no retry in-process
                 detail = f"{type(exc).__name__}: {exc}"
-                record(spec.key, self._fail(spec, attempt, "error", detail))
+                record(spec[:3], self._fail(spec, attempt, "error", detail))
                 continue
             _emit_cell_end(spec, attempt, outcome, self.sink)
-            record(spec.key, outcome.result)
+            record(spec[:3], outcome[0])
 
     # -- the dispatch loop ----------------------------------------------
-    def execute(self, pending: list[PendingSlice], record: Recorder) -> None:
+    def execute(self, pending: list[Slice], record: Recorder) -> None:
         """Run every pending slice through the pool (one round barrier).
 
         Returns when every slice has been recorded (success or structured
@@ -590,12 +547,9 @@ class WorkerPool:
         """
         if not pending:
             return
-        ready: deque[Slice] = deque(
-            (CellSpec(tool, program, trial, seed, budget, self.refs.get(tool)), 1)
-            for (tool, program, trial), seed, budget in pending
-        )
+        ready: deque[Queued] = deque((spec, 1) for spec in pending)
         #: Retried slices waiting out their backoff: (earliest send time, slice).
-        waiting: list[tuple[float, Slice]] = []
+        waiting: list[tuple[float, Queued]] = []
         if self.size == 0 or self._degraded:
             self._drain_serial(ready, waiting, record)
             return

@@ -174,13 +174,6 @@ def throughput_summary(aggregator, slowest: int = 3) -> str:
         f"  wall time:        {summary['wall_time']:.2f}s",
         f"  worker restarts:  {summary['worker_restarts']}",
     ]
-    if getattr(aggregator, "worker_recycles", 0):
-        lines.append(f"  worker recycles:  {aggregator.worker_recycles}")
-    if getattr(aggregator, "lease_reassignments", 0):
-        lines.append(
-            f"  lease reassigns:  {aggregator.lease_reassignments} "
-            f"({aggregator.heartbeats} heartbeats observed)"
-        )
     if summary.get("sanitizer_reports"):
         by_name = aggregator.sanitizer_reports_by_name()
         breakdown = ", ".join(f"{name}: {count}" for name, count in sorted(by_name.items()))

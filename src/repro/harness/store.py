@@ -16,10 +16,11 @@ design is a miniature write-ahead log:
   tail: a last line that lacks its newline or does not parse.  A
   writable open truncates it, so later appends can never glue onto it
   and manufacture a mid-file tear.
-* **One read per open.**  Opening the store reads each segment once,
-  checks every record and indexes the valid ones; :meth:`completed`,
-  :meth:`completed_slices` and :meth:`inspect` answer from that index,
-  and every append keeps it current.
+* **One read per open.**  Opening the store reads each segment once, a
+  line at a time, checks every record and indexes the valid ones as they
+  are parsed; :meth:`completed`, :meth:`completed_slices` and
+  :meth:`inspect` answer from that index, and every append keeps it
+  current.
 * **An atomically replaced manifest** (``MANIFEST.json``) naming the live
   segments, the campaign header, and the compaction count.  Every
   manifest update goes through write-temp → fsync → ``os.replace`` →
@@ -54,7 +55,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.harness import faults
 from repro.harness.persist import (
@@ -132,42 +133,52 @@ def _atomic_write_json(payload: dict[str, Any], target: Path) -> None:
     _fsync_dir(target.parent)
 
 
-def _read_segment(path: Path, repair: bool) -> tuple[list[dict[str, Any]], int]:
-    """Read one segment: its committed records and the size of its torn tail.
+def _read_segment(path: Path, repair: bool, visit: Callable[[dict[str, Any]], Any]) -> int:
+    """Read one segment line by line, handing each committed record to
+    ``visit``; returns the size of its torn tail.
 
     A record is committed once its newline is on disk, so the last
     non-blank line is a torn tail when it lacks its newline or does not
-    parse.  ``repair`` truncates that tail, so the next append starts a
+    parse.  A line is therefore parsed only once the next non-blank line
+    shows it was not the last, so no more than one record is held at a
+    time.  ``repair`` truncates the torn tail, so the next append starts a
     fresh line; otherwise it is skipped in place.  An unparseable line
     before the last cannot come from an interrupted append: it raises
     :class:`StoreError`."""
     try:
-        data = path.read_bytes()
+        handle = path.open("rb")
     except FileNotFoundError:
-        return [], 0
-    # Every piece but the last ended in a newline on disk.
-    pieces = data.split(b"\n")
-    lines = [(number, piece) for number, piece in enumerate(pieces, start=1) if piece.strip()]
-    records = []
-    for number, piece in lines[:-1]:
+        return 0
+    #: The last non-blank line so far: (line number, start offset, bytes).
+    last = None
+    end = 0
+    with handle:
+        for number, line in enumerate(handle, start=1):
+            start, end = end, end + len(line)
+            if not line.strip():
+                continue
+            if last is not None:
+                try:
+                    record = json.loads(last[2][:-1])
+                except ValueError as exc:
+                    raise StoreError(f"{path}:{last[0]}: torn line mid-file: {exc}") from exc
+                visit(record)
+            last = (number, start, line)
+    if last is None:
+        return 0
+    _, start, line = last
+    if line.endswith(b"\n"):
         try:
-            records.append(json.loads(piece))
-        except ValueError as exc:
-            raise StoreError(f"{path}:{number}: torn line mid-file: {exc}") from exc
-    if not lines:
-        return records, 0
-    number, piece = lines[-1]
-    if number < len(pieces):
-        try:
-            records.append(json.loads(piece))
-            return records, 0
+            record = json.loads(line[:-1])
         except ValueError:
             pass
-    start = sum(len(earlier) + 1 for earlier in pieces[: number - 1])
+        else:
+            visit(record)
+            return 0
     if repair:
         with path.open("rb+") as handle:
             handle.truncate(start)
-    return records, len(data) - start
+    return end - start
 
 
 class CorpusStore:
@@ -280,11 +291,9 @@ class CorpusStore:
         active = self.segments[-1]
         for segment in self.segments:
             repair = not self.readonly and segment == active
-            records, torn = _read_segment(segment, repair)
+            torn = _read_segment(segment, repair, self._index)
             if repair:
                 self.recovered_bytes += torn
-            for record in records:
-                self._index(record)
         if not self.readonly:
             self._handle = active.open("a", encoding="utf-8")
 
@@ -412,9 +421,14 @@ class CorpusStore:
             "segments_after": 1,
             "records_before": self._records,
         }
-        live: dict[tuple, dict[str, Any]] = {}
-        for segment in self.segments:
-            for record in _read_segment(segment, repair=False)[0]:
+        index = int(self.segments[-1].stem.split("-")[1]) + 1
+        name = SEGMENT_FORMAT.format(index=index)
+        tmp = self.path / (name + ".tmp")
+        #: Keys of the records kept so far: the first valid one per key wins.
+        live: set[tuple] = set()
+        with tmp.open("w", encoding="utf-8") as handle:
+
+            def keep(record: dict[str, Any]) -> None:
                 kind = record.get("type")
                 valid = record.get("checksum") == payload_checksum(record)
                 # Slice records survive compaction: a resumed adaptive
@@ -422,17 +436,16 @@ class CorpusStore:
                 if valid and kind in ("cell", "slice"):
                     data = record["result"]
                     key = (kind, data["tool"], data["program"], data["trial"], record.get("round"))
-                    live.setdefault(key, record)
-        self._handle.close()
-        self._handle = None
-        index = int(self.segments[-1].stem.split("-")[1]) + 1
-        name = SEGMENT_FORMAT.format(index=index)
-        tmp = self.path / (name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in live.values():
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+                    if key not in live:
+                        live.add(key)
+                        handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+            for segment in self.segments:
+                _read_segment(segment, False, keep)
             handle.flush()
             os.fsync(handle.fileno())
+        self._handle.close()
+        self._handle = None
         os.replace(tmp, self.path / name)
         _fsync_dir(self.path)
         old = self.segments

@@ -9,7 +9,9 @@ engine emits into:
 * :class:`Counters` — cheap always-on integer counters incremented by the
   executor and the fuzzer (executions, steps, crashes, corpus admissions);
   the process-global :data:`GLOBAL_COUNTERS` instance lets a worker report
-  exactly what one campaign cell cost.
+  exactly what one campaign cell cost.  Both live in
+  :mod:`repro.runtime.counters`, so the runtime never imports the harness;
+  this module re-exports them.
 * :class:`TelemetrySink` — the emit interface.  :class:`JsonlSink` appends
   one JSON object per line to a file (append-only, flushed per record, so a
   crashed campaign still leaves a readable log); :class:`TelemetryAggregator`
@@ -29,9 +31,10 @@ import json
 import os
 import time
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
+
+from repro.runtime.counters import GLOBAL_COUNTERS, Counters  # noqa: F401 - re-exported
 
 try:  # pragma: no cover - fcntl is present on every POSIX CI target
     import fcntl
@@ -65,56 +68,6 @@ if hasattr(os, "register_at_fork"):
 SCHEMA_VERSION = 1
 
 # ----------------------------------------------------------------------
-# Always-on counters (wired through runtime/executor.py and core/fuzzer.py)
-# ----------------------------------------------------------------------
-@dataclass
-class Counters:
-    """Monotonic per-process counters; integer increments only, so keeping
-    them always-on costs nanoseconds per execution."""
-
-    #: Completed executions (one per Executor.run()).
-    executions: int = 0
-    #: Total executed events across all executions.
-    steps: int = 0
-    #: Crashing executions observed by the fuzzer.
-    crashes: int = 0
-    #: Schedules admitted into a fuzzer corpus.
-    corpus_adds: int = 0
-    #: Findings emitted by online sanitizer stacks (one per report).
-    sanitizer_reports: int = 0
-    #: Executions killed by a guard watchdog (step budget or wall clock).
-    timeouts: int = 0
-    #: Executions killed by the guard's livelock detector.
-    livelocks: int = 0
-    #: Replay executions run by the reproduction verifier.
-    replays: int = 0
-    #: Bug buckets quarantined as FLAKY by replay verification.
-    flaky_quarantined: int = 0
-
-    # The pool snapshots and diffs these around every slice, so the methods
-    # go through ``__dict__``: ``dataclasses.replace``/``fields``/``asdict``
-    # cost several times more per call.
-    def snapshot(self) -> "Counters":
-        return Counters(**self.__dict__)
-
-    def delta(self, since: "Counters") -> "Counters":
-        """Counter increments accumulated after ``since`` was snapshotted."""
-        base = since.__dict__
-        return Counters(**{name: value - base[name] for name, value in self.__dict__.items()})
-
-    def reset(self) -> None:
-        self.__dict__.update(dict.fromkeys(self.__dict__, 0))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-
-#: The process-wide counter instance.  Workers snapshot it around each cell
-#: and ship the delta back with the result.
-GLOBAL_COUNTERS = Counters()
-
-
-# ----------------------------------------------------------------------
 # Event schema
 # ----------------------------------------------------------------------
 #: Fields present on every record, added by the sink itself.
@@ -142,10 +95,14 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
             "corpus_adds",
         }
     ),
+    # Emitted with ``delay`` (its backoff) too; not required, so older files
+    # validate.
     "cell_retry": frozenset({"tool", "program", "trial", "attempt", "kind"}),
     "cell_error": frozenset({"tool", "program", "trial", "attempts", "kind", "detail"}),
     # No longer emitted; kept so telemetry files of older campaigns validate.
     "worker_start": frozenset({"pid", "tool", "program", "trial"}),
+    # Emitted with ``unfinished`` (the slices the worker held) too; not
+    # required, so older files validate.
     "worker_exit": frozenset({"pid", "exitcode", "kind"}),
     "pool_degraded": frozenset({"reason"}),
     "sanitizer_report": frozenset(
@@ -166,13 +123,13 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     "alloc_estimate": frozenset(
         {"allocator", "round", "tool", "program", "trial", "allocated", "estimate"}
     ),
-    # Worker supervision (repro.harness.pool) and the store.
+    # No longer emitted; kept so telemetry files of older campaigns validate.
+    # ``cell_retry`` and ``worker_exit`` now carry what the last two said.
     "heartbeat": frozenset({"pid", "tool", "program", "trial", "seq"}),
     "lease_reassign": frozenset({"tool", "program", "trial", "attempt", "kind", "delay"}),
-    # No longer emitted; kept so telemetry files of older campaigns validate.
     "batch_dispatch": frozenset({"pid", "batch", "slices", "budget"}),
-    # Persistent worker pool (repro.harness.pool).
     "worker_recycle": frozenset({"pid", "exitcode", "kind", "unfinished"}),
+    # The corpus store (repro.harness.store).
     "store_compact": frozenset(
         {"path", "segments_before", "segments_after", "records_before", "records_after"}
     ),
@@ -300,23 +257,9 @@ class TelemetryAggregator(TelemetrySink):
 
     @property
     def worker_restarts(self) -> int:
-        """Worker exits that were not clean completions."""
+        """Worker exits that were not clean completions (a crash, a timeout
+        or a lost lease)."""
         return sum(1 for r in self.of_type("worker_exit") if r["kind"] != "ok")
-
-    @property
-    def heartbeats(self) -> int:
-        """Heartbeat messages received from pool workers."""
-        return len(self.of_type("heartbeat"))
-
-    @property
-    def lease_reassignments(self) -> int:
-        """Cells reassigned after a worker crash, hang, or lost lease."""
-        return len(self.of_type("lease_reassign"))
-
-    @property
-    def worker_recycles(self) -> int:
-        """Pool workers respawned after a crash, lost lease, or timeout."""
-        return len(self.of_type("worker_recycle"))
 
     @property
     def total_executions(self) -> int:

@@ -27,6 +27,7 @@ from repro.core.reproduce import (
     sanitizer_key,
     verify_replay,
 )
+from repro.runtime.counters import GLOBAL_COUNTERS
 from repro.runtime.program import Program
 from repro.schedulers.base import SchedulerPolicy
 from repro.schedulers.muzz_like import MuzzLikePolicy
@@ -143,8 +144,6 @@ class TestingTool(ABC):
                 expected_sanitizer_key=report.dedup_key if report is not None else None,
             ).verdict
             if verdict != STABLE:
-                from repro.harness.telemetry import GLOBAL_COUNTERS
-
                 GLOBAL_COUNTERS.flaky_quarantined += 1
         return {"outcome": outcome, "bucket": bucket_id(key), "replay_verdict": verdict}
 

@@ -54,6 +54,7 @@ from repro.harness.persist import (
     schedule_to_dict,
     verify_checksum,
 )
+from repro.runtime.counters import GLOBAL_COUNTERS
 from repro.schedulers.replay import ReplayPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -273,11 +274,7 @@ def triage_report(
                 env=env,
             )
         )
-    quarantined = sum(1 for bug in bugs if bug.quarantined)
-    if quarantined:
-        from repro.harness.telemetry import GLOBAL_COUNTERS
-
-        GLOBAL_COUNTERS.flaky_quarantined += quarantined
+    GLOBAL_COUNTERS.flaky_quarantined += sum(1 for bug in bugs if bug.quarantined)
     bugs.sort(key=lambda bug: bug.bucket)
     return TriageResult(
         program=program.name,

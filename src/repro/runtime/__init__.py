@@ -8,6 +8,7 @@ equivalent of the paper's E9Patch instrumentation + ``libsched.so`` scheduler
 """
 
 from repro.runtime.api import Api
+from repro.runtime.counters import GLOBAL_COUNTERS, Counters
 from repro.runtime.errors import (
     AssertionViolation,
     DeadlockDetected,
@@ -33,11 +34,13 @@ __all__ = [
     "BufferedStore",
     "Candidate",
     "CondVar",
+    "Counters",
     "DeadlockDetected",
     "DeterminismReport",
     "DoubleFree",
     "ExecutionResult",
     "Executor",
+    "GLOBAL_COUNTERS",
     "Heap",
     "HeapObject",
     "MemorySafetyViolation",

@@ -34,6 +34,7 @@ from repro.core.events import AbstractEvent, Event, intern_abstract
 from repro.core.trace import Trace, intern_rf_pair, rf_pair_hash
 from repro.runtime import ops
 from repro.runtime.api import Api
+from repro.runtime.counters import GLOBAL_COUNTERS
 from repro.runtime.errors import (
     DeadlockDetected,
     NullDereference,
@@ -54,21 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: Default bound on events per execution, guarding against spin-heavy
 #: schedules (e.g. CAS retry loops the policy keeps re-scheduling).
 DEFAULT_MAX_STEPS = 20_000
-
-#: Lazily bound process-global telemetry counters.  The import must be
-#: deferred: ``repro.harness`` imports this module at package init, so a
-#: top-level import of ``repro.harness.telemetry`` would be circular.
-_COUNTERS = None
-
-
-def _global_counters():
-    global _COUNTERS
-    if _COUNTERS is None:
-        from repro.harness.telemetry import GLOBAL_COUNTERS
-
-        _COUNTERS = GLOBAL_COUNTERS
-    return _COUNTERS
-
 
 class Candidate:
     """One enabled thread together with the event it would execute next.
@@ -430,7 +416,7 @@ class Executor:
             failure_frames=failure_frames,
             diverged=getattr(self.policy, "diverged", None),
         )
-        counters = _global_counters()
+        counters = GLOBAL_COUNTERS
         counters.executions += 1
         counters.steps += self.step_index
         counters.sanitizer_reports += len(reports)

@@ -426,6 +426,28 @@ class TestResumeDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        ("stored", "requested", "differing"),
+        [
+            ([], ["--trials", "2"], "(trials: stored 1, requested 2)"),
+            (["--allocator", "laplace"], ["--allocator", "uniform"], "(allocator: stored {"),
+        ],
+        ids=["trials", "allocator"],
+    )
+    def test_refused_resume_leaves_no_telemetry_file(
+        self, capsys, tmp_path, stored, requested, differing
+    ):
+        """The store checks the campaign header before any sink opens."""
+        store = tmp_path / "store"
+        assert main(CAMPAIGN_ARGS + ["--store", str(store)] + stored) == 0
+        capsys.readouterr()
+        telemetry = tmp_path / "telemetry.jsonl"
+        resume = ["--store", str(store), "--resume", "--telemetry", str(telemetry)]
+        assert main(CAMPAIGN_ARGS + resume + requested) == 2
+        err = capsys.readouterr().err
+        assert f"error: {store}: store belongs to a different campaign {differing}" in err
+        assert not telemetry.exists()
+
 
 class TestDurableCampaign:
     @pytest.mark.parametrize(

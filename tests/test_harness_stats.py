@@ -113,6 +113,7 @@ LAZY_MODULES = (
     "repro.gen",
     "repro.analysis",
     "repro.harness.persist",
+    "repro.harness.pool",
     "repro.harness.reporting",
     "repro.harness.stats",
     "repro.harness.store",
@@ -172,6 +173,23 @@ class TestImportCost:
             "bench.get('py:counter_race')\n"
             f"loaded = [name for name in {SUITE_MODULES!r} if name in sys.modules]\n"
             "assert not loaded, loaded\n"
+        )
+
+    def test_plain_fuzz_loads_no_harness(self):
+        """The runtime and core count into ``repro.runtime.counters``, so a
+        library fuzz call loads nothing of the experiment harness."""
+        run_fresh(
+            "import sys\n"
+            "import repro\n"
+            "from repro import bench\n"
+            "report = repro.fuzz(bench.get('CS/account'), 20)\n"
+            "assert report.executions == 20\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.harness')]\n"
+            "assert not loaded, loaded\n"
+            "from repro.harness import telemetry\n"
+            "from repro.runtime import GLOBAL_COUNTERS\n"
+            "assert telemetry.GLOBAL_COUNTERS is GLOBAL_COUNTERS\n"
+            "assert GLOBAL_COUNTERS.executions == 20\n"
         )
 
     def test_every_harness_export_resolves(self):

@@ -71,16 +71,20 @@ class TestKillMidBatchReplay:
             telemetry=aggregator,
             heartbeat_seconds=0.05,
         ).run(TOOLS, PROGRAMS)
-        # The worker really died mid-campaign and was recycled...
-        recycles = aggregator.of_type("worker_recycle")
-        assert recycles and any(r["kind"] == "crash" for r in recycles)
+        # The worker really died mid-campaign, holding unfinished slices...
         crash_exits = [
             r for r in aggregator.of_type("worker_exit") if r["kind"] == "crash"
         ]
         assert any(r["exitcode"] == faults.CRASH_EXIT_CODE for r in crash_exits)
-        # ...replaying some slices (cell_retry), but never re-recording a
-        # completed one and never dropping one: every cell lands exactly once.
+        assert all(r["unfinished"] >= 1 for r in crash_exits)
+        # ...each fact said once: no retired duplicate events...
+        retired = ("heartbeat", "lease_reassign", "worker_recycle")
+        assert not [r for r in aggregator.records if r["event"] in retired]
+        # ...replaying some slices (cell_retry, with its backoff), but never
+        # re-recording a completed one and never dropping one: every cell
+        # lands exactly once.
         assert aggregator.retries >= 1
+        assert all("delay" in r for r in aggregator.of_type("cell_retry"))
         keys = [
             (r["tool"], r["program"], r["trial"])
             for r in aggregator.of_type("cell_end")
@@ -106,8 +110,12 @@ class TestKillMidBatchReplay:
         )
         # The crasher first died holding the slice queued behind it; its
         # retries ran with nothing behind them.
-        recycles = [(r["kind"], r["unfinished"]) for r in aggregator.of_type("worker_recycle")]
-        assert recycles == [("crash", 2), ("crash", 1), ("crash", 1)]
+        deaths = [
+            (r["kind"], r["unfinished"])
+            for r in aggregator.of_type("worker_exit")
+            if r["kind"] != "ok"
+        ]
+        assert deaths == [("crash", 2), ("crash", 1), ("crash", 1)]
         # The queued slice started once, at attempt 1.
         behind = [
             r["attempt"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -161,21 +160,6 @@ class TestPoolTelemetry:
         assert 1 <= len(exits) <= 2
         assert all(r["kind"] == "ok" for r in exits)
 
-    def test_supervised_pool_heartbeats(self):
-        aggregator = TelemetryAggregator()
-        # Long enough cells that several 5ms beats land mid-slice.
-        config = replace(CONFIG, budget=400)
-        ParallelCampaign(
-            config,
-            processes=1,
-            telemetry=aggregator,
-            heartbeat_seconds=0.005,
-        ).run(TOOLS, PROGRAMS)
-        # Beats carry the identity of the running slice.
-        assert aggregator.heartbeats >= 1
-        for record in aggregator.of_type("heartbeat"):
-            assert (record["tool"], record["program"], record["trial"])[0] in TOOLS
-
 
 # ----------------------------------------------------------------------
 # Profiling satellite
@@ -221,7 +205,7 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "worker recycles:" not in out  # no worker died
+        assert "worker restarts:  0" in out  # no worker died
         assert "Worker profile" in out
 
     def test_pool_campaign_reports_recycles(self, capsys, fault_env):
@@ -240,4 +224,4 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "worker recycles:  1" in out
+        assert "worker restarts:  1" in out

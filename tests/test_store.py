@@ -233,7 +233,7 @@ class TestSegmentsAndCompaction:
         monkeypatch.setattr(
             store_module,
             "_read_segment",
-            lambda path, repair: (reads.append(path), real_read(path, repair))[1],
+            lambda path, repair, visit: (reads.append(path), real_read(path, repair, visit))[1],
         )
         with CorpusStore(tmp_path / "store") as store:
             assert len(store.completed()) == 3

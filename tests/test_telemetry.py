@@ -128,6 +128,10 @@ class TestValidateRecord:
                 "store_compact",
                 {"path": "/tmp/store", "segments_before": 3, "segments_after": 1, "records_before": 5, "records_after": 4},
             ),
+            (
+                "worker_recycle",
+                {"pid": 7, "exitcode": 17, "kind": "crash", "unfinished": 2},
+            ),
         ],
     )
     def test_accepts_supervisor_and_store_events(self, event, payload):
