@@ -1,26 +1,18 @@
 """Dynamic trace analyses: the companions of Section 6 ("Dynamic Analyses").
 
-These run over recorded :class:`~repro.core.trace.Trace` objects — e.g. the
-traces RFF's executions produce — and implicate concurrency defects beyond
-the crash oracle: happens-before data races (:func:`find_races`), lock
-discipline violations (:func:`check_lock_discipline`) and predicted ABBA
-deadlocks (:func:`predict_deadlocks`).
+Each analysis is one streaming sanitizer (:mod:`repro.analysis.online`)
+that campaigns attach to the executor.  The same sanitizers analyse
+recorded :class:`~repro.core.trace.Trace` objects — e.g. the traces RFF's
+executions produce — and implicate concurrency defects beyond the crash
+oracle: happens-before data races (:func:`find_races`), lock discipline
+violations (:func:`check_lock_discipline`) and predicted ABBA deadlocks
+(:func:`predict_deadlocks`).
 """
 
 from repro.analysis.directed import DirectedResult, confirm_races, predict_races
-from repro.analysis.hb import HbRaceDetector, Race, RaceReport, find_races
-from repro.analysis.lockgraph import (
-    DeadlockPrediction,
-    LockGraphAnalyzer,
-    LockGraphReport,
-    predict_deadlocks,
-)
-from repro.analysis.lockset import (
-    LockDisciplineViolation,
-    LocksetAnalyzer,
-    LocksetReport,
-    check_lock_discipline,
-)
+from repro.analysis.hb import Race, RaceReport
+from repro.analysis.lockgraph import DeadlockPrediction, LockGraphReport
+from repro.analysis.lockset import LockDisciplineViolation, LocksetReport
 from repro.analysis.online import (
     SANITIZERS,
     OnlineLockOrderSanitizer,
@@ -29,18 +21,18 @@ from repro.analysis.online import (
     Sanitizer,
     SanitizerReport,
     build_stack,
+    check_lock_discipline,
+    find_races,
     parse_sanitizers,
+    predict_deadlocks,
 )
 from repro.analysis.vector_clock import VectorClock, concurrent
 
 __all__ = [
     "DeadlockPrediction",
     "DirectedResult",
-    "HbRaceDetector",
     "LockDisciplineViolation",
-    "LockGraphAnalyzer",
     "LockGraphReport",
-    "LocksetAnalyzer",
     "LocksetReport",
     "OnlineLockOrderSanitizer",
     "OnlineLocksetSanitizer",

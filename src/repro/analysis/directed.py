@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.hb import Race, find_races
+from repro.analysis.hb import Race
+from repro.analysis.online import find_races
 from repro.core.constraints import AbstractSchedule, Constraint
 from repro.core.proactive import RffSchedulerPolicy
 from repro.core.reproduce import RunEnv

@@ -1,10 +1,13 @@
-"""Happens-before data-race detection over recorded traces.
+"""Happens-before data races: the race vocabulary and its report types.
 
-A FastTrack-style single-pass detector (Flanagan & Freund, PLDI 2009,
-simplified): it maintains one vector clock per thread, release clocks per
+The detector itself is :class:`~repro.analysis.online.OnlineRaceSanitizer`,
+a FastTrack-style single pass (Flanagan & Freund, PLDI 2009, simplified):
+it maintains one vector clock per thread, release clocks per
 synchronization object, and per data location the last write plus the reads
 since that write.  Two *plain* accesses to the same location race when they
-are unordered by happens-before and at least one is a write.
+are unordered by happens-before and at least one is a write.  Campaigns
+stream events to it; :func:`~repro.analysis.online.find_races` replays a
+recorded trace through a fresh one.
 
 Happens-before edges modelled (matching the runtime's SC semantics):
 
@@ -25,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.vector_clock import VectorClock
 from repro.core.events import Event
-from repro.core.trace import Trace
 
 #: Location prefixes holding plain data (race candidates).
 DATA_PREFIXES = ("var:", "heap:")
@@ -42,12 +43,6 @@ SYNC_KINDS = frozenset(
 #: before releasing; the rest are release-only (unlock, signal, sem_release).
 ACQUIRE_KINDS = frozenset({"lock", "trylock", "wait", "sem_acquire", "trysem", "barrier", "rmw", "cas"})
 
-# Backwards-compatible private aliases (pre-online-sanitizer names).
-_DATA_PREFIXES = DATA_PREFIXES
-_PLAIN_READS = PLAIN_READS
-_PLAIN_WRITES = PLAIN_WRITES
-_SYNC_KINDS = SYNC_KINDS
-
 
 @dataclass(frozen=True)
 class Race:
@@ -59,8 +54,8 @@ class Race:
 
     @property
     def kind(self) -> str:
-        a_writes = self.first.kind in _PLAIN_WRITES
-        b_writes = self.second.kind in _PLAIN_WRITES
+        a_writes = self.first.kind in PLAIN_WRITES
+        b_writes = self.second.kind in PLAIN_WRITES
         if a_writes and b_writes:
             return "write-write"
         return "read-write" if not a_writes else "write-read"
@@ -88,108 +83,3 @@ class RaceReport:
     def distinct(self) -> set[tuple[str, str, str]]:
         """Races deduplicated by (location, first loc label, second loc)."""
         return {(r.location, r.first.loc, r.second.loc) for r in self.races}
-
-
-@dataclass
-class _LocationState:
-    """Per-data-location access history since the last write."""
-
-    last_write: tuple[Event, VectorClock] | None = None
-    reads: dict[int, tuple[Event, VectorClock]] = field(default_factory=dict)
-
-
-class HbRaceDetector:
-    """Single-pass happens-before race detection over a trace."""
-
-    def __init__(self) -> None:
-        self._thread_clocks: dict[int, VectorClock] = {}
-        self._release_clocks: dict[str, VectorClock] = {}
-        self._final_clocks: dict[int, VectorClock] = {}
-        self._locations: dict[str, _LocationState] = {}
-        self._report = RaceReport()
-
-    # -- clock plumbing --------------------------------------------------
-    def _clock(self, tid: int) -> VectorClock:
-        if tid not in self._thread_clocks:
-            self._thread_clocks[tid] = VectorClock()
-        return self._thread_clocks[tid]
-
-    def _acquire(self, tid: int, location: str) -> None:
-        released = self._release_clocks.get(location)
-        if released is not None:
-            self._clock(tid).join(released)
-
-    def _release(self, tid: int, location: str) -> None:
-        self._release_clocks[location] = self._clock(tid).copy()
-
-    # -- the pass ----------------------------------------------------------
-    def analyze(self, trace: Trace) -> RaceReport:
-        """Single pass over ``trace``; returns every detected HB race."""
-        last_event_tid: dict[int, Event] = {}
-        for event in trace.events:
-            clock = self._clock(event.tid)
-            clock.tick(event.tid)
-            self._handle(event)
-            last_event_tid[event.tid] = event
-        return self._report
-
-    def _handle(self, event: Event) -> None:
-        tid = event.tid
-        if event.kind == "spawn" and isinstance(event.aux, int):
-            child = event.aux
-            self._thread_clocks[child] = self._clock(tid).copy()
-            return
-        if event.kind == "join" and isinstance(event.aux, int):
-            target_clock = self._thread_clocks.get(event.aux)
-            if target_clock is not None:
-                self._clock(tid).join(target_clock)
-            return
-        if event.kind in ("signal", "broadcast"):
-            self._release(tid, event.location)
-            for woken in event.aux or ():
-                # The signaller's history happens-before the wakeup.
-                self._clock(woken).join(self._clock(tid))
-            return
-        if event.kind in _SYNC_KINDS:
-            # Acquire-release synchronization on the event's location.
-            if event.kind in ACQUIRE_KINDS:
-                self._acquire(tid, event.location)
-            self._release(tid, event.location)
-            return
-        if event.location.startswith(_DATA_PREFIXES):
-            if event.kind in _PLAIN_READS:
-                self._on_read(event)
-            elif event.kind in _PLAIN_WRITES:
-                self._on_write(event)
-
-    def _state(self, location: str) -> _LocationState:
-        if location not in self._locations:
-            self._locations[location] = _LocationState()
-        return self._locations[location]
-
-    def _on_read(self, event: Event) -> None:
-        state = self._state(event.location)
-        clock = self._clock(event.tid)
-        if state.last_write is not None:
-            write, write_clock = state.last_write
-            if write.tid != event.tid and not write_clock.leq(clock):
-                self._report.races.append(Race(event.location, write, event))
-        state.reads[event.tid] = (event, clock.copy())
-
-    def _on_write(self, event: Event) -> None:
-        state = self._state(event.location)
-        clock = self._clock(event.tid)
-        if state.last_write is not None:
-            write, write_clock = state.last_write
-            if write.tid != event.tid and not write_clock.leq(clock):
-                self._report.races.append(Race(event.location, write, event))
-        for reader_tid, (read, read_clock) in state.reads.items():
-            if reader_tid != event.tid and not read_clock.leq(clock):
-                self._report.races.append(Race(event.location, read, event))
-        state.last_write = (event, clock.copy())
-        state.reads.clear()
-
-
-def find_races(trace: Trace) -> RaceReport:
-    """One-call API: all happens-before races in ``trace``."""
-    return HbRaceDetector().analyze(trace)

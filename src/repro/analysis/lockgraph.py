@@ -7,13 +7,17 @@ ABBA deadlock — even when the observed schedule completed fine.  This is
 the predictive companion to the runtime's built-in deadlock *detector*: the
 detector needs the hang to happen; the predictor implicates it from a
 passing run (paper Section 6, "Dynamic Analyses").
+
+:func:`lock_order_on_event` and :func:`cycle_predictions` are the one
+implementation.  :class:`~repro.analysis.online.OnlineLockOrderSanitizer`
+accumulates edges per event as the executor records them, and
+:func:`~repro.analysis.online.predict_deadlocks` replays a recorded trace
+through a fresh sanitizer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.core.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,10 @@ def lock_order_on_event(
 ) -> None:
     """One lock-order step: update held stacks and graph ``edges``.
 
-    Shared verbatim by the offline :class:`LockGraphAnalyzer` and the online
-    ``OnlineLockOrderSanitizer`` so the two agree by construction.  Events
-    that are not lock operations (the vast majority of a data-heavy trace)
-    return without touching ``held`` at all.
+    The per-event step of ``OnlineLockOrderSanitizer``, which is also how
+    ``predict_deadlocks`` analyses a recorded trace.  Events that are not
+    lock operations (the vast majority of a data-heavy trace) return
+    without touching ``held`` at all.
     """
     kind = event.kind
     if kind == "lock" or (kind == "trylock" and event.value):
@@ -129,21 +133,3 @@ def cycle_predictions(edges: dict[tuple[str, str], set[int]]) -> list[DeadlockPr
                 pending.pop()
                 path.pop()
     return sorted(predictions, key=lambda prediction: prediction.cycle)
-
-
-class LockGraphAnalyzer:
-    """Builds the lock-order graph and reports inter-thread cycles."""
-
-    def analyze(self, trace: Trace) -> LockGraphReport:
-        """Build the lock-order graph of ``trace`` and report its cycles."""
-        held: dict[int, list[str]] = {}
-        report = LockGraphReport()
-        for event in trace.events:
-            lock_order_on_event(event, held, report.edges)
-        report.predictions.extend(cycle_predictions(report.edges))
-        return report
-
-
-def predict_deadlocks(trace: Trace) -> LockGraphReport:
-    """One-call API: lock-order cycle prediction over ``trace``."""
-    return LockGraphAnalyzer().analyze(trace)

@@ -18,6 +18,12 @@ Eraser state machine per location:
 Lockset analysis is schedule-insensitive, so it implicates discipline
 violations (like the ``wronglock`` family) even on interleavings where
 nothing went wrong.
+
+:func:`eraser_on_event` is the one implementation of the state machine.
+:class:`~repro.analysis.online.OnlineLocksetSanitizer` runs it per event as
+the executor records them, and
+:func:`~repro.analysis.online.check_lock_discipline` replays a recorded
+trace through a fresh sanitizer.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.analysis.hb import DATA_PREFIXES as _DATA_PREFIXES
+from repro.analysis.hb import DATA_PREFIXES
 from repro.analysis.hb import PLAIN_READS as _READ_KINDS
 from repro.analysis.hb import PLAIN_WRITES as _WRITE_KINDS
-from repro.core.trace import Trace
 
 
 class LocationState(enum.Enum):
@@ -90,17 +95,17 @@ def eraser_on_event(
 ) -> None:
     """One Eraser step: update ``held``/``shadows``/``joined`` for ``event``.
 
-    Shared verbatim by the offline :class:`LocksetAnalyzer` and the online
-    ``OnlineLocksetSanitizer`` so the two agree by construction.  Event
-    kinds are mutually exclusive, so the branches below test the common
-    data-access case first and only materialise per-thread / per-location
-    state on the paths that actually read or mutate it.
+    The per-event step of ``OnlineLocksetSanitizer``, which is also how
+    ``check_lock_discipline`` analyses a recorded trace.  Event kinds are
+    mutually exclusive, so the branches below test the common data-access
+    case first and only materialise per-thread / per-location state on the
+    paths that actually read or mutate it.
     """
     tid = event.tid
     kind = event.kind
     if kind in _DATA_KINDS:
         location = event.location
-        if not location.startswith(_DATA_PREFIXES):
+        if not location.startswith(DATA_PREFIXES):
             return
         holder = held.get(tid)
         if holder is None:
@@ -193,23 +198,3 @@ def _step(shadow: _Shadow, event, holder: set[str], report: LocksetReport, is_wr
                 threads=frozenset(shadow.accessors),
             )
         )
-
-
-class LocksetAnalyzer:
-    """Single-pass Eraser over a recorded trace."""
-
-    def analyze(self, trace: Trace) -> LocksetReport:
-        """Run the Eraser state machine over ``trace``."""
-        held: dict[int, set[str]] = {}
-        shadows: dict[str, _Shadow] = {}
-        joined: dict[int, set[int]] = {}
-        report = LocksetReport()
-        for event in trace.events:
-            eraser_on_event(event, held, shadows, joined, report)
-        eraser_finish(shadows, report)
-        return report
-
-
-def check_lock_discipline(trace: Trace) -> LocksetReport:
-    """One-call API: Eraser lockset analysis of ``trace``."""
-    return LocksetAnalyzer().analyze(trace)

@@ -1,11 +1,13 @@
-"""Online sanitizers: streaming analyses driven by the executor.
+"""Streaming sanitizers: the one implementation of each dynamic analysis.
 
-The offline detectors in :mod:`repro.analysis` re-scan a fully recorded
-trace after the fact.  Campaigns instead attach a *sanitizer stack* to the
-executor: each sanitizer receives every visible event as it is recorded
-(plus thread start/exit hooks) and turns the execution into a bug oracle
-with no post-hoc pass — the way Fray integrates dynamic analyses into a
-general-purpose concurrency-testing platform (paper Section 6).
+Campaigns attach a *sanitizer stack* to the executor: each sanitizer
+receives every visible event as it is recorded (plus thread start/exit
+hooks) and turns the execution into a bug oracle with no post-hoc pass —
+the way Fray integrates dynamic analyses into a general-purpose
+concurrency-testing platform (paper Section 6).  The offline analyses of a
+recorded trace (:func:`find_races`, :func:`check_lock_discipline`,
+:func:`predict_deadlocks`) replay its events through a fresh sanitizer, so
+each analysis has exactly one implementation.
 
 Three sanitizers ship in the registry:
 
@@ -15,13 +17,14 @@ Three sanitizers ship in the registry:
   instead of a full vector-clock copy.  Because an access always ticks its
   own thread's component first, ``write_clock.leq(current)`` collapses to
   the O(1) comparison ``current.get(write.tid) >= write_epoch`` — exactly,
-  not approximately — so the online detector agrees bit-for-bit with the
-  offline :class:`~repro.analysis.hb.HbRaceDetector`.
-* ``lockset`` — :class:`OnlineLocksetSanitizer`, the Eraser state machine,
-  sharing :func:`~repro.analysis.lockset.eraser_on_event` with the offline
-  analyzer so the two agree by construction.
+  not approximately.  The test suite checks it against an independent
+  oracle that decides happens-before by reachability in an explicit graph
+  of the trace's edges.
+* ``lockset`` — :class:`OnlineLocksetSanitizer`, the Eraser state machine
+  of :func:`~repro.analysis.lockset.eraser_on_event`.
 * ``lockorder`` — :class:`OnlineLockOrderSanitizer`, lock-order-graph ABBA
-  deadlock prediction, sharing the offline edge/cycle helpers.
+  deadlock prediction over the edge and cycle helpers of
+  :mod:`repro.analysis.lockgraph`.
 
 Every finding is normalised into a :class:`SanitizerReport` whose
 ``dedup_key`` (sanitizer, kind, abstract-event pair) identifies the bug
@@ -50,6 +53,7 @@ from repro.analysis.lockset import (
 )
 from repro.analysis.vector_clock import VectorClock
 from repro.core.events import Event
+from repro.core.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,9 @@ class Sanitizer:
         return []
 
 
-#: Flat per-kind dispatch for the race sanitizer: one dict lookup replaces
-#: the original chain of equality / set-membership tests.  Built from the
-#: same hb.py kind sets, with the same precedence as the original chain
-#: (spawn/join/signal/broadcast are checked before generic sync kinds).
+#: Flat per-kind dispatch for the race sanitizer: one dict lookup instead of
+#: a chain of equality / set-membership tests.  Built from the hb.py kind
+#: sets; spawn/join/signal/broadcast override the generic sync actions.
 _READ, _WRITE, _SYNC_ACQ_REL, _SYNC_REL, _WAKE, _SPAWN, _JOIN = range(1, 8)
 _KIND_ACTIONS: dict[str, int] = {}
 for _kind in PLAIN_READS:
@@ -152,8 +155,8 @@ class OnlineRaceSanitizer(Sanitizer):
 
     Thread clocks and sync-object release clocks stay full (sparse) vector
     clocks; only the hot per-location access metadata is epoch-compressed.
-    Mirrors :meth:`HbRaceDetector._handle` event-for-event so the resulting
-    :attr:`report` equals the offline ``find_races`` output exactly.
+    :attr:`report` holds every race in detection order; :func:`find_races`
+    returns it for a recorded trace.
     """
 
     name = "race"
@@ -165,7 +168,7 @@ class OnlineRaceSanitizer(Sanitizer):
         self._writes: dict[str, tuple[Event, int]] = {}
         #: location -> {reader tid: (read event, read epoch)}.
         self._reads: dict[str, dict[int, tuple[Event, int]]] = {}
-        #: The offline-equivalent report, maintained incrementally.
+        #: Every race so far, in detection order.
         self.report = RaceReport()
 
     def _clock(self, tid: int) -> VectorClock:
@@ -177,8 +180,7 @@ class OnlineRaceSanitizer(Sanitizer):
     def on_event(self, event: Event) -> None:
         # Flattened single-lookup dispatch (one dict get on the kind instead
         # of a chain of set-membership tests), with the vector-clock tick
-        # and all epoch comparisons inlined on the plain read/write paths —
-        # every branch mirrors HbRaceDetector._handle decision-for-decision.
+        # and all epoch comparisons inlined on the plain read/write paths.
         tid = event.tid
         thread_clocks = self._thread_clocks
         clock = thread_clocks.get(tid)
@@ -277,9 +279,8 @@ class OnlineRaceSanitizer(Sanitizer):
 class OnlineLocksetSanitizer(Sanitizer):
     """Eraser lock-discipline analysis, online.
 
-    Runs :func:`~repro.analysis.lockset.eraser_on_event` per event — the
-    exact function the offline analyzer loops over — so :attr:`report`
-    matches ``check_lock_discipline`` by construction.
+    Runs :func:`~repro.analysis.lockset.eraser_on_event` per event;
+    :meth:`finish` fills the final states and candidate locksets.
     """
 
     name = "lockset"
@@ -288,7 +289,7 @@ class OnlineLocksetSanitizer(Sanitizer):
         self._held: dict[int, set[str]] = {}
         self._shadows: dict[str, _Shadow] = {}
         self._joined: dict[int, set[int]] = {}
-        #: The offline-equivalent report, maintained incrementally.
+        #: Violations so far; final states once :meth:`finish` ran.
         self.report = LocksetReport()
         self._finished = False
 
@@ -315,7 +316,7 @@ class OnlineLocksetSanitizer(Sanitizer):
 class OnlineLockOrderSanitizer(Sanitizer):
     """Lock-order-graph ABBA deadlock prediction, online.
 
-    Accumulates graph edges per event via the shared
+    Accumulates graph edges per event via
     :func:`~repro.analysis.lockgraph.lock_order_on_event`; the cycle search
     only runs in :meth:`finish`.
     """
@@ -325,7 +326,7 @@ class OnlineLockOrderSanitizer(Sanitizer):
     def __init__(self) -> None:
         self._held: dict[int, list[str]] = {}
         self._edges: dict[tuple[str, str], set[int]] = {}
-        #: The offline-equivalent report, populated by :meth:`finish`.
+        #: The graph and its cycles, populated by :meth:`finish`.
         self.report = None
 
     def on_event(self, event: Event) -> None:
@@ -389,3 +390,26 @@ def build_stack(names: tuple[str, ...] | list[str]) -> list[Sanitizer]:
             known = ", ".join(SANITIZERS)
             raise ValueError(f"unknown sanitizer {name!r}; known: {known}") from None
     return stack
+
+
+def _replay(sanitizer: Sanitizer, trace: Trace):
+    """Feed a recorded trace's events through ``sanitizer``; its report."""
+    for event in trace.events:
+        sanitizer.on_event(event)
+    sanitizer.finish()
+    return sanitizer.report
+
+
+def find_races(trace: Trace) -> RaceReport:
+    """All happens-before races in a recorded ``trace``."""
+    return _replay(OnlineRaceSanitizer(), trace)
+
+
+def check_lock_discipline(trace: Trace) -> LocksetReport:
+    """Eraser lockset analysis of a recorded ``trace``."""
+    return _replay(OnlineLocksetSanitizer(), trace)
+
+
+def predict_deadlocks(trace: Trace) -> LockGraphReport:
+    """Lock-order cycle prediction over a recorded ``trace``."""
+    return _replay(OnlineLockOrderSanitizer(), trace)

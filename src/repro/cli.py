@@ -21,6 +21,20 @@ from repro.harness.campaign import CampaignConfig, campaign_header
 from repro.harness.tools import paper_tools, tool_factory
 
 
+class UsageError(Exception):
+    """A refused command line: :func:`main` prints ``error: <message>`` on
+    stderr and exits 2, before any sink, store or output file opens."""
+
+
+def _check_tools(names) -> None:
+    """Refuse an unknown tool name (with its did-you-mean hint)."""
+    try:
+        for name in names:
+            tool_factory(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+
+
 def _add_substrate_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--substrate", choices=("dsl", "py"), default="dsl",
                         help="program substrate: 'dsl' (modeled benchmarks, gen: "
@@ -32,21 +46,20 @@ def _resolve_program(name: str, substrate: str = "dsl"):
     """Resolve a program name under the chosen substrate.
 
     Under ``--substrate=py`` bare names map into the ``py:`` namespace
-    (``counter_race`` -> ``py:counter_race``).  Lookup failures become a
-    clean ``SystemExit`` so diagnostics land on stderr, not a traceback.
+    (``counter_race`` -> ``py:counter_race``).  An unknown name is refused.
     """
     if substrate == "py" and not name.startswith("py:"):
         name = f"py:{name}"
     try:
         return bench.get(name)
     except KeyError as exc:
-        raise SystemExit(exc.args[0] if exc.args else str(exc)) from None
+        raise UsageError(exc.args[0]) from None
 
 
 def _check_memory_model(prog, memory_model: str) -> None:
     """Real-Python programs execute on real memory: SC only."""
     if prog.suite == "py" and memory_model != "sc":
-        raise SystemExit(
+        raise UsageError(
             f"{prog.name} runs real Python code on real memory; "
             f"--memory-model {memory_model} is only meaningful for DSL programs"
         )
@@ -60,7 +73,7 @@ def _parse_sanitizers(spec: str | None) -> tuple[str, ...]:
     try:
         return parse_sanitizers(spec)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _add_guard_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         tool = tool_factory(args.tool)()
     except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
+        raise UsageError(exc.args[0]) from None
     result = tool.find_bug(
         prog, args.budget, args.seed, env=_run_env(args), verify_replays=args.verify_replays
     )
@@ -206,36 +219,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_campaign_persistence(args: argparse.Namespace) -> str | None:
-    """Catch misconfigured --resume/--store combinations early, with
+def _validate_campaign_persistence(args: argparse.Namespace) -> None:
+    """Refuse misconfigured --resume/--store combinations early, with
     diagnostics instead of tracebacks deep inside the engine.  The store
     itself refuses a resume under a different campaign header."""
     import pathlib
 
     if args.resume and not args.store:
-        return "--resume requires --store DIR to resume from"
+        raise UsageError("--resume requires --store DIR to resume from")
     if not args.store:
-        return None
+        return
     from repro.harness.store import MANIFEST_NAME
 
     manifest = pathlib.Path(args.store) / MANIFEST_NAME
     if args.resume:
         if not pathlib.Path(args.store).exists():
-            return (
+            raise UsageError(
                 f"cannot --resume from {args.store}: store does not exist "
                 "(drop --resume to start a fresh campaign)"
             )
         if not manifest.exists():
-            return (
+            raise UsageError(
                 f"cannot --resume from {args.store}: store is empty "
                 "(drop --resume to start a fresh campaign)"
             )
     elif manifest.exists():
-        return (
+        raise UsageError(
             f"store {args.store} already holds a campaign; pass --resume to "
             "continue it or point --store at a fresh directory"
         )
-    return None
 
 
 #: ``rff campaign`` flags that act on worker processes only.
@@ -244,28 +256,23 @@ _WORKER_FLAGS = ("--timeout", "--profile")
 
 def _validate_campaign_run(
     args: argparse.Namespace, tool_names: list[str], program_names: list[str]
-) -> str | None:
-    """Reject bad names, worker-only flags without workers and a lease no
+) -> None:
+    """Refuse bad names, worker-only flags without workers and a lease no
     heartbeat can renew, before anything runs: in-process, ``--timeout`` is
     never enforced and ``--profile`` dumps nothing."""
-    try:
-        for name in tool_names:
-            tool_factory(name)
-        for name in program_names:
-            bench.get(name)
-    except KeyError as exc:
-        return exc.args[0]
+    _check_tools(tool_names)
+    for name in program_names:
+        _resolve_program(name)
     given = [
         flag for flag in _WORKER_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None
     ]
     if given and not args.parallel:
-        return f"worker-process flags need --parallel N with N >= 1: {', '.join(given)}"
+        raise UsageError(f"worker-process flags need --parallel N with N >= 1: {', '.join(given)}")
     if args.heartbeat_seconds >= args.lease_seconds:
-        return (
+        raise UsageError(
             f"--heartbeat-seconds {args.heartbeat_seconds:g} must be below "
             f"--lease-seconds {args.lease_seconds:g}, or every worker loses its lease"
         )
-    return None
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -307,11 +314,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         guard=_parse_guard(args),
         allocator=allocator,
     )
-    problem = _validate_campaign_run(args, tool_names, program_names)
-    problem = problem or _validate_campaign_persistence(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+    _validate_campaign_run(args, tool_names, program_names)
+    _validate_campaign_persistence(args)
     aggregator = TelemetryAggregator()
     sinks = [aggregator]
     if args.verbose:
@@ -347,8 +351,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         result = campaign.run(tool_names, program_names)
     except (SinkLockedError, StoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     finally:
         sink.close()
         if store is not args.store:
@@ -426,23 +429,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.harness.triage import load_artifact, verify_artifact
     from repro.schedulers import ReplayPolicy
 
-    raw = load_json(args.file)
+    try:
+        raw = load_json(args.file)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read bug file {args.file}: {exc}") from None
     recorded = raw.get("program") if isinstance(raw, dict) else None
     if args.substrate is not None and isinstance(recorded, str):
         is_py = recorded.startswith("py:")
         if is_py != (args.substrate == "py"):
-            print(
-                f"error: {args.file} records {recorded!r} "
+            raise UsageError(
+                f"{args.file} records {recorded!r} "
                 f"({'py' if is_py else 'dsl'} substrate), but --substrate "
-                f"{args.substrate} was requested",
-                file=sys.stderr,
+                f"{args.substrate} was requested"
             )
-            return 2
     try:
         payload = load_artifact(args.file)
     except (ChecksumError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     prog = _resolve_program(payload["program"])
     print(f"program:  {payload['program']}")
     print(f"bucket:   {payload['bucket']}")
@@ -473,6 +476,15 @@ def _count(text: str) -> int:
     return count
 
 
+def _positive(text: str) -> int:
+    """``--replays``, ``--alloc-rounds`` and ``--min-cell-budget``: zero
+    replays verify nothing, and zero rounds run no schedule."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _seconds(text: str) -> float:
     """``--timeout``/``--lease-seconds``/``--heartbeat-seconds``: 0 would
     kill every busy worker at once or stop heartbeats (and with them the
@@ -489,7 +501,7 @@ def _parse_gen_config(token: str | None):
     try:
         return GenConfig.from_token(token or "")
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -506,7 +518,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             # Machine-readable failure: one JSON object on stdout, exit 2.
             print(json.dumps({"ok": False, "error": str(exc)}))
             return 2
-        raise SystemExit(str(exc)) from None
+        raise UsageError(str(exc)) from None
     out = None
     if args.out:
         import pathlib
@@ -574,6 +586,7 @@ def _cmd_eval_gen(args: argparse.Namespace) -> int:
     from repro.harness.reporting import groundtruth_summary
     from repro.harness.telemetry import JsonlSink, TelemetrySink
 
+    _check_tools(args.tools)
     config = GroundTruthConfig(
         seed=args.seed,
         count=args.count,
@@ -608,8 +621,10 @@ def _cmd_eval_gen(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """Inspect, compact, or verify a durable corpus store."""
+    import pathlib
+
     from repro.harness.reporting import store_summary
-    from repro.harness.store import CorpusStore, StoreError
+    from repro.harness.store import MANIFEST_NAME, CorpusStore, StoreError
 
     try:
         if args.store_command == "inspect":
@@ -622,6 +637,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             print(store_summary(inspection))
             print("verify: ok")
             return 0
+        if not (pathlib.Path(args.path) / MANIFEST_NAME).exists():
+            # Opening writable would create a store here.
+            raise UsageError(f"{args.path}: not a corpus store (no {MANIFEST_NAME})")
         with CorpusStore(args.path) as store:
             stats = store.compact()
         print(
@@ -636,14 +654,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 sink.emit("store_compact", path=str(args.path), **stats)
         return 0
     except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
     from repro.harness.reporting import figure5_ascii, rf_distribution_pos, rf_distribution_rff
 
-    prog = bench.get(args.program)
+    prog = _resolve_program(args.program)
     pos = rf_distribution_pos(prog, executions=args.executions, seed=args.seed)
     rff = rf_distribution_rff(prog, executions=args.executions, seed=args.seed)
     print(figure5_ascii(pos))
@@ -740,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="budget allocator: uniform reproduces the classic "
                                  "per-cell split bit-for-bit; laplace/novelty re-plan "
                                  "schedule budgets across cells in seeded rounds")
-    p_campaign.add_argument("--alloc-rounds", type=int, default=None, metavar="R",
+    p_campaign.add_argument("--alloc-rounds", type=_positive, default=None, metavar="R",
                             help="allocation rounds for adaptive allocators (default 4)")
-    p_campaign.add_argument("--min-cell-budget", type=int, default=None, metavar="N",
+    p_campaign.add_argument("--min-cell-budget", type=_positive, default=None, metavar="N",
                             help="per-round schedule floor for every live cell "
                                  "(starvation freedom; default 1)")
     p_campaign.add_argument("--verify-replays", type=int, default=0, metavar="N",
@@ -758,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_substrate_flag(p_triage)
     p_triage.add_argument("--budget", type=int, default=1000)
     p_triage.add_argument("--seed", type=int, default=0)
-    p_triage.add_argument("--replays", type=int, default=5,
+    p_triage.add_argument("--replays", type=_positive, default=5,
                           help="verification replays per bug bucket (default 5)")
     p_triage.add_argument("--minimize", action="store_true",
                           help="shrink each reproducer with bucket-constrained ddmin")
@@ -790,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--verify", action="store_true",
                           help="replay N times and report a STABLE/FLAKY verdict "
                                "(exit 0 only for STABLE)")
-    p_replay.add_argument("--replays", type=int, default=5, metavar="N",
+    p_replay.add_argument("--replays", type=_positive, default=5, metavar="N",
                           help="replays for --verify (default 5)")
     p_replay.set_defaults(func=_cmd_replay)
 
@@ -863,7 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

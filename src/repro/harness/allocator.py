@@ -164,6 +164,13 @@ class BudgetAllocator:
 
     name = "abstract"
 
+    def __post_init__(self) -> None:
+        # Both knobs are counts: a campaign of zero rounds runs no schedule.
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.min_cell_budget < 1:
+            raise ValueError(f"min_cell_budget must be >= 1, got {self.min_cell_budget}")
+
     def identity(self) -> dict[str, Any] | None:
         """What this allocator stamps into the campaign header.
 
@@ -393,7 +400,7 @@ class AllocationRun:
 
     def next_plan(self) -> dict[CellId, int] | None:
         """The current round's plan, or None when all rounds have run."""
-        if self.round_index >= max(1, self.allocator.rounds):
+        if self.round_index >= self.allocator.rounds:
             return None
         return self.allocator.plan(self.cells, self.history, self.round_index, self.base_seed)
 

@@ -261,7 +261,7 @@ def run_rounds(
         for trial in range(1 if tool_name in deterministic else config.trials)
     ]
     allocator = config.allocator or UniformAllocator()
-    single_round = max(1, allocator.rounds) == 1
+    single_round = allocator.rounds == 1
     executions = 0
     owned = isinstance(store, (str, Path))
     if owned:

@@ -38,7 +38,10 @@ cost across executions.  This module is the analogue of the fork server:
   way) or a *flaky environment* (:func:`classify_failures`).  The slice
   queued behind it never started and goes back to the front of the ready
   queue at its current attempt.  For a fixed (seed, allocator), serial ==
-  pool == SIGKILL'd-and-resumed, bit for bit.
+  pool == SIGKILL'd-and-resumed, bit for bit.  A campaign that aborts (an
+  exception out of the round loop) kills the workers still holding slices
+  on :meth:`WorkerPool.close`, one ``worker_exit`` of kind ``abort`` each,
+  so every worker that started a cell has exactly one exit record.
 * **In-process execution.**  A pool of size 0 runs every slice in the
   dispatcher's own process, and a pool whose workers cannot be started
   at all degrades to that same in-process drain.  It is the only
@@ -360,10 +363,15 @@ class WorkerPool:
         worker.conn.close()
 
     def close(self) -> None:
-        """Shut every worker down (clean message first, then force)."""
+        """Shut every worker down (clean message first, then force), with
+        one ``worker_exit`` each.
+
+        A worker that still holds slices means the campaign is aborting: it
+        is killed without waiting for them, and its exit is of kind
+        ``abort`` with the slices it held as ``unfinished``.
+        """
         for worker in self._workers.values():
             if worker.held:
-                # Abort path: slices are still in flight; don't wait for them.
                 self._kill(worker)
                 continue
             try:
@@ -371,19 +379,18 @@ class WorkerPool:
             except OSError:
                 pass
         for worker in self._workers.values():
-            if worker.held:
-                continue
-            worker.proc.join(timeout=5)
-            if worker.proc.is_alive():  # pragma: no cover - shutdown suffices
-                worker.proc.terminate()
-                worker.proc.join()
-            worker.conn.close()
+            if not worker.held:
+                worker.proc.join(timeout=5)
+                if worker.proc.is_alive():  # pragma: no cover - shutdown suffices
+                    worker.proc.terminate()
+                    worker.proc.join()
+                worker.conn.close()
             self.sink.emit(
                 "worker_exit",
                 pid=worker.proc.pid,
                 exitcode=worker.proc.exitcode,
-                kind="ok",
-                unfinished=0,
+                kind="abort" if worker.held else "ok",
+                unfinished=len(worker.held),
             )
         self._workers.clear()
 

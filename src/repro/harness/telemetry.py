@@ -101,8 +101,9 @@ EVENT_SCHEMA: dict[str, frozenset[str]] = {
     "cell_error": frozenset({"tool", "program", "trial", "attempts", "kind", "detail"}),
     # No longer emitted; kept so telemetry files of older campaigns validate.
     "worker_start": frozenset({"pid", "tool", "program", "trial"}),
-    # Emitted with ``unfinished`` (the slices the worker held) too; not
-    # required, so older files validate.
+    # ``kind`` is ok, crash, timeout, lease or abort (killed by an aborting
+    # campaign).  Emitted with ``unfinished`` (the slices the worker held)
+    # too; not required, so older files validate.
     "worker_exit": frozenset({"pid", "exitcode", "kind"}),
     "pool_degraded": frozenset({"reason"}),
     "sanitizer_report": frozenset(
@@ -257,9 +258,10 @@ class TelemetryAggregator(TelemetrySink):
 
     @property
     def worker_restarts(self) -> int:
-        """Worker exits that were not clean completions (a crash, a timeout
-        or a lost lease)."""
-        return sum(1 for r in self.of_type("worker_exit") if r["kind"] != "ok")
+        """Worker exits that cost a replacement: a crash, a timeout or a
+        lost lease, not a clean shutdown (``ok``) nor the kill of an
+        aborting campaign (``abort``)."""
+        return sum(1 for r in self.of_type("worker_exit") if r["kind"] not in ("ok", "abort"))
 
     @property
     def total_executions(self) -> int:

@@ -306,3 +306,12 @@ def test_make_allocator_knows_all_names():
     assert make_allocator("uniform", rounds=9).rounds == 1
     with pytest.raises(ValueError):
         make_allocator("bandit")
+
+
+@pytest.mark.parametrize("allocator_class", [*ADAPTIVE, UniformAllocator])
+@pytest.mark.parametrize("knobs", [{"rounds": 0}, {"rounds": -2}, {"min_cell_budget": 0}])
+def test_fewer_than_one_round_or_schedule_is_refused(allocator_class, knobs):
+    """A zero-round campaign would run no schedule and report every cell
+    as not found; both knobs are counts of at least one."""
+    with pytest.raises(ValueError, match=next(iter(knobs))):
+        allocator_class(**knobs)

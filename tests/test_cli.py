@@ -35,11 +35,10 @@ class TestFuzz:
         out = capsys.readouterr().out
         assert "first crash at:     None" in out
 
-    def test_unknown_program_exits_cleanly(self):
+    def test_unknown_program_exits_cleanly(self, capsys):
         # A typo must exit with a did-you-mean diagnostic, not a traceback.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fuzz", "CS/bogus"])
-        assert "did you mean" in str(excinfo.value)
+        assert main(["fuzz", "CS/bogus"]) == 2
+        assert "did you mean" in capsys.readouterr().err
 
 
 class TestRun:
@@ -53,9 +52,9 @@ class TestRun:
         assert "Error" in captured.err
         assert "Error" not in captured.out
 
-    def test_unknown_tool_exits(self):
-        with pytest.raises(SystemExit):
-            main(["run", "CS/account", "--tool", "NotATool"])
+    def test_unknown_tool_exits(self, capsys):
+        assert main(["run", "CS/account", "--tool", "NotATool"]) == 2
+        assert "unknown tool 'NotATool'" in capsys.readouterr().err
 
 
 class TestCampaign:
@@ -209,9 +208,9 @@ class TestGen:
         assert main(["gen", "--seed", "1", "--count", "2", "--config", "t=2"]) == 0
         assert "gen:1:t=2" in capsys.readouterr().out
 
-    def test_gen_rejects_bad_config_token(self):
-        with pytest.raises(SystemExit):
-            main(["gen", "--config", "zz=9"])
+    def test_gen_rejects_bad_config_token(self, capsys):
+        assert main(["gen", "--config", "zz=9"]) == 2
+        assert "zz" in capsys.readouterr().err
 
     def test_fuzz_accepts_gen_name(self, capsys):
         assert main(["fuzz", "gen:3", "--budget", "50", "--seed", "0"]) == 0
@@ -255,13 +254,13 @@ class TestSubstrate:
         assert code == 0
         assert "py:counter_race" in capsys.readouterr().out
 
-    def test_py_program_rejects_tso(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["fuzz", "py:counter_race", "--substrate", "py",
-                 "--memory-model", "tso", "--budget", "10"]
-            )
-        assert "real memory" in str(excinfo.value)
+    def test_py_program_rejects_tso(self, capsys):
+        code = main(
+            ["fuzz", "py:counter_race", "--substrate", "py",
+             "--memory-model", "tso", "--budget", "10"]
+        )
+        assert code == 2
+        assert "real memory" in capsys.readouterr().err
 
     def test_replay_substrate_mismatch_exits_2(self, capsys, tmp_path):
         import json
@@ -535,3 +534,71 @@ class TestStoreCommands:
     def test_inspect_missing_store_is_an_error(self, capsys, tmp_path):
         assert main(["store", "inspect", str(tmp_path / "nope")]) == 2
         assert "not a corpus store" in capsys.readouterr().err
+
+
+#: Command lines ``rff`` refuses: unknown names, unreadable bug files, a
+#: path that is not a store, and counts that must be at least one.  Paths
+#: in braces are filled in from the ``inputs`` directory.
+REFUSALS = {
+    "fuzz-unknown-program": ["fuzz", "CS/bogus"],
+    "run-unknown-program": ["run", "CS/bogus"],
+    "dpor-unknown-program": ["dpor", "CS/bogus"],
+    "analyze-unknown-program": ["analyze", "CS/bogus"],
+    "triage-unknown-program": ["triage", "CS/bogus"],
+    "figure5-unknown-program": ["figure5", "--program", "nope"],
+    "run-unknown-tool": ["run", "CS/account", "--tool", "NotATool"],
+    "eval-gen-unknown-tool": ["eval-gen", "--tools", "Bogus", "--count", "1"],
+    "gen-bad-config": ["gen", "--config", "zz=9"],
+    "fuzz-py-under-tso": ["fuzz", "py:counter_race", "--memory-model", "tso"],
+    "replay-missing-file": ["replay", "MISSING.json"],
+    "replay-not-json": ["replay", "{inputs}/README.md"],
+    "replay-verify-zero-replays": ["replay", "{inputs}/crash-000.json", "--verify", "--replays", "0"],
+    "triage-zero-replays": ["triage", "CS/account", "--budget", "50", "--replays", "0"],
+    "store-compact-empty-dir": ["store", "compact", "{inputs}/empty"],
+    "store-compact-missing-dir": ["store", "compact", "nostore"],
+    "campaign-zero-alloc-rounds": [
+        "campaign", "--allocator", "laplace", "--alloc-rounds", "0",
+        "--programs", "CS/account", "--tools", "POS", "--trials", "2", "--budget", "50",
+    ],
+    "campaign-zero-min-cell-budget": [
+        "campaign", "--allocator", "laplace", "--min-cell-budget", "0",
+        "--programs", "CS/account", "--tools", "POS", "--trials", "2", "--budget", "50",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """A crash file, a file that is not JSON and an empty directory."""
+    from repro import bench
+    from repro.core.fuzzer import fuzz
+    from repro.harness.persist import save_crashes
+
+    inputs = tmp_path_factory.mktemp("inputs")
+    report = fuzz(bench.get("CS/account"), max_executions=300, seed=1, stop_on_first_crash=True)
+    save_crashes(report, inputs)
+    (inputs / "README.md").write_text("# not a bug file\n")
+    (inputs / "empty").mkdir()
+    return inputs
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_misuse_is_refused_with_exit_2(
+        self, argv, refusal_inputs, tmp_path, monkeypatch, capsys
+    ):
+        """``error: ...`` on stderr and exit 2, before anything runs or any
+        file is written."""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(refusal_inputs.rglob("*"))
+        argv = [arg.format(inputs=refusal_inputs) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed count
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+        assert sorted(refusal_inputs.rglob("*")) == before

@@ -1,10 +1,14 @@
 """Online sanitizer pipeline: executor hooks, detectors, fuzzer wiring.
 
-The core property is *differential*: the streaming sanitizers driven by the
-executor must produce exactly the same verdicts as the offline analyzers
-re-scanning the recorded trace — the epoch-optimized online race detector
-bit-for-bit equal to ``find_races``, the lockset/lockorder sanitizers equal
-by shared construction.
+The streaming sanitizers of :mod:`repro.analysis.online` are the only
+implementation of each analysis; ``find_races``, ``check_lock_discipline``
+and ``predict_deadlocks`` replay a recorded trace through a fresh one.  The
+core property has two halves.  The race sanitizer must report exactly the
+races of :func:`oracle_races`, an independent reference that decides
+happens-before by reachability in an explicit graph of the trace's edges and
+shares no code or kind table with the detector.  And every sanitizer that
+the executor streams events to must report what the same sanitizer reports
+when it replays the recorded trace.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import bench
 from repro.analysis import check_lock_discipline, find_races, predict_deadlocks
+from repro.analysis.hb import Race
 from repro.analysis.lockgraph import DeadlockPrediction, cycle_predictions
 from repro.analysis.online import (
     SANITIZERS,
@@ -31,6 +36,8 @@ from repro.analysis.online import (
 from repro.core.fuzzer import RffConfig, RffFuzzer
 from repro.core.reproduce import RunEnv
 from repro.runtime import program, run_program
+from repro.runtime.executor import Executor
+from repro.runtime.tso import TsoExecutor
 from repro.schedulers import PctPolicy, RandomWalkPolicy
 
 
@@ -269,25 +276,124 @@ class TestDetectors:
 
 
 # ----------------------------------------------------------------------
-# Differential property: online == offline
+# The race oracle: happens-before as reachability in an explicit graph
 # ----------------------------------------------------------------------
+#: Event kinds of the op vocabulary (repro.runtime.ops), spelled out here
+#: rather than taken from repro.analysis.hb, so a wrong entry in the
+#: detector's tables shows as a disagreement.  Plain accesses map to
+#: whether they write.
+PLAIN_ACCESSES = {"r": False, "hr": False, "w": True, "hw": True}
+#: Sync kinds that order the location's previous sync event before them.
+ACQUIRING = frozenset(
+    {"lock", "trylock", "wait", "sem_acquire", "trysem", "barrier", "rmw", "cas"}
+)
+#: Sync kinds that only release; signal and broadcast also wake threads.
+RELEASING = frozenset({"unlock", "signal", "broadcast", "sem_release"})
+DATA_LOCATIONS = ("var:", "heap:")
+
+
+def hb_successors(events):
+    """The happens-before edges between trace positions, as successor lists.
+
+    Program order; a spawn to the child's first event; the child's last
+    event to a join of it; a location's previous sync event to a later
+    acquiring sync event there; a signal or broadcast to each woken
+    thread's next event.  Every edge points forward in trace order.
+    """
+    successors = [[] for _ in events]
+    latest = {}  # tid -> position of its latest event
+    to_next = {}  # tid -> positions with an edge to that thread's next event
+    last_sync = {}  # location -> position of its latest sync event
+    for index, event in enumerate(events):
+        tid, kind, location = event.tid, event.kind, event.location
+        if tid in latest:
+            successors[latest[tid]].append(index)
+        for source in to_next.pop(tid, ()):
+            successors[source].append(index)
+        latest[tid] = index
+        if kind == "spawn":
+            to_next.setdefault(event.aux, []).append(index)
+        elif kind == "join" and event.aux in latest:
+            successors[latest[event.aux]].append(index)
+        elif kind in ACQUIRING or kind in RELEASING:
+            if kind in ACQUIRING and location in last_sync:
+                successors[last_sync[location]].append(index)
+            last_sync[location] = index
+            if kind in ("signal", "broadcast"):
+                for woken in event.aux:
+                    to_next.setdefault(woken, []).append(index)
+    return successors
+
+
+def oracle_races(trace):
+    """FastTrack's reporting rule over graph reachability.
+
+    A plain access is checked against the last plain write to its location
+    and a plain write also against each thread's latest read since that
+    write; a pair by two threads races unless a path of edges orders it.
+    ``rmw``/``cas`` are synchronisation only and never race.
+    """
+    events = trace.events
+    successors = hb_successors(events)
+    # reach[i]: bitmask of the positions reachable from position i, built in
+    # one reverse pass because every edge points forward.
+    reach = [0] * len(events)
+    for index in range(len(events) - 1, -1, -1):
+        mask = 0
+        for later in successors[index]:
+            mask |= reach[later] | (1 << later)
+        reach[index] = mask
+    last_write = {}  # location -> position
+    reads = {}  # location -> {tid: position of its latest read since the write}
+    races = []
+    for index, event in enumerate(events):
+        writes = PLAIN_ACCESSES.get(event.kind)
+        location = event.location
+        if writes is None or not location.startswith(DATA_LOCATIONS):
+            continue
+        earlier = [last_write[location]] if location in last_write else []
+        if writes:
+            earlier.extend(reads.pop(location, {}).values())
+            last_write[location] = index
+        else:
+            reads.setdefault(location, {})[event.tid] = index
+        for other in earlier:
+            if events[other].tid != event.tid and not reach[other] >> index & 1:
+                races.append(Race(location, events[other], event))
+    return races
+
+
 def _policies():
     return [RandomWalkPolicy(11), PctPolicy(depth=3, seed=11)]
 
 
-@pytest.mark.parametrize("name", sorted(bench.all_programs()))
+#: The 49 modeled programs, the generated scenarios gen:2000..2029 and the
+#: real-Python py: targets.
+DIFFERENTIAL_PROGRAMS = [
+    *sorted(bench.all_programs()),
+    *(f"gen:{seed}" for seed in range(2000, 2030)),
+    *bench.py_names(),
+]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_PROGRAMS)
 def test_online_matches_offline(name):
+    """The streamed race sanitizer reports the oracle's races, and each
+    sanitizer reports the same when it replays the recorded trace.  DSL
+    programs run under SC and TSO, py: targets under SC only."""
     prog = bench.get(name)
-    for policy in _policies():
+    executors = [Executor] if prog.suite == "py" else [Executor, TsoExecutor]
+    runs = [(executor, policy) for executor in executors for policy in _policies()]
+    for executor, policy in runs:
         stack = build_stack(("race", "lockset", "lockorder"))
-        result = run_program(
+        result = executor(
             prog, policy, max_steps=prog.max_steps or 20000, sanitizers=stack
-        )
+        ).run()
         race, lockset, lockorder = stack
         trace = result.trace
 
-        offline_races = find_races(trace)
-        assert race.report.races == offline_races.races
+        assert race.report.races == oracle_races(trace)
+        assert find_races(trace).races == race.report.races
 
         offline_lockset = check_lock_discipline(trace)
         assert lockset.report.violations == offline_lockset.violations

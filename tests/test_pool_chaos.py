@@ -166,3 +166,29 @@ class TestDurablePoolConvergence:
         arm(monkeypatch, tmp_path, ChaosPlan(seed=seed, kill=0.2, torn_write=0.2))
         result = self.run_until_converged(tmp_path / "store")
         assert result == serial
+
+
+class TestAbortedCampaignTelemetry:
+    def test_every_started_worker_has_one_exit(self, tmp_path, monkeypatch):
+        """A torn store write aborts a pooled campaign mid-round; closing
+        the pool kills the workers still holding slices, and each worker
+        named by a ``cell_start`` has exactly one ``worker_exit``."""
+        arm(monkeypatch, tmp_path, ChaosPlan(seed=1, torn_write=0.15))
+        telemetry = TelemetryAggregator()
+        engine = ParallelCampaign(
+            CampaignConfig(trials=2, budget=30, base_seed=3),
+            processes=2,
+            store=tmp_path / "store",
+            telemetry=telemetry,
+        )
+        with pytest.raises(ChaosKill):
+            engine.run(["RFF", "POS"], bench.names()[:12])
+        started = {record["pid"] for record in telemetry.of_type("cell_start")}
+        exits = [record["pid"] for record in telemetry.of_type("worker_exit")]
+        assert len(started) == 2
+        assert sorted(exits) == sorted(started)
+        kinds = {record["kind"] for record in telemetry.of_type("worker_exit")}
+        assert "abort" in kinds and kinds <= {"abort", "ok"}
+        # Aborts cost no replacement worker, and the campaign never completed.
+        assert telemetry.worker_restarts == 0
+        assert not telemetry.of_type("campaign_end")
